@@ -12,13 +12,11 @@ import argparse
 import datetime
 import json
 import os
-import random
 import re
-import subprocess
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
+from . import __version__, verify as verify_mod
 from .asymptotics import experiment
 from .constructions import build_named, cx1_family, cx2_package
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
@@ -35,23 +33,6 @@ _CONSTRUCT_LABELS = {
     "cx2": ("G", "H", "H_prime"),
     "star-path": ("G_star", "G_path"),
 }
-
-
-def _version() -> str:
-    here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=here, capture_output=True, text=True, timeout=10)
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
-        pass
-    try:
-        from importlib.metadata import version
-        return version("spexlab")
-    except Exception:
-        return "unknown"
 
 
 def _jsonable(obj):
@@ -80,14 +61,12 @@ def _drop_timings(obj):
 
 
 def _emit(args, payload: dict) -> None:
-    report = {"schema": _SCHEMA, "version": _version()}
+    report = {"schema": _SCHEMA, "version": __version__}
     if args.no_timestamps:
         payload = _drop_timings(payload)
     else:
         report["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds")
-    if args.seed is not None:
-        report["seed"] = args.seed
     report.update(payload)
     json.dump(_jsonable(report), sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -110,14 +89,16 @@ def _read_config(path: str | None) -> dict:
 
 
 def _resolve_jobs(args, config: dict) -> int:
+    """Flag, then config, then SPEXLAB_JOBS; at least 1, at most the CPUs."""
     if args.jobs is not None:
-        return args.jobs
-    if "jobs" in config:
-        return int(config["jobs"])
-    env = os.environ.get("SPEXLAB_JOBS")
-    if env:
-        return int(env)
-    return 1
+        jobs = args.jobs
+    elif "jobs" in config:
+        jobs = int(config["jobs"])
+    else:
+        jobs = int(os.environ.get("SPEXLAB_JOBS") or 1)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _resolve_tol(args, config: dict, default: float = 1e-10) -> float:
@@ -316,14 +297,10 @@ def _cmd_fit(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    if args.seed is not None:
-        random.seed(args.seed)
     claims = list(verify_mod.CLAIM_IDS) if args.all else (args.claim or [])
     if not claims:
         raise ValueError("pass --claim <id> (repeatable) or --all")
     params = _parse_params(args.params)
-    if args.p is not None:
-        params["p"] = args.p
     jobs = _resolve_jobs(args, config)
     reports = [verify_mod.run_claim(cid, params or None, jobs=jobs)
                for cid in claims]
@@ -342,9 +319,8 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (default 1)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sampling")
+                        help="parallel workers, 1 to the CPU count "
+                             "(default 1)")
     common.add_argument("--config", default=None,
                         help="key = value config file")
     common.add_argument("--no-timestamps", action="store_true",
@@ -429,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(verify_mod.CLAIM_IDS)} "
                         "(repeatable)")
     p.add_argument("--all", action="store_true", help="run every claim")
-    p.add_argument("--p", type=int, default=None,
-                   help="override p for the cx2 claim")
     p.add_argument("--params", help="extra claim parameters")
     p.set_defaults(func=_cmd_verify)
 

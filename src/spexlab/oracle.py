@@ -126,6 +126,24 @@ def _accepted_children(g: Graph, gform: bytes,
     return out
 
 
+def _walk(root: Graph, family: ForbiddenFamily | None, cut: int | None = None,
+          frontier: list | None = None) -> Iterator[Graph]:
+    """Depth-first canonical augmentation from root, root included.
+
+    Graphs with ``cut`` edges are appended to ``frontier`` instead of being
+    yielded or expanded; each is the root of an independent subtree because
+    the parent-acceptance test is local.
+    """
+    stack = [(root, canonical_form(root))]
+    while stack:
+        g, form = stack.pop()
+        if g.edge_count == cut:
+            frontier.append(g)
+            continue
+        yield g
+        stack.extend(_accepted_children(g, form, family))
+
+
 def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
                      allow_large: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, optionally family-free.
@@ -135,66 +153,38 @@ def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
     every yielded graph is family-free and the search tree is pruned at the
     first forbidden subgraph.
     """
+    yield from _free_graphs(n, family, allow_large, jobs=1)
+
+
+def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[str]:
+    seed_g6, family_g6 = args
+    family = None
+    if family_g6 is not None:
+        family = ForbiddenFamily([decode_graph6(s) for s in family_g6])
+    return [encode_graph6(g) for g in _walk(decode_graph6(seed_g6), family)]
+
+
+def _free_graphs(n: int, family: ForbiddenFamily | None, allow_large: bool,
+                 jobs: int) -> Iterator[Graph]:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > _GUARDRAIL and not allow_large:
         raise ValueError(
             f"refusing to enumerate n = {n} > {_GUARDRAIL} isomorphism classes; "
             "pass allow_large=True to override")
-    g0 = empty_graph(n)
-    stack = [(g0, canonical_form(g0))]
-    while stack:
-        g, form = stack.pop()
-        yield g
-        stack.extend(_accepted_children(g, form, family))
-
-
-def _subtree_forms(seed: Graph, form: bytes, family) -> list[str]:
-    stack = [(seed, form)]
-    out = []
-    while stack:
-        g, f = stack.pop()
-        out.append(encode_graph6(g))
-        stack.extend(_accepted_children(g, f, family))
-    return out
-
-
-def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[str]:
-    seed_g6, family_g6 = args
-    seed = decode_graph6(seed_g6)
-    family = None
-    if family_g6 is not None:
-        family = ForbiddenFamily([decode_graph6(s) for s in family_g6])
-    return _subtree_forms(seed, canonical_form(seed), family)
-
-
-def _free_graphs(n: int, family: ForbiddenFamily | None, allow_large: bool,
-                 jobs: int) -> Iterator[Graph]:
-    if jobs <= 1 or n < 3:
-        yield from enumerate_graphs(n, family, allow_large)
+    # with jobs > 1 the tree is cut at a fixed edge level and the subtrees
+    # below it are walked as shards in worker processes
+    cut = (n + 1) // 2 if jobs > 1 and n >= 3 else None
+    seeds: list[Graph] = []
+    yield from _walk(empty_graph(n), family, cut, seeds)
+    if not seeds:
         return
-    if n > _GUARDRAIL and not allow_large:
-        raise ValueError(
-            f"refusing to enumerate n = {n} > {_GUARDRAIL} isomorphism classes; "
-            "pass allow_large=True to override")
-    # split the augmentation tree at a fixed edge level; each subtree is an
-    # independent shard because the parent-acceptance test is local
-    level = (n + 1) // 2
-    g0 = empty_graph(n)
-    seeds = []
-    stack = [(g0, canonical_form(g0))]
-    while stack:
-        g, form = stack.pop()
-        if g.edge_count == level:
-            seeds.append(encode_graph6(g))
-            continue
-        yield g
-        stack.extend(_accepted_children(g, form, family))
     fam_tokens = None
     if family is not None:
         fam_tokens = tuple(encode_graph6(m) for m in family.members)
+    tasks = [(encode_graph6(s), fam_tokens) for s in seeds]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for forms in pool.map(_shard_worker, [(s, fam_tokens) for s in seeds]):
+        for forms in pool.map(_shard_worker, tasks):
             for f in forms:
                 yield decode_graph6(f)
 

@@ -187,19 +187,13 @@ def is_equitable(g: Graph, partition: Partition | None = None) -> bool:
 
 # -- exact matrices and polynomials -------------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary value of the float
-    return Fraction(x)
-
-
 class RationalMatrix:
     """Immutable square matrix over Fraction."""
 
     __slots__ = ("entries", "n")
 
     def __init__(self, rows: Iterable[Iterable]):
-        entries = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix must be square")
@@ -259,7 +253,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -275,7 +269,7 @@ class RationalPoly:
         return bool(self.coeffs)
 
     def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
+        x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -389,7 +383,7 @@ def perron_less_than(matrix, q) -> bool:
     a = _coerce_matrix(matrix)
     if any(x < 0 for row in a.entries for x in row):
         raise ValueError("matrix must be entrywise nonnegative")
-    q = _as_fraction(q)
+    q = Fraction(q)
     n = a.n
     rows = [[(q if i == j else Fraction(0)) - a.entries[i][j] for j in range(n)]
             for i in range(n)]
@@ -410,7 +404,7 @@ def perron_less_than(matrix, q) -> bool:
 def perron_root_interval(matrix, width) -> tuple[Fraction, Fraction]:
     """Rational interval (lo, hi] of length <= width containing the Perron root."""
     a = _coerce_matrix(matrix)
-    width = _as_fraction(width)
+    width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     hi = max((sum(row, Fraction(0)) for row in a.entries), default=Fraction(0)) + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics
 from .canon import canonical_form
@@ -31,14 +31,12 @@ from .spectral import is_equitable, perron_less_than, perron_root_interval, \
 __all__ = ["CLAIM_IDS", "CLAIM_SPECS", "ClaimSpec", "run_claim", "run_all",
            "first_failure"]
 
-CLAIM_IDS = ("f1", "cx1", "cx2", "table", "tree-lemma", "edge-add",
-             "transfer-shift", "spectral-turan", "mantel")
-
-
 class ClaimSpec(NamedTuple):
+    """One claim: its id, default params, expected checks and runner."""
     id: str
     params: dict
     expected: tuple
+    run: Callable
 
 
 class _Checker:
@@ -109,7 +107,9 @@ _CX1_NS = (55, 109, 217, 433)
 def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
     r, k, m = params["r"], params["k"], params["m"]
     fam = cx1_family(r, k, m)
-    samples = []
+    fit = asymptotics.experiment("cx1_gap", {"r": r, "k": k}, ns=_CX1_NS,
+                                 jobs=jobs)
+    gaps = dict(fit.samples)
     for n in _CX1_NS:
         g, h = cx1_pair(r, k, n)
         c.check(f"e(H) = e(G) + 1 at n = {n}",
@@ -117,13 +117,9 @@ def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
                 detail=f"e(H) = {h.edge_count}, e(G) = {g.edge_count}")
         c.check(f"H avoids the family at n = {n}", is_free(h, fam))
         c.check(f"G avoids the family at n = {n}", is_free(g, fam))
-        lg = spectral_radius(g, tol=1e-11).value
-        lh = spectral_radius(h, tol=1e-11).value
-        c.check(f"lambda(H) < lambda(G) at n = {n}", lh < lg,
-                detail=f"gap {lh - lg:.3e}")
-        samples.append((n, lh - lg))
-    target = 2 - (k - 5 + 6 / k) / (r - 1) - 4 * (k - 1) / (k * r)
-    fit = asymptotics.fit_first_order(samples, predicted=target)
+        c.check(f"lambda(H) < lambda(G) at n = {n}", gaps[n] < 0,
+                detail=f"gap {gaps[n]:.3e}")
+    target = fit.predicted
     c.check("extrapolated n*(lambda(H) - lambda(G)) within 15% of target",
             abs(fit.first_order - target) <= 0.15 * abs(target),
             detail=f"got {fit.first_order:.6f}, target {target:.6f}")
@@ -209,31 +205,30 @@ def _claim_table(c: _Checker, params: dict, jobs: int) -> None:
 
 # ------------------------------------------------- fit-based claims ----
 
-def _check_fit(c: _Checker, label: str, fit, target: float,
-               rel: float) -> None:
+def _check_fit(c: _Checker, label: str, fit, rel: float = 0.05) -> None:
+    """The extrapolated constant lies within rel of the closed form."""
+    target = fit.predicted
     c.check(f"{label} within {int(rel * 100)}% of {target:g}",
             abs(fit.first_order - target) <= rel * abs(target),
             detail=f"got {fit.first_order:.6f} (error est {fit.error:.2e})")
 
 
 def _claim_tree_lemma(c: _Checker, params: dict, jobs: int) -> None:
-    fit = asymptotics.star_vs_path(3, 4, jobs=jobs)
-    _check_fit(c, "star_vs_path(3, 4) constant", fit, 0.25, 0.05)
-    fit = asymptotics.star_vs_path(3, 5, jobs=jobs)
-    _check_fit(c, "star_vs_path(3, 5) constant", fit, 0.6, 0.05)
+    for k in (4, 5):
+        _check_fit(c, f"star_vs_path(3, {k}) constant",
+                   asymptotics.star_vs_path(3, k, jobs=jobs))
 
 
 def _claim_edge_add(c: _Checker, params: dict, jobs: int) -> None:
     r, b, a = params["r"], params["b"], params["a"]
-    fit = asymptotics.edge_add(r, b, a, jobs=jobs)
-    _check_fit(c, f"edge_add({r}, {b}, {a}) constant", fit, 2.0 * (b - a), 0.05)
+    _check_fit(c, f"edge_add({r}, {b}, {a}) constant",
+               asymptotics.edge_add(r, b, a, jobs=jobs))
 
 
 def _claim_transfer_shift(c: _Checker, params: dict, jobs: int) -> None:
     r, k = params["r"], params["k"]
-    fit = asymptotics.transfer_shift(r, k, jobs=jobs)
-    _check_fit(c, f"transfer_shift({r}, {k}) constant", fit,
-               -4 * (k - 1) / (k * r), 0.05)
+    _check_fit(c, f"transfer_shift({r}, {k}) constant",
+               asymptotics.transfer_shift(r, k, jobs=jobs))
 
 
 # ----------------------------------------------------- oracle claims ----
@@ -261,68 +256,47 @@ def _claim_mantel(c: _Checker, params: dict, jobs: int) -> None:
 
 # ----------------------------------------------------------- driver ----
 
-_RUNNERS = {
-    "f1": _claim_f1,
-    "cx1": _claim_cx1,
-    "cx2": _claim_cx2,
-    "table": _claim_table,
-    "tree-lemma": _claim_tree_lemma,
-    "edge-add": _claim_edge_add,
-    "transfer-shift": _claim_transfer_shift,
-    "spectral-turan": _claim_spectral_turan,
-    "mantel": _claim_mantel,
-}
+CLAIM_SPECS = {spec.id: spec for spec in (
+    ClaimSpec("f1", {}, ("chromatic numbers", "two-part edge containment",
+                         "path-pair containment", "matching freeness"),
+              _claim_f1),
+    ClaimSpec("cx1", {"r": 3, "k": 6, "m": 5},
+              ("edge count offset", "family freeness", "spectral gap sign",
+               "extrapolated constant"), _claim_cx1),
+    ClaimSpec("cx2", {"p": 7, "m": 3},
+              ("equitable partitions", "quotient matrices",
+               "certified eigenvalue bounds", "restricted optimum"),
+              _claim_cx2),
+    ClaimSpec("table", {}, ("eight rational densities", "certified ceilings"),
+              _claim_table),
+    ClaimSpec("tree-lemma", {}, ("star versus path constants",),
+              _claim_tree_lemma),
+    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0}, ("bounded edit constant",),
+              _claim_edge_add),
+    ClaimSpec("transfer-shift", {"r": 3, "k": 6},
+              ("part rebalancing constant",), _claim_transfer_shift),
+    ClaimSpec("spectral-turan", {}, ("spectral extremal sets",),
+              _claim_spectral_turan),
+    ClaimSpec("mantel", {}, ("edge counts", "extremal sets"), _claim_mantel),
+)}
 
-_DEFAULTS = {
-    "f1": {},
-    "cx1": {"r": 3, "k": 6, "m": 5},
-    "cx2": {"p": 7, "m": 3},
-    "table": {},
-    "tree-lemma": {},
-    "edge-add": {"r": 3, "b": 2, "a": 0},
-    "transfer-shift": {"r": 3, "k": 6},
-    "spectral-turan": {},
-    "mantel": {},
-}
-
-CLAIM_SPECS = {
-    "f1": ClaimSpec("f1", _DEFAULTS["f1"],
-                    ("chromatic numbers", "two-part edge containment",
-                     "path-pair containment", "matching freeness")),
-    "cx1": ClaimSpec("cx1", _DEFAULTS["cx1"],
-                     ("edge count offset", "family freeness",
-                      "spectral gap sign", "extrapolated constant")),
-    "cx2": ClaimSpec("cx2", _DEFAULTS["cx2"],
-                     ("equitable partitions", "quotient matrices",
-                      "certified eigenvalue bounds", "restricted optimum")),
-    "table": ClaimSpec("table", _DEFAULTS["table"],
-                       ("eight rational densities", "certified ceilings")),
-    "tree-lemma": ClaimSpec("tree-lemma", _DEFAULTS["tree-lemma"],
-                            ("star versus path constants",)),
-    "edge-add": ClaimSpec("edge-add", _DEFAULTS["edge-add"],
-                          ("bounded edit constant",)),
-    "transfer-shift": ClaimSpec("transfer-shift", _DEFAULTS["transfer-shift"],
-                                ("part rebalancing constant",)),
-    "spectral-turan": ClaimSpec("spectral-turan", _DEFAULTS["spectral-turan"],
-                                ("spectral extremal sets",)),
-    "mantel": ClaimSpec("mantel", _DEFAULTS["mantel"],
-                        ("edge counts", "extremal sets")),
-}
+CLAIM_IDS = tuple(CLAIM_SPECS)
 
 
 def run_claim(claim_id: str, params: Optional[dict] = None,
               jobs: int = 1) -> dict:
     """Run one claim and return its report dict; see the module docstring."""
     cid = claim_id.replace("_", "-")
-    if cid not in _RUNNERS:
+    if cid not in CLAIM_SPECS:
         raise ValueError(f"unknown claim {claim_id!r}; "
                          f"choose from {', '.join(CLAIM_IDS)}")
-    merged = dict(_DEFAULTS[cid])
+    spec = CLAIM_SPECS[cid]
+    merged = dict(spec.params)
     merged.update(params or {})
     checker = _Checker()
     start = time.perf_counter()
     try:
-        _RUNNERS[cid](checker, merged, jobs)
+        spec.run(checker, merged, jobs)
     except Exception as e:  # claim bodies must not kill a batch run
         checker.check(f"{cid} ran to completion", False, detail=repr(e))
     return {"claim": cid, "params": merged, "ok": checker.ok,

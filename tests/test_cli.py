@@ -1,12 +1,14 @@
 """Command line driver: JSON output, exit codes, config precedence."""
 
+import argparse
 import io
 import json
 
 import pytest
 
+import spexlab
 from spexlab import canonical_form, cx2_package, cycle, encode_graph6, turan
-from spexlab.cli import main
+from spexlab.cli import _resolve_jobs, main
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +181,13 @@ class TestOutputControls:
         doc = run_json(capsys, "construct", "--name", "f1")
         assert "timestamp" in doc
 
+    def test_verify_reruns_identical_with_package_version(self, capsys):
+        args = ("verify", "--claim", "table", "--no-timestamps")
+        _, out1, _ = run_cli(capsys, *args)
+        _, out2, _ = run_cli(capsys, *args)
+        assert out1 == out2
+        assert json.loads(out1)["version"] == spexlab.__version__
+
 
 class TestConfig:
     def test_config_tol_applies(self, capsys, tmp_path):
@@ -197,6 +206,37 @@ class TestConfig:
         doc = run_json(capsys, "lambda", "--graph6", g6,
                        "--config", str(cfg), "--tol", "1e-10")
         assert doc["residual"] <= 1e-10
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.delenv("SPEXLAB_JOBS", raising=False)
+        flag = argparse.Namespace(jobs=10 ** 6)
+        unset = argparse.Namespace(jobs=None)
+        assert _resolve_jobs(flag, {}) == 3
+        assert _resolve_jobs(unset, {"jobs": "2"}) == 2
+        assert _resolve_jobs(unset, {"jobs": "99"}) == 3
+        monkeypatch.setenv("SPEXLAB_JOBS", "64")
+        assert _resolve_jobs(unset, {}) == 3
+        assert _resolve_jobs(unset, {"jobs": "1"}) == 1
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _resolve_jobs(flag, {}) == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_jobs_below_one_exit_two(self, capsys, monkeypatch, tmp_path,
+                                     source):
+        argv = ["ex", "--n", "5", "--family", "K3"]
+        if source == "flag":
+            argv += ["--jobs", "0"]
+        elif source == "config":
+            cfg = tmp_path / "jobs.conf"
+            cfg.write_text("jobs = -1\n")
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("SPEXLAB_JOBS", "0")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "jobs must be at least 1" in err
 
     def test_env_jobs_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SPEXLAB_JOBS", "2")

@@ -29,6 +29,7 @@ from spexlab import (
     spex_oracle,
     turan,
 )
+from spexlab import oracle
 from oracles import all_graphs_upto_iso
 
 SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
@@ -243,3 +244,15 @@ class TestReportShape:
         b = ex_oracle(6, [complete(3)], jobs=2)
         assert a.value == b.value
         assert a.extremal_set == b.extremal_set
+        a = spex_oracle(6, [complete(4)], jobs=1)
+        b = spex_oracle(6, [complete(4)], jobs=2)
+        assert a.value == b.value
+        assert a.extremal_set == b.extremal_set
+        assert a.certificate == b.certificate
+
+    def test_guardrail_before_shard_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("worker pool started")
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="allow_large"):
+            ex_oracle(10, [complete(3)], jobs=2)

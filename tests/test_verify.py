@@ -8,10 +8,13 @@ from spexlab.verify import CLAIM_SPECS, first_failure
 
 def test_claim_ids_match_specs():
     assert CLAIM_IDS == tuple(CLAIM_SPECS)
-    assert len(set(CLAIM_IDS)) == len(CLAIM_IDS)
+    assert CLAIM_IDS == ("f1", "cx1", "cx2", "table", "tree-lemma",
+                         "edge-add", "transfer-shift", "spectral-turan",
+                         "mantel")
     for cid, spec in CLAIM_SPECS.items():
         assert spec.id == cid
         assert spec.expected
+        assert callable(spec.run)
 
 
 def test_table_claim_passes():
