@@ -9,6 +9,12 @@ whose vertices are mutually interchangeable (twin cells) are ordered by label
 instead of branched on, and automorphisms recovered from colliding leaves
 prune branches. Tuned for the graphs this package produces, up to a few
 hundred vertices.
+
+Besides the labeling, ``_canonical`` returns the automorphisms the search
+meets on the way (leaf collisions, twin cells, duplicate components), and
+``_generators`` turns them into vertex permutations. Each one is an
+automorphism; on every graph up to 6 vertices they generate the whole group.
+A missed generator costs a caller pruning, never correctness.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             return cells
 
 
-def _split_twin_cells(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _split_twin_cells(adj: tuple[int, ...], cells: list[list[int]],
+                      twins: list[list[int]]) -> list[list[int]]:
     """Break cells of pairwise-interchangeable vertices into singletons.
 
     A cell qualifies when its vertices share one adjacency row outside the
@@ -62,7 +69,7 @@ def _split_twin_cells(adj: tuple[int, ...], cells: list[list[int]]) -> list[list
     group on such a cell acts by automorphisms fixing everything else, so any
     fixed order (here: by label) is canonical and branching would be wasted.
     Splitting them cannot trigger further refinement because outside vertices
-    see all or none of the cell.
+    see all or none of the cell. Each split cell is appended to ``twins``.
     """
     out: list[list[int]] = []
     for c in cells:
@@ -78,6 +85,7 @@ def _split_twin_cells(adj: tuple[int, ...], cells: list[list[int]]) -> list[list
             if all(row == 0 for row in inner) or \
                     all(inner[i] == cmask ^ (1 << v) for i, v in enumerate(c)):
                 out.extend([v] for v in c)
+                twins.append(c)
                 continue
         out.append(c)
     return out
@@ -112,11 +120,12 @@ class _Search:
         self.best_key: tuple[int, ...] | None = None
         self.best_perm: list[int] | None = None
         self.gens: list[list[int]] = []
+        self.twins: list[list[int]] = []
         self.leaves: dict[tuple[int, ...], list[int]] = {}
 
     def run(self) -> tuple[list[int], tuple[int, ...]]:
         cells = _refine(self.adj, [list(range(self.n))])
-        self._node(_split_twin_cells(self.adj, cells), [])
+        self._node(_split_twin_cells(self.adj, cells, self.twins), [])
         assert self.best_perm is not None and self.best_key is not None
         return self.best_perm, self.best_key
 
@@ -144,7 +153,7 @@ class _Search:
                 else:
                     child.append(list(c))
             prefix.append(v)
-            refined = _split_twin_cells(self.adj, _refine(self.adj, child))
+            refined = _split_twin_cells(self.adj, _refine(self.adj, child), self.twins)
             self._node(refined, prefix)
             prefix.pop()
             # newly found automorphisms may fix the prefix; refresh the list
@@ -185,11 +194,12 @@ class _Search:
             self.best_perm = list(perm)
 
 
-def _canon_component(
-        g: Graph, comp: int) -> tuple[list[int], list[int], tuple[int, ...]]:
+def _canon_component(g: Graph, comp: int) -> tuple:
     """Canonical data for the subgraph induced on bitmask comp.
 
-    Returns (vertices, their new local positions, canonical local rows).
+    Returns (size, canonical local rows, vertices, their new local
+    positions, leaf-collision automorphisms, twin cells), the last two in
+    local indices.
     """
     verts = list(_iter_bits(comp))
     index = {v: i for i, v in enumerate(verts)}
@@ -199,31 +209,68 @@ def _canon_component(
         for w in _iter_bits(g.adj[v] & comp):
             row |= 1 << index[w]
         adj.append(row)
-    perm, key = _Search(tuple(adj), len(verts)).run()
-    return verts, perm, key
+    search = _Search(tuple(adj), len(verts))
+    perm, key = search.run()
+    return len(verts), key, verts, perm, search.gens, search.twins
 
 
-def _canonical(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(labeling old -> new, canonical adjacency rows) for any graph."""
+def _canonical(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple]]:
+    """(labeling old -> new, canonical adjacency rows, symmetry record).
+
+    The symmetry record is the sorted list of component records; pass it to
+    ``_generators`` for automorphisms of g. It is kept unexpanded so that
+    callers needing only the labeling pay nothing for it.
+    """
     n = g.n
     if n == 0:
-        return (), ()
-    comps = []
-    for comp in g.components():
-        verts, local_perm, key = _canon_component(g, comp)
-        comps.append((len(verts), key, verts, local_perm))
+        return (), (), []
+    comps = [_canon_component(g, comp) for comp in g.components()]
     # deterministic component order; ties are exact-duplicate keys, so order
     # between them cannot change the assembled rows
     comps.sort(key=lambda t: (t[0], t[1]))
     perm = [0] * n
     rows: list[int] = []
     offset = 0
-    for size, key, verts, local_perm in comps:
+    for size, key, verts, local_perm, _, _ in comps:
         for v, p in zip(verts, local_perm):
             perm[v] = offset + p
         rows.extend(row << offset for row in key)
         offset += size
-    return tuple(perm), tuple(rows)
+    return tuple(perm), tuple(rows), comps
+
+
+def _generators(sym: list[tuple]) -> list[list[int]]:
+    """Automorphisms of a graph, as vertex permutations, from its record.
+
+    Three kinds, each an automorphism: leaf collisions of a component's
+    search, transpositions of consecutive vertices in a twin cell, and swaps
+    of consecutive components with equal canonical rows (vertex for vertex
+    by canonical position).
+    """
+    n = sum(t[0] for t in sym)
+    gens = []
+    prev = None
+    for size, key, verts, local_perm, local_gens, twins in sym:
+        for p in local_gens:
+            gen = list(range(n))
+            for i, v in enumerate(verts):
+                gen[v] = verts[p[i]]
+            gens.append(gen)
+        for cell in dict.fromkeys(map(tuple, twins)):
+            for a, b in zip(cell, cell[1:]):
+                gen = list(range(n))
+                gen[verts[a]], gen[verts[b]] = verts[b], verts[a]
+                gens.append(gen)
+        if prev is not None and prev[:2] == (size, key):
+            at = [0] * size
+            for v, p in zip(prev[2], prev[3]):
+                at[p] = v
+            gen = list(range(n))
+            for v, p in zip(verts, local_perm):
+                gen[v], gen[at[p]] = at[p], v
+            gens.append(gen)
+        prev = (size, key, verts, local_perm)
+    return gens
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
@@ -232,8 +279,7 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    perm, rows = _canonical(g)
-    return Graph._from_adj(g.n, rows)
+    return Graph._from_adj(g.n, _canonical(g)[1])
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -2,8 +2,13 @@
 
 Exhaustive enumeration is canonical augmentation by edge addition: a child is
 kept only when deleting its canonically-last edge reproduces the parent, which
-yields each isomorphism class exactly once. Freeness pruning is sound because
-adding edges never removes a forbidden subgraph.
+yields each isomorphism class exactly once (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998). A parent tries one non-edge per orbit of
+the automorphisms its own canonization found, and each child is canonized
+once. Before the parent test canonizes anything, a child is rejected when the
+end degrees of its canonically last edge differ from those of the added edge,
+as the two deletions then leave different degree sequences. Freeness pruning
+is sound because adding edges never removes a forbidden subgraph.
 
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest embedded in one part, optionally
@@ -20,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .canon import _canonical, canonical_form
+from .canon import _canonical, _generators, canonical_form
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import Graph, disjoint_union, embed_in_part, empty_graph, turan
 from .patterns import ForbiddenFamily, is_free
@@ -98,31 +103,58 @@ def _coerce_family(family) -> ForbiddenFamily:
     return ForbiddenFamily(family)
 
 
-def _accepted_children(g: Graph, gform: bytes,
-                       family: ForbiddenFamily | None) -> list[tuple[Graph, bytes]]:
-    """Canonical-augmentation children of g, one per isomorphism class."""
+def _edge_orbit(u: int, v: int, gens: list[list[int]], covered: set) -> None:
+    """Add the orbit of the pair {u, v} under gens to covered."""
+    frontier = [(u, v)]
+    while frontier:
+        a, b = frontier.pop()
+        for p in gens:
+            x, y = p[a], p[b]
+            e = (x, y) if x < y else (y, x)
+            if e not in covered:
+                covered.add(e)
+                frontier.append(e)
+
+
+def _accepted_children(g: Graph, gform: bytes, gsym: list,
+                       family: ForbiddenFamily | None) -> list[tuple]:
+    """Canonical-augmentation children of g, one per isomorphism class.
+
+    Each entry is (child, canonical form, symmetry record), the child being
+    g plus its first non-edge in lexicographic order within its class.
+    """
+    n = g.n
+    gens = _generators(gsym)
+    covered: set[tuple[int, int]] = set()
     out = []
     seen = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
+    for u in range(n):
+        for v in range(u + 1, n):
+            if g.has_edge(u, v) or (u, v) in covered:
                 continue
+            # non-edges in the orbit of uv give isomorphic children
+            _edge_orbit(u, v, gens, covered)
             child = g.with_edge(u, v)
-            if family is not None and not is_free(child, family):
-                continue
-            perm, rows = _canonical(child)
-            form = encode_graph6(Graph._from_adj(child.n, rows)).encode("ascii")
+            perm, rows, sym = _canonical(child)
+            rep = Graph._from_adj(n, rows)
+            form = encode_graph6(rep).encode("ascii")
             if form in seen:
                 continue
             seen.add(form)
-            # the canonically last edge must lead back to this parent
-            last = max(((min(perm[a], perm[b]), max(perm[a], perm[b])), (a, b))
-                       for a, b in child.edges())
-            ea, eb = last[1]
-            if (ea, eb) == (u, v):
-                out.append((child, form))
-            elif canonical_form(child.without_edge(ea, eb)) == gform:
-                out.append((child, form))
+            # the canonically last edge must lead back to this parent: its
+            # end degrees must match those of uv (else the degree sequences
+            # differ), and deleting it must give g's class
+            i = max(i for i in range(n) if rows[i] >> (i + 1))
+            ea, eb = perm.index(i), perm.index(rows[i].bit_length() - 1)
+            if (min(ea, eb), max(ea, eb)) != (u, v):
+                if sorted((child.degree(ea), child.degree(eb))) != \
+                        sorted((child.degree(u), child.degree(v))):
+                    continue
+                if canonical_form(child.without_edge(ea, eb)) != gform:
+                    continue
+            if family is not None and not is_free(rep, family):
+                continue
+            out.append((child, form, sym))
     return out
 
 
@@ -134,14 +166,16 @@ def _walk(root: Graph, family: ForbiddenFamily | None, cut: int | None = None,
     yielded or expanded; each is the root of an independent subtree because
     the parent-acceptance test is local.
     """
-    stack = [(root, canonical_form(root))]
+    _, rows, sym = _canonical(root)
+    form = encode_graph6(Graph._from_adj(root.n, rows)).encode("ascii")
+    stack = [(root, form, sym)]
     while stack:
-        g, form = stack.pop()
+        g, form, sym = stack.pop()
         if g.edge_count == cut:
             frontier.append(g)
             continue
         yield g
-        stack.extend(_accepted_children(g, form, family))
+        stack.extend(_accepted_children(g, form, sym, family))
 
 
 def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,

@@ -291,6 +291,10 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
         raise ValueError(f"unknown claim {claim_id!r}; "
                          f"choose from {', '.join(CLAIM_IDS)}")
     spec = CLAIM_SPECS[cid]
+    unknown = [k for k in params or {} if k not in spec.params]
+    if unknown:
+        raise ValueError(f"claim {cid} takes no parameter {', '.join(unknown)}; "
+                         f"it takes {', '.join(spec.params) or 'none'}")
     merged = dict(spec.params)
     merged.update(params or {})
     checker = _Checker()

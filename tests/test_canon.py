@@ -1,15 +1,24 @@
 """Canonical forms: label invariance and agreement with brute isomorphism."""
 
+import itertools
 import random
 
 from spexlab import (
     canonical_form,
     canonical_graph,
     canonical_labeling,
+    complete_multipartite,
+    copies,
     cycle,
+    disjoint_union,
+    empty_graph,
     encode_graph6,
+    path,
     relabel,
+    star,
+    turan,
 )
+from spexlab.canon import _canonical, _generators
 from conftest import random_graph
 from oracles import all_graphs_upto_iso
 
@@ -65,3 +74,50 @@ def test_separates_all_classes_up_to_5():
 def test_counts_classes_up_to_4():
     for n, expect in ((0, 1), (1, 1), (2, 2), (3, 4), (4, 11)):
         assert len({canonical_form(g) for g in all_graphs_upto_iso(n)}) == expect
+
+
+def _generators_of(g):
+    return _generators(_canonical(g)[2])
+
+
+def _group(n, gens):
+    """Every permutation the generators generate, as tuples."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for p in gens:
+            y = tuple(p[v] for v in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return group
+
+
+def test_generators_are_automorphisms():
+    rng = random.Random(1998)
+    graphs = [random_graph(rng, rng.randrange(0, 11), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(150)]
+    graphs += [copies(3, path(3)), copies(4, cycle(3)),
+               disjoint_union(copies(2, star(4)), copies(3, path(2))),
+               disjoint_union(cycle(5), copies(2, cycle(5)))]
+    graphs += [turan(n, r) for n in (6, 9, 10) for r in (2, 3, 4)]
+    graphs += [complete_multipartite(s) for s in ((1, 1, 4), (2, 3, 3), (5, 5))]
+    graphs += [star(k) for k in (2, 3, 6, 10)] + [empty_graph(n) for n in range(6)]
+    for g in graphs:
+        # relabel so that twin cells and duplicate components are not label runs
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for h in (g, relabel(g, perm)):
+            for p in _generators_of(h):
+                assert sorted(p) == list(range(h.n))
+                assert relabel(h, p).adj == h.adj, (encode_graph6(h), p)
+
+
+def test_generators_generate_the_whole_group_up_to_6():
+    graphs = [g for n in range(1, 7) for g in all_graphs_upto_iso(n)]
+    assert len(graphs) == 208
+    for g in graphs:
+        brute = {p for p in itertools.permutations(range(g.n))
+                 if relabel(g, p).adj == g.adj}
+        assert _group(g.n, _generators_of(g)) == brute, encode_graph6(g)

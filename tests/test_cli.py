@@ -162,6 +162,21 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--claim", "bogus")
         assert code == 2
 
+    def test_param_the_claim_does_not_take_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--claim", "table",
+                                 "--params", "q=5")
+        assert code == 2
+        assert out == ""
+        assert "claim table" in err and "q" in err
+
+    def test_params_the_claim_takes_are_accepted(self, capsys):
+        # cx1 runs and fails on its own criterion, not on its parameters
+        code, out, err = run_cli(capsys, "verify", "--claim", "cx1",
+                                 "--params", "r=3,k=6,m=5")
+        assert code == 1
+        assert err.startswith("FAILED: cx1")
+        assert json.loads(out)["claims"][0]["params"] == {"r": 3, "k": 6, "m": 5}
+
 
 class TestOutputControls:
     def test_no_timestamps_reruns_identical(self, capsys):

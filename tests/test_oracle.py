@@ -1,5 +1,7 @@
 """Exhaustive ex/spex oracles and the structure-restricted search."""
 
+import hashlib
+import itertools
 import math
 import os
 import random
@@ -10,6 +12,7 @@ import pytest
 from spexlab import (
     ExtremalReport,
     ForbiddenFamily,
+    Graph,
     RestrictedSpace,
     canonical_form,
     complete,
@@ -20,19 +23,25 @@ from spexlab import (
     cx2_package,
     decode_graph6,
     empty_graph,
+    encode_graph6,
     enumerate_graphs,
     ex_oracle,
     is_free,
     path,
+    relabel,
     restricted_ex,
     spectral_radius,
     spex_oracle,
+    star,
     turan,
 )
 from spexlab import oracle
 from oracles import all_graphs_upto_iso
 
 SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
+
+# trivial automorphism group on 6 vertices, the fewest that allow one
+ASYMMETRIC = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044,
                 8: 12346, 9: 274668}
@@ -54,6 +63,47 @@ class TestEnumeration:
     @pytest.mark.skipif(SLOW, reason="set SPEXLAB_RUN_SLOW=1")
     def test_count_nine(self):
         assert sum(1 for _ in enumerate_graphs(9)) == KNOWN_COUNTS[9]
+
+    def test_visit_order_is_pinned(self):
+        # sha256 of the graph6 lines in visit order; a pruning change must
+        # keep the first labeled child of every class
+        def digest(graphs):
+            h = hashlib.sha256()
+            for g in graphs:
+                h.update((encode_graph6(g) + "\n").encode("ascii"))
+            return h.hexdigest()
+
+        assert digest(enumerate_graphs(7)) == (
+            "1b51c1b292e4f6fa1006ddecd589bdc3e0c4eed66989c9186325f067e5b859b0")
+        k4_free = list(enumerate_graphs(7, ForbiddenFamily([complete(4)])))
+        assert len(k4_free) == 685
+        assert digest(k4_free) == (
+            "22b9cf139dd6dbf4b08bcc7d55698d2ee890f96308ee7c16d05f21b7a0a76e83")
+
+    def test_asymmetric_witness(self):
+        g = ASYMMETRIC
+        assert sum(1 for p in itertools.permutations(range(g.n))
+                   if relabel(g, p).adj == g.adj) == 1
+
+    @pytest.mark.parametrize("g, canonized", [
+        (star(6), 1),
+        (empty_graph(6), 1),
+        # trivial automorphism group: every non-edge is its own orbit
+        (ASYMMETRIC, 15 - ASYMMETRIC.edge_count),
+    ])
+    def test_one_child_canonized_per_orbit(self, monkeypatch, g, canonized):
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return canonical(h)
+
+        canonical = oracle._canonical
+        _, rows, sym = canonical(g)
+        form = encode_graph6(Graph._from_adj(g.n, rows)).encode("ascii")
+        monkeypatch.setattr(oracle, "_canonical", counting)
+        oracle._accepted_children(g, form, sym, None)
+        assert len(calls) == canonized
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):

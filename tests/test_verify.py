@@ -54,6 +54,11 @@ def test_unknown_claim():
         run_claim("nope")
 
 
+def test_param_not_taken_names_claim_key_and_keys_taken():
+    with pytest.raises(ValueError, match="claim edge-add .* q; it takes r, b, a"):
+        run_claim("edge-add", {"r": 3, "q": 5})
+
+
 def test_exception_becomes_failed_assertion():
     rep = run_claim("cx2", {"p": 6})
     assert not rep["ok"]
