@@ -452,12 +452,15 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph._from_adj(g.n, adj)
 
 
+def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """uint8 matrix whose row i holds bits 0..n-1 of rows[i]."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                        dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(rows), nbytes), axis=1,
+                         bitorder="little")[:, :n]
+
+
 def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
     """Dense adjacency matrix of g."""
-    n = g.n
-    nbytes = (n + 7) // 8
-    out = np.zeros((n, n), dtype=dtype)
-    for v in range(n):
-        raw = np.frombuffer(g.adj[v].to_bytes(nbytes, "little"), dtype=np.uint8)
-        out[v, :] = np.unpackbits(raw, bitorder="little")[:n]
-    return out
+    return _unpack_rows(g.adj, g.n).astype(dtype, order="C")

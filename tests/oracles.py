@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from spexlab import Graph, adjacency_matrix
+from spexlab import Graph, SpectralResult, adjacency_matrix, induced_subgraph
+from spexlab.graphs import _iter_bits
+from spexlab.spectral import _iterate
 
 
 def brute_contains(host: Graph, pattern: Graph) -> bool:
@@ -110,3 +112,46 @@ def charpoly_reference(entries) -> list[Fraction]:
     poly = mat.charpoly()
     coeffs = list(reversed(poly.all_coeffs()))
     return [Fraction(int(c.p), int(c.q)) for c in coeffs]
+
+
+def fraction_perron_less_than(entries, q) -> bool:
+    """q > Perron root of a nonnegative matrix: Gaussian elimination on qI - A
+    over Fraction, every pivot (a ratio of leading principal minors) > 0."""
+    q = Fraction(q)
+    n = len(entries)
+    rows = [[(q if i == j else Fraction(0)) - Fraction(entries[i][j]) for j in range(n)]
+            for i in range(n)]
+    for k in range(n):
+        piv = rows[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = rows[i][k] / piv
+            if f:
+                for j in range(k + 1, n):
+                    rows[i][j] -= f * rows[k][j]
+    return True
+
+
+def componentwise_radius(g: Graph, tol: float = 1e-10,
+                         max_iter: int = 1_000_000) -> SpectralResult:
+    """spectral_radius with each component relabelled by induced_subgraph
+    and its matrix built by adjacency_matrix, in double precision."""
+    best = None
+    total = 0
+    for comp in g.components():
+        sub = induced_subgraph(g, comp)
+        if sub.edge_count == 0:
+            lam, x, res, it = 0.0, np.ones(sub.n), 0.0, 0
+        else:
+            lam, x, res, it, done = _iterate(adjacency_matrix(sub), np.ones(sub.n),
+                                             tol, max_iter - total, 0)
+            assert done, "reference covers double-precision convergence only"
+        total += it
+        if best is None or lam > best[0]:
+            best = (lam, comp, x, res)
+    lam, comp, x, res = best
+    vector = [0.0] * g.n
+    for i, v in enumerate(_iter_bits(comp)):
+        vector[v] = float(x[i])
+    return SpectralResult(lam, tuple(vector), res, total)

@@ -3,6 +3,10 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +206,17 @@ class TestOutputControls:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
         assert json.loads(out1)["version"] == spexlab.__version__
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(spexlab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spexlab", "verify", "--claim", "table",
+             "--no-timestamps"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["claims"][0]["claim"] == "table"
 
 
 class TestConfig:

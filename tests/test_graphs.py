@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+import numpy as np
+
 from spexlab import (
     Graph,
     Partition,
+    adjacency_matrix,
     canonical_form,
     complete,
     complete_multipartite,
@@ -326,6 +329,18 @@ class TestRelabelAndViews:
             for old, new in enumerate(perm):
                 inverse[new] = old
             assert relabel(relabel(g, perm), inverse).adj == g.adj
+
+    def test_adjacency_matrix_bit_by_bit(self):
+        rng = random.Random(19)
+        graphs = [empty_graph(0), empty_graph(1), complete(8), complete(9)]
+        graphs += [random_graph(rng, rng.randrange(1, 30), rng.random()) for _ in range(40)]
+        for g in graphs:
+            want = [[float(g.adj[i] >> j & 1) for j in range(g.n)] for i in range(g.n)]
+            got = adjacency_matrix(g)
+            assert got.shape == (g.n, g.n) and got.dtype == np.float64
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.tolist() == want
+        assert adjacency_matrix(complete(3), dtype=np.longdouble).dtype == np.longdouble
 
     def test_partition_validates(self):
         with pytest.raises(ValueError):

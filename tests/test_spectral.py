@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from spexlab import (
     complete,
     cx2_package,
     cycle,
+    disjoint_union,
+    empty_graph,
     is_equitable,
     path,
     perron_less_than,
@@ -24,8 +27,23 @@ from spexlab import (
     star,
     turan,
 )
+from spexlab import spectral
 from conftest import random_connected_graph, random_graph
-from oracles import charpoly_reference, eig_radius
+from oracles import (
+    charpoly_reference,
+    componentwise_radius,
+    eig_radius,
+    fraction_perron_less_than,
+)
+
+
+def _cx2_h_prime(p: int) -> list[list[Fraction]]:
+    """Quotient matrix of cx2's H' (the formula verify checks), (p-4)/3 entries."""
+    return [[Fraction(x) for x in row] for row in (
+        [0, 2, 0, p],
+        [1, 0, 0, p],
+        [0, 0, 1, p],
+        [Fraction(p - 4, 3), Fraction(2 * (p - 4), 3), 4, 0])]
 
 
 class TestSpectralRadius:
@@ -70,6 +88,46 @@ class TestSpectralRadius:
         best = err.value.best
         assert abs(best.value - eig_radius(path(5))) <= 1e-6
         assert best.iterations == 40
+
+    def test_disconnected_matches_componentwise_reference(self):
+        rng = random.Random(5150)
+        cases = [disjoint_union(complete(5), empty_graph(3)),
+                 disjoint_union(empty_graph(2), disjoint_union(cycle(5), star(4)))]
+        for _ in range(40):
+            g = random_graph(rng, rng.randrange(1, 9), rng.random())
+            h = random_graph(rng, rng.randrange(1, 9), rng.random())
+            cases.append(disjoint_union(g, h))
+        for g in cases:
+            got, want = spectral_radius(g), componentwise_radius(g)
+            assert (got.value, got.vector, got.residual, got.iterations) \
+                == (want.value, want.vector, want.residual, want.iterations)
+
+    def test_disconnected_builds_only_component_matrices(self, monkeypatch):
+        # an n x n float matrix here would be 2005^2 * 8 bytes = 32 MB
+        g = disjoint_union(complete(5), empty_graph(2000))
+        widths = []
+        iterate = spectral._iterate
+
+        def spy(A, *args):
+            widths.append(A.shape[1])
+            return iterate(A, *args)
+
+        monkeypatch.setattr(spectral, "_iterate", spy)
+
+        def whole_graph(h):
+            raise AssertionError(f"built the {h.n}-vertex matrix")
+
+        monkeypatch.setattr(spectral, "adjacency_matrix", whole_graph)
+        tracemalloc.start()
+        try:
+            res = spectral_radius(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert widths == [5]
+        assert peak < 4 * 2**20
+        assert abs(res.value - 4) <= 1e-9
+        assert res.vector[5:] == (0.0,) * 2000
 
     def test_subgraph_monotone(self):
         rng = random.Random(41)
@@ -183,6 +241,24 @@ class TestRationalMatrix:
             got = RationalMatrix(rows).char_poly().coeffs
             assert list(got) == charpoly_reference(rows)
 
+    def test_char_poly_mixed_denominators_matches_sympy(self):
+        rng = random.Random(34)
+        cases = [_cx2_h_prime(p) for p in (7, 8, 10, 13)]
+        for _ in range(15):
+            n = rng.randrange(2, 7)
+            cases.append([[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 5, 7, 12)))
+                           for _ in range(n)] for _ in range(n)])
+        for rows in cases:
+            assert list(RationalMatrix(rows).char_poly().coeffs) == charpoly_reference(rows)
+
+    def test_graph_char_poly_matches_sympy(self):
+        rng = random.Random(35)
+        graphs = [cx2_package(7, 3).h_prime, turan(12, 3)]
+        graphs += [random_graph(rng, rng.randrange(1, 15), rng.random()) for _ in range(10)]
+        for g in graphs:
+            m = RationalMatrix.from_graph(g)
+            assert list(m.char_poly().coeffs) == charpoly_reference(m.entries)
+
     def test_cx2_poly_negative_past_the_bound(self):
         pkg = cx2_package(7, 3)
         poly = quotient_matrix(pkg.g, pkg.partitions["G"]).char_poly()
@@ -209,6 +285,28 @@ class TestPerronCertificates:
         c = quotient_matrix(pkg.h, pkg.partitions["H"])
         assert not perron_less_than(b, bound)
         assert perron_less_than(c, bound)
+
+    def test_exactly_at_the_radius(self):
+        eps = Fraction(1, 2**60)
+        for n in range(2, 9):
+            assert not perron_less_than(complete(n), n - 1)
+            assert perron_less_than(complete(n), n - 1 + eps)
+        assert not perron_less_than(turan(12, 3), 8)
+        assert perron_less_than(turan(12, 3), 8 + eps)
+
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(651)
+        cases = [_cx2_h_prime(p) for p in (7, 8, 10, 13)]
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            cases.append([[Fraction(rng.randrange(0, 7), rng.choice((1, 2, 3, 5, 12)))
+                           for _ in range(n)] for _ in range(n)])
+        for rows in cases:
+            m = RationalMatrix(rows)
+            lo, hi = perron_root_interval(m, Fraction(1, 8))
+            qs = [lo, hi, (lo + hi) / 2, Fraction(rng.randrange(0, 80), rng.randrange(1, 9))]
+            for q in qs:
+                assert perron_less_than(m, q) == fraction_perron_less_than(rows, q)
 
     def test_monotone_in_q(self):
         rng = random.Random(650)
@@ -239,10 +337,27 @@ class TestCompareExact:
         assert compare_lambda_exact(cycle(4), path(4)) == 1
         assert compare_lambda_exact(path(4), cycle(4)) == -1
 
+    def test_cx2_13_within_halving_budget(self, monkeypatch):
+        # 26 vertices; a bisection that only trims the window took 66 and 256
+        # M-matrix tests and about 30 s on these two pairs
+        pkg = cx2_package(13, 3)
+        calls = []
+        orig = spectral.perron_less_than
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(spectral, "perron_less_than", counted)
+        for g, h in ((pkg.g, pkg.h), (pkg.h, pkg.h_prime)):
+            calls.clear()
+            assert compare_lambda_exact(g, h) == 1
+            assert len(calls) <= 64
+
     def test_relabeled_ties(self):
         rng = random.Random(3)
         for _ in range(20):
-            g = random_graph(rng, rng.randrange(2, 8), 0.5)
+            g = random_graph(rng, rng.randrange(2, 11), 0.5)
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert compare_lambda_exact(g, relabel(g, perm)) == 0
