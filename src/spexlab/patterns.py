@@ -4,12 +4,18 @@ Containment is decided exactly by decomposing the host graph: a host that is a
 join splits into co-components (the pattern is partitioned among them), a
 disconnected host packs pattern components into host components, and the
 remaining connected, co-connected cores run a backtracking matcher over
-twin-collapsed vertex classes with forward checking. Results are cached by
-canonical form, so repeated queries against structured hosts stay cheap.
+twin-collapsed vertex classes with forward checking.
+
+No host is canonized. Verdicts are cached under the host's exact adjacency
+and the pattern's canonical form: patterns are small and recur across hosts,
+while hosts rarely recur except as the canonical representatives that the
+exhaustive walk already passes in. Interchangeable host parts are found by a
+cheap invariant, and canonical forms break only the ties it leaves.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable
 
@@ -26,11 +32,9 @@ __all__ = [
 
 _cform = lru_cache(maxsize=4096)(canonical_form)
 
+# (host order, host adjacency, pattern canonical form) -> verdict
 _cache: dict[tuple, bool] = {}
 _CACHE_CAP = 200_000
-# above this order, cache hosts by exact adjacency; canonical labeling of
-# large structured graphs costs more than the isomorphism dedup is worth
-_CANON_KEY_LIMIT = 64
 
 
 # -- containment -----------------------------------------------------------
@@ -61,8 +65,7 @@ def _contains(host: Graph, pattern: Graph) -> bool:
     if any(hd[i] < pd[i] for i in range(pattern.n)):
         return False
 
-    hkey = _cform(host) if host.n <= _CANON_KEY_LIMIT else host
-    key = (hkey, _cform(pattern))
+    key = (host.n, host.adj, _cform(pattern))
     hit = _cache.get(key)
     if hit is not None:
         return hit
@@ -83,6 +86,19 @@ def _contains(host: Graph, pattern: Graph) -> bool:
     return res
 
 
+def _iso_groups(graphs: list[Graph]) -> list[int]:
+    """For each graph, the index of the first graph isomorphic to it.
+
+    Graphs whose (order, size, degree sequence) no other graph shares are
+    their own group; only graphs that tie on it are canonized.
+    """
+    invs = [(g.n, g.edge_count, g.degree_sequence()) for g in graphs]
+    tally = Counter(invs)
+    first: dict = {}
+    return [first.setdefault(inv if tally[inv] == 1 else _cform(g), i)
+            for i, (g, inv) in enumerate(zip(graphs, invs))]
+
+
 def _complement_components(g: Graph) -> list[int]:
     full = (1 << g.n) - 1
     comp_adj = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj))
@@ -101,10 +117,7 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
     ecount = [p.edge_count for p in parts]
     s = len(parts)
     # isomorphic parts are interchangeable bins; used for a symmetry break below
-    group_of = {}
-    groups: list[int] = []
-    for i, p in enumerate(parts):
-        groups.append(group_of.setdefault(_cform(p), i))
+    groups = _iso_groups(parts)
 
     m = pattern.n
     order = sorted(range(m), key=lambda v: -pattern.degree(v))
@@ -202,11 +215,10 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
 # -- host disconnected: pack pattern components into host components --------
 
 def _pack_components(host: Graph, comps: list[int], pattern: Graph) -> bool:
-    types: dict[bytes, list] = {}
-    for mask in comps:
-        sub = induced_subgraph(host, mask)
-        entry = types.setdefault(_cform(sub), [sub, 0])
-        entry[1] += 1
+    subs = [induced_subgraph(host, mask) for mask in comps]
+    types: dict[int, list] = {}
+    for sub, group in zip(subs, _iso_groups(subs)):
+        types.setdefault(group, [sub, 0])[1] += 1
     htypes = sorted(types.values(), key=lambda e: (-e[0].n, -e[0].edge_count))
     hgraphs = [e[0] for e in htypes]
     hcounts = tuple(e[1] for e in htypes)

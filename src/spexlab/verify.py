@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics
-from .canon import canonical_form
+from .canon import _refine, canonical_form
 from .constructions import cx1_family, cx1_pair, cx2_package, f1
-from .graphs import Graph, complete, embed_in_part, induced_subgraph, path, \
-    turan, u_packing
+from .graphs import Graph, Partition, complete, embed_in_part, \
+    induced_subgraph, path, turan, u_packing
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
 from .patterns import ForbiddenFamily, chromatic_number, contains_subgraph, \
     is_free
@@ -102,6 +103,28 @@ def _claim_f1(c: _Checker, params: dict, jobs: int) -> None:
 # --------------------------------------------------------------- cx1 ----
 
 _CX1_NS = (55, 109, 217, 433)
+_CX1_WIDTH = Fraction(1, 10 ** 30)
+
+
+def _perron_bracket(g: Graph) -> tuple[Fraction, Fraction]:
+    """Rational bracket (lo, hi] of width <= 1e-30 around lambda(g).
+
+    It is taken on the quotient B of g's coarsest equitable partition, whose
+    characteristic matrix P satisfies AP = PB. Each eigenvalue of B is one
+    of A (Bv = mu v gives A(Pv) = mu Pv with Pv != 0). Since A is symmetric,
+    P^T A = B^T P^T, so P^T maps a Perron vector of A to a nonnegative
+    nonzero eigenvector of B^T for rho(A). Hence rho(B) = rho(A), found on
+    a few cells (4 for G and 8 for H of cx1_pair) instead of n vertices.
+    """
+    cells = _refine(g.adj, [list(range(g.n))])
+    return perron_root_interval(quotient_matrix(g, Partition(cells)),
+                                _CX1_WIDTH)
+
+
+def _bracket(lo: Fraction, hi: Fraction) -> str:
+    """(lo, hi] rounded outward to 15 decimals."""
+    return (f"({Decimal(math.floor(lo * 10 ** 15)).scaleb(-15)}, "
+            f"{Decimal(math.ceil(hi * 10 ** 15)).scaleb(-15)}]")
 
 
 def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
@@ -117,8 +140,12 @@ def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
                 detail=f"e(H) = {h.edge_count}, e(G) = {g.edge_count}")
         c.check(f"H avoids the family at n = {n}", is_free(h, fam))
         c.check(f"G avoids the family at n = {n}", is_free(g, fam))
-        c.check(f"lambda(H) < lambda(G) at n = {n}", gaps[n] < 0,
-                detail=f"gap {gaps[n]:.3e}")
+        lo_h, hi_h = _perron_bracket(h)
+        lo_g, hi_g = _perron_bracket(g)
+        c.check(f"lambda(H) < lambda(G) at n = {n}", hi_h <= lo_g,
+                detail=f"gap {gaps[n]:.3e}; lambda(H) in "
+                       f"{_bracket(lo_h, hi_h)}, lambda(G) in "
+                       f"{_bracket(lo_g, hi_g)}")
     target = fit.predicted
     c.check("extrapolated n*(lambda(H) - lambda(G)) within 15% of target",
             abs(fit.first_order - target) <= 0.15 * abs(target),

@@ -6,6 +6,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -35,7 +36,7 @@ from spexlab import (
     star,
     turan,
 )
-from spexlab import oracle
+from spexlab import canon, oracle, patterns
 from oracles import all_graphs_upto_iso
 
 SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
@@ -246,6 +247,23 @@ class TestRestricted:
         rep = restricted_ex(55, fam, RestrictedSpace(3, 7))
         assert rep.value == h.edge_count == g.edge_count + 1
         assert canonical_form(h).decode("ascii") in rep.extremal_set
+
+    def test_canonizes_only_the_reported_graph(self, monkeypatch):
+        orders = []
+        real = canon._canonical
+
+        def counted(g):
+            orders.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(canon, "_canonical", counted)
+        # fresh caches, so no earlier test can hide a canonization
+        monkeypatch.setattr(patterns, "_cform",
+                            lru_cache(maxsize=4096)(canon.canonical_form))
+        monkeypatch.setattr(patterns, "_cache", {})
+        rep = restricted_ex(37, cx1_family(3, 6, 5), RestrictedSpace(3, 7))
+        assert len(rep.extremal_set) == 1
+        assert orders.count(37) == 1
 
     def test_never_beats_true_ex(self):
         fam = ForbiddenFamily([complete(3)])

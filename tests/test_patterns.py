@@ -3,26 +3,35 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spexlab import (
     ForbiddenFamily,
+    Graph,
     chromatic_number,
     complete,
+    complete_multipartite,
     contains_subgraph,
     cx1_family,
+    cx1_pair,
     cx2_package,
     cycle,
+    disjoint_union,
     embed_in_part,
+    empty_graph,
     enumerate_graphs,
     f1,
     family_chi,
     induced_subgraph,
     is_free,
+    join,
     path,
+    relabel,
     star,
     turan,
     u_packing,
 )
+from spexlab import patterns
 from conftest import random_graph
 from oracles import all_graphs_upto_iso, brute_chromatic, brute_contains
 
@@ -66,6 +75,93 @@ class TestContains:
             host = random_graph(rng, rng.randrange(0, 8), rng.random())
             pattern = random_graph(rng, rng.randrange(0, 6), rng.random())
             assert contains_subgraph(host, pattern) == brute_contains(host, pattern)
+
+
+@st.composite
+def small_graphs(draw, lo: int = 1, hi: int = 4) -> Graph:
+    n = draw(st.integers(lo, hi))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@st.composite
+def composite_hosts(draw) -> list[Graph]:
+    """The disjoint union and the join of two small graphs, each relabeled too."""
+    a, b = draw(small_graphs()), draw(small_graphs())
+    hosts = []
+    for host in (disjoint_union(a, b), join(a, b)):
+        perm = draw(st.permutations(range(host.n)))
+        hosts += [host, relabel(host, perm)]
+    return hosts
+
+
+class TestCache:
+    @settings(max_examples=200, deadline=None)
+    @given(composite_hosts(), st.lists(small_graphs(2, 5), min_size=1, max_size=4))
+    def test_warm_cache_matches_brute_force(self, hosts, pattern_list):
+        for pattern in pattern_list:
+            for host in hosts + hosts:  # the repeats are answered from the cache
+                assert contains_subgraph(host, pattern) == brute_contains(host, pattern)
+
+    def test_cap_bounds_entries(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_CACHE_CAP", 4)
+        monkeypatch.setattr(patterns, "_cache", {})
+        rng = random.Random(4)
+        sizes = []
+        for _ in range(120):
+            a = random_graph(rng, rng.randrange(1, 5))
+            b = random_graph(rng, rng.randrange(1, 5))
+            host = join(a, b) if rng.random() < 0.5 else disjoint_union(a, b)
+            pattern = random_graph(rng, rng.randrange(1, 6), 0.6)
+            assert contains_subgraph(host, pattern) == brute_contains(host, pattern)
+            sizes.append(len(patterns._cache))
+            assert sizes[-1] <= 4
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+class TestNoHostCanonization:
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        canonized = []
+        cform = patterns._cform
+
+        def counted(g):
+            canonized.append(g)
+            return cform(g)
+
+        monkeypatch.setattr(patterns, "_cform", counted)
+        monkeypatch.setattr(patterns, "_cache", {})
+        return canonized
+
+    def test_cx1_hosts_are_not_canonized(self, monkeypatch):
+        canonized = self.spy(monkeypatch)
+        fam = cx1_family(3, 6, 5)
+        rng = random.Random(55)
+        for host in cx1_pair(3, 6, 55):
+            perm = list(range(host.n))
+            rng.shuffle(perm)
+            is_free(relabel(host, perm), fam)
+        assert canonized
+        assert all(g.n < 55 for g in canonized)
+
+    def test_join_canonizes_only_tied_parts(self, monkeypatch):
+        canonized = self.spy(monkeypatch)
+        assert contains_subgraph(complete_multipartite((5, 5, 7)), complete(3))
+        assert [g for g in canonized if g.n > 3] == [empty_graph(5)] * 2
+
+    def test_parts_tied_on_the_invariant_are_told_apart(self):
+        # same order, size and degree sequence, not isomorphic
+        banner = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        tailed = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        c6, two_k3 = cycle(6), disjoint_union(complete(3), complete(3))
+        for host in (join(c6, two_k3), join(two_k3, c6)):
+            assert contains_subgraph(host, complete(5))  # K3 of 2K3, K2 of C6
+        # neither 5-vertex graph contains the other, so a host of one of each
+        # holds a pair of them exactly when the pair is one of each too
+        for host in (disjoint_union(banner, tailed), disjoint_union(tailed, banner)):
+            for a, b in ((banner, banner), (tailed, tailed), (banner, tailed)):
+                assert contains_subgraph(host, disjoint_union(a, b)) == (a is not b)
 
 
 class TestIsFree:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from spexlab import CLAIM_IDS, run_claim
+from spexlab import CLAIM_IDS, asymptotics, run_claim
 from spexlab.verify import CLAIM_SPECS, first_failure
 
 
@@ -74,3 +74,19 @@ def test_first_failure():
     assert first_failure([good]) is None
     assert first_failure([good, bad]) == "cx2: cx2 ran to completion"
     assert first_failure([bad, good]) == "cx2: cx2 ran to completion"
+
+
+def test_cx1_sign_does_not_read_the_float_gaps(monkeypatch):
+    def wrong_sign(name, params, ns, jobs):
+        return asymptotics.FitResult(tuple((n, 1e-3) for n in ns),
+                                     -1.0, 0.0, -1.0)
+
+    monkeypatch.setattr(asymptotics, "experiment", wrong_sign)
+    rep = run_claim("cx1")
+    signs = [a for a in rep["assertions"]
+             if a["name"].startswith("lambda(H) < lambda(G)")]
+    assert len(signs) == 4
+    for a in signs:
+        assert a["ok"], a
+        assert a["detail"].startswith("gap 1.000e-03; lambda(H) in (")
+        assert "lambda(G) in (" in a["detail"]
