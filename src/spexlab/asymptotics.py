@@ -280,13 +280,14 @@ def _default_ns(name: str, params: dict) -> list:
 
 
 def _measure(task: tuple) -> tuple:
-    name, params, n, tol = task
+    name, params, n = task
     a, b = _BUILDERS[name](params, n)
-    return n, spectral_radius(a, tol=tol).value - spectral_radius(b, tol=tol).value
+    return n, (spectral_radius(a, tol=_DLAM_TOL).value
+               - spectral_radius(b, tol=_DLAM_TOL).value)
 
 
 def experiment(name: str, params: dict, ns: Optional[Sequence[int]] = None,
-               jobs: int = 1, tol: float = _DLAM_TOL) -> FitResult:
+               jobs: int = 1) -> FitResult:
     """Run a named first-order experiment and extrapolate its constant.
 
     Each experiment builds a pair of graphs per size n whose spectral radii
@@ -310,13 +311,18 @@ def experiment(name: str, params: dict, ns: Optional[Sequence[int]] = None,
     missing = [p for p in _REQUIRED[key] if p not in params]
     if missing:
         raise ValueError(f"experiment {name!r} needs parameters {missing}")
-    run_params = {p: int(params[p]) for p in _REQUIRED[key]}
+    bad = [f"{p}={v!r}" for p, v in params.items()
+           if p not in _REQUIRED[key] or not isinstance(v, int)]
+    if bad:
+        raise ValueError(f"experiment {key} cannot take {', '.join(bad)}; "
+                         f"it takes integer {', '.join(_REQUIRED[key])}")
+    run_params = dict(params)
     sizes = sorted(int(n) for n in ns) if ns is not None \
         else _default_ns(key, run_params)
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 sizes to extrapolate, "
                          f"got {len(sizes)}")
-    tasks = [(key, run_params, n, tol) for n in sizes]
+    tasks = [(key, run_params, n) for n in sizes]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             measured = list(pool.map(_measure, tasks))

@@ -279,13 +279,13 @@ def spex_oracle(n: int, family, allow_large: bool = False, jobs: int = 1,
             scored.append((lam, g))
     champion = None
     ties: list[Graph] = []
-    for _, g in scored:
+    for lam, g in scored:
         if champion is None:
-            champion, ties = g, [g]
+            value, champion, ties = lam, g, [g]
             continue
         c = compare_lambda_exact(g, champion)
         if c > 0:
-            champion, ties = g, [g]
+            value, champion, ties = lam, g, [g]
         elif c == 0:
             ties.append(g)
     lo, hi = perron_root_interval(champion, Fraction(1, 10 ** 12))
@@ -295,7 +295,6 @@ def spex_oracle(n: int, family, allow_large: bool = False, jobs: int = 1,
         "prefilter_tol": prefilter_tol,
         "ties": "compare_lambda_exact",
     }
-    value = spectral_radius(champion, tol=1e-10).value
     return ExtremalReport(
         "spex", n, _family_id(family), value,
         [_canon_string(g) for g in ties], time.perf_counter() - t0,
@@ -445,12 +444,7 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
             fe = forest.edge_count
             if base_e + fe + space.edit_budget < best:
                 break  # forests only get sparser from here
-            g = embed_in_part(base, part, forest)
-            if space.edit_budget == 0:
-                if is_free(g, family):
-                    consider(g)
-            else:
-                edits(g, space.edit_budget, 0)
+            edits(embed_in_part(base, part, forest), space.edit_budget, 0)
 
     report = ExtremalReport(
         "restricted-ex", n, _family_id(family), best,

@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .canon import canonical_form
-from .graphs import Graph, _iter_bits, disjoint_union, induced_subgraph
+from .graphs import Graph, _iter_bits, complete_multipartite, disjoint_union, \
+    induced_subgraph
 
 __all__ = [
     "ForbiddenFamily",
@@ -108,11 +109,8 @@ def _complement_components(g: Graph) -> list[int]:
 # -- host is a join: partition the pattern among the co-components ----------
 
 def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
-    from .graphs import complete_multipartite
-
     parts = [induced_subgraph(host, mask) for mask in cocomps]
     sizes = [p.n for p in parts]
-    edgy = [p.edge_count > 0 for p in parts]
     maxdeg = [max((p.degree(v) for v in range(p.n)), default=0) for p in parts]
     ecount = [p.edge_count for p in parts]
     s = len(parts)
@@ -138,7 +136,6 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
     inner_edges = [0] * s
     deg_in_class = [0] * m
     piece = [[0] * ncomp for _ in range(s)]
-    free_cap = sum(sizes)
     verify_memo: dict[tuple[int, bytes], bool] = {}
     profile_memo: dict[tuple[int, tuple[int, ...]], bool] = {}
 
@@ -164,11 +161,9 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
             verify_memo[key] = hit
         return hit
 
-    def place(idx: int, free: int) -> bool:
+    def place(idx: int) -> bool:
         if idx == m:
             return all(verify(i) for i in range(s) if counts[i])
-        if free < m - idx:
-            return False
         v = order[idx]
         row = padj[v]
         cv = comp_of[v]
@@ -183,7 +178,7 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
             inside = row & members[i]
             newdeg = inside.bit_count()
             if newdeg:
-                if not edgy[i] or newdeg > maxdeg[i]:
+                if newdeg > maxdeg[i]:
                     continue
                 if inner_edges[i] + newdeg > ecount[i]:
                     continue
@@ -199,7 +194,7 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
             deg_in_class[v] = newdeg
             for w in _iter_bits(inside):
                 deg_in_class[w] += 1
-            if place(idx + 1, free - 1):
+            if place(idx + 1):
                 return True
             members[i] ^= 1 << v
             counts[i] -= 1
@@ -209,7 +204,7 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
                 deg_in_class[w] -= 1
         return False
 
-    return place(0, free_cap)
+    return place(0)
 
 
 # -- host disconnected: pack pattern components into host components --------

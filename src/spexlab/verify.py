@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics
-from .canon import _refine, canonical_form
+from .canon import canonical_form
 from .constructions import cx1_family, cx1_pair, cx2_package, f1
-from .graphs import Graph, Partition, complete, embed_in_part, \
+from .graphs import Graph, complete, embed_in_part, \
     induced_subgraph, path, turan, u_packing
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
 from .patterns import ForbiddenFamily, chromatic_number, contains_subgraph, \
@@ -106,25 +106,10 @@ _CX1_NS = (55, 109, 217, 433)
 _CX1_WIDTH = Fraction(1, 10 ** 30)
 
 
-def _perron_bracket(g: Graph) -> tuple[Fraction, Fraction]:
-    """Rational bracket (lo, hi] of width <= 1e-30 around lambda(g).
-
-    It is taken on the quotient B of g's coarsest equitable partition, whose
-    characteristic matrix P satisfies AP = PB. Each eigenvalue of B is one
-    of A (Bv = mu v gives A(Pv) = mu Pv with Pv != 0). Since A is symmetric,
-    P^T A = B^T P^T, so P^T maps a Perron vector of A to a nonnegative
-    nonzero eigenvector of B^T for rho(A). Hence rho(B) = rho(A), found on
-    a few cells (4 for G and 8 for H of cx1_pair) instead of n vertices.
-    """
-    cells = _refine(g.adj, [list(range(g.n))])
-    return perron_root_interval(quotient_matrix(g, Partition(cells)),
-                                _CX1_WIDTH)
-
-
 def _bracket(lo: Fraction, hi: Fraction) -> str:
-    """(lo, hi] rounded outward to 15 decimals."""
-    return (f"({Decimal(math.floor(lo * 10 ** 15)).scaleb(-15)}, "
-            f"{Decimal(math.ceil(hi * 10 ** 15)).scaleb(-15)}]")
+    """[lo, hi) rounded outward to 15 decimals."""
+    return (f"[{Decimal(math.floor(lo * 10 ** 15)).scaleb(-15)}, "
+            f"{Decimal(math.ceil(hi * 10 ** 15)).scaleb(-15)})")
 
 
 def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
@@ -140,8 +125,8 @@ def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
                 detail=f"e(H) = {h.edge_count}, e(G) = {g.edge_count}")
         c.check(f"H avoids the family at n = {n}", is_free(h, fam))
         c.check(f"G avoids the family at n = {n}", is_free(g, fam))
-        lo_h, hi_h = _perron_bracket(h)
-        lo_g, hi_g = _perron_bracket(g)
+        lo_h, hi_h = perron_root_interval(h, _CX1_WIDTH)
+        lo_g, hi_g = perron_root_interval(g, _CX1_WIDTH)
         c.check(f"lambda(H) < lambda(G) at n = {n}", hi_h <= lo_g,
                 detail=f"gap {gaps[n]:.3e}; lambda(H) in "
                        f"{_bracket(lo_h, hi_h)}, lambda(G) in "
@@ -174,12 +159,13 @@ def _claim_cx2(c: _Checker, params: dict, jobs: int) -> None:
     pkg = cx2_package(p, m)
     graphs = {"G": pkg.g, "H": pkg.h, "H_prime": pkg.h_prime}
     expected = _cx2_expected(p)
-    quotients = {}
+    quotients, brackets = {}, {}
     for label, g in graphs.items():
         part = pkg.partitions[label]
         c.check(f"partition of {label} is equitable", is_equitable(g, part))
         q = quotient_matrix(g, part)
         quotients[label] = q
+        brackets[label] = perron_root_interval(q, Fraction(1, 10 ** 12))
         want = tuple(tuple(Fraction(x) for x in row) for row in expected[label])
         c.check(f"quotient matrix of {label} matches at p = {p}",
                 q.entries == want, detail=f"got {q.entries}")
@@ -189,13 +175,13 @@ def _claim_cx2(c: _Checker, params: dict, jobs: int) -> None:
             perron_less_than(quotients["H"], bound))
     c.check("lambda(H') certified below p + 2/3 - 1/(5p)",
             perron_less_than(quotients["H_prime"], bound))
-    lo_g, _ = perron_root_interval(quotients["G"], Fraction(1, 10 ** 12))
+    lo_g = brackets["G"][0]
     c.check("lambda(G) certified above p + 2/3 - 1/(5p)",
             not perron_less_than(quotients["G"], bound) and lo_g > bound,
             detail=f"bracket floor {float(lo_g):.12f} vs {float(bound):.12f}")
 
     for label, g in graphs.items():
-        lo, hi = perron_root_interval(quotients[label], Fraction(1, 10 ** 12))
+        lo, hi = brackets[label]
         measured = spectral_radius(g, tol=1e-10).value
         root = float((lo + hi) / 2)
         c.check(f"power iteration on {label} matches quotient root",

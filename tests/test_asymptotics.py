@@ -215,6 +215,19 @@ class TestExperiments:
         with pytest.raises(ValueError):
             experiment("star-vs-path", {"r": 3})
 
+    def test_param_not_taken_names_experiment_key_and_keys_taken(self):
+        with pytest.raises(ValueError, match="experiment edge_add cannot take "
+                                             "q=9; it takes integer r, b, a"):
+            experiment("edge-add", {"r": 3, "b": 2, "a": 0, "q": 9},
+                       ns=(60, 120, 240))
+
+    def test_non_integer_param_names_the_value(self):
+        with pytest.raises(ValueError, match=r"experiment edge_add cannot take "
+                                             r"r=3\.5; it takes integer r, b, a"):
+            experiment("edge-add", {"r": 3.5, "b": 2, "a": 0}, ns=(60, 120, 240))
+        with pytest.raises(ValueError, match="k='4'"):
+            experiment("star-vs-path", {"r": 3, "k": "4"})
+
     def test_builders_check_congruences(self):
         with pytest.raises(ValueError):
             star_vs_path(3, 4, ns=(49, 98, 196))

@@ -148,6 +148,22 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--experiment", "bogus")
         assert code == 2
 
+    def test_param_not_taken_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--experiment", "edge-add",
+                                 "--params", "r=3,b=2,a=0,q=9",
+                                 "--ns", "60,120,240")
+        assert code == 2
+        assert out == ""
+        assert "q=9; it takes integer r, b, a" in err
+
+    def test_non_integer_param_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--experiment", "edge-add",
+                                 "--params", "r=3.5,b=2,a=0",
+                                 "--ns", "60,120,240")
+        assert code == 2
+        assert out == ""
+        assert "r=3.5" in err
+
 
 class TestVerifyCommand:
     def test_single_claim(self, capsys):

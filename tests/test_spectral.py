@@ -14,6 +14,7 @@ from spexlab import (
     compare_lambda_exact,
     complete,
     cx2_package,
+    cx1_pair,
     cycle,
     disjoint_union,
     empty_graph,
@@ -82,9 +83,10 @@ class TestSpectralRadius:
             assert max(res.vector) == pytest.approx(1.0)
             assert all(x > 0 for x in res.vector)
 
-    def test_convergence_error_carries_best(self):
+    def test_convergence_error_carries_best(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_ITER", 40)
         with pytest.raises(ConvergenceError) as err:
-            spectral_radius(path(5), tol=1e-30, max_iter=40)
+            spectral_radius(path(5), tol=1e-30)
         best = err.value.best
         assert abs(best.value - eig_radius(path(5))) <= 1e-6
         assert best.iterations == 40
@@ -324,6 +326,43 @@ class TestPerronCertificates:
         assert hi - lo <= Fraction(1, 10**6)
         assert lo < 3 <= hi
 
+    def test_interval_lower_end_can_be_the_root(self):
+        # the halving point 2 is the radius of K3 and of K_{1,4}
+        for g in (complete(3), star(5)):
+            lo, hi = perron_root_interval(g, Fraction(1, 10**6))
+            assert lo == 2
+            assert not perron_less_than(g, lo)
+            assert perron_less_than(g, hi)
+
+    def test_graph_interval_equals_adjacency_interval(self):
+        rng = random.Random(7007)
+        graphs = [empty_graph(0), empty_graph(1), empty_graph(6), complete(1),
+                  complete(2), complete(7), cycle(5), star(6),
+                  disjoint_union(complete(4), complete(4)),
+                  disjoint_union(cycle(5), empty_graph(2))]
+        for _ in range(120):
+            g = random_graph(rng, rng.randrange(1, 11), rng.choice((0.15, 0.5, 0.85)))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+        for g in graphs:
+            a = RationalMatrix.from_graph(g)
+            for width in (Fraction(1, 8), Fraction(1, 10**12)):
+                assert perron_root_interval(g, width) == perron_root_interval(a, width)
+
+    def test_graph_bracketed_on_its_quotient(self, monkeypatch):
+        rows = []
+        orig = spectral.perron_less_than
+
+        def spied(matrix, q):
+            rows.append(matrix.n)
+            return orig(matrix, q)
+
+        monkeypatch.setattr(spectral, "perron_less_than", spied)
+        lo, hi = perron_root_interval(cx1_pair(3, 6, 433)[0], Fraction(1, 10**30))
+        assert hi - lo <= Fraction(1, 10**30)
+        assert rows and set(rows) == {4}
+
     def test_interval_consistent_with_certificate(self):
         pkg = cx2_package(7, 3)
         b = quotient_matrix(pkg.g, pkg.partitions["G"])
@@ -353,6 +392,24 @@ class TestCompareExact:
             calls.clear()
             assert compare_lambda_exact(g, h) == 1
             assert len(calls) <= 64
+
+    def test_compares_on_quotients(self, monkeypatch):
+        rng = random.Random(1313)
+        pkg = cx2_package(13, 3)
+        rows = []
+        orig = spectral.perron_less_than
+
+        def spied(matrix, q):
+            rows.append(matrix.n)
+            return orig(matrix, q)
+
+        monkeypatch.setattr(spectral, "perron_less_than", spied)
+        for g, h in ((pkg.g, pkg.h), (pkg.h, pkg.h_prime)):
+            perms = [list(range(g.n)), list(range(h.n))]
+            for perm in perms:
+                rng.shuffle(perm)
+            assert compare_lambda_exact(relabel(g, perms[0]), relabel(h, perms[1])) == 1
+        assert rows and max(rows) <= 4
 
     def test_relabeled_ties(self):
         rng = random.Random(3)

@@ -1,8 +1,11 @@
 """Claim runner: report shape, failure reporting, id hygiene."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from spexlab import CLAIM_IDS, asymptotics, run_claim
+from spexlab import CLAIM_IDS, asymptotics, run_claim, verify
 from spexlab.verify import CLAIM_SPECS, first_failure
 
 
@@ -88,5 +91,14 @@ def test_cx1_sign_does_not_read_the_float_gaps(monkeypatch):
     assert len(signs) == 4
     for a in signs:
         assert a["ok"], a
-        assert a["detail"].startswith("gap 1.000e-03; lambda(H) in (")
-        assert "lambda(G) in (" in a["detail"]
+        assert a["detail"].startswith("gap 1.000e-03; lambda(H) in [")
+        assert "lambda(G) in [" in a["detail"]
+        assert a["detail"].endswith(")")
+
+
+def test_verify_imports_only_canonical_form_from_canon():
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    from_canon = [alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "canon"
+                  for alias in node.names]
+    assert from_canon == ["canonical_form"]
