@@ -160,30 +160,40 @@ def _load_family(spec: str, params: dict) -> ForbiddenFamily:
     """A family from a graph6-lines file or a named built-in.
 
     Built-ins: K<r> (single clique), cx1 (needs r, k, m), cx2 (needs p, m).
+    Files and cliques take no parameters; a key the family does not take
+    is an error.
     """
-    if os.path.exists(spec):
+    named = {"cx1": ("r", "k", "m"), "cx2": ("p", "m")}
+    is_file = os.path.exists(spec)
+    clique = re.fullmatch(r"[Kk](\d+)", spec)
+    if is_file or clique:
+        taken = ()
+    elif spec in named:
+        taken = named[spec]
+    else:
+        raise ValueError(f"family {spec!r} is neither a file nor a built-in "
+                         f"(K<r>, cx1, cx2)")
+    unknown = [k for k in params if k not in taken]
+    if unknown:
+        raise ValueError(f"family {spec} takes no parameter "
+                         f"{', '.join(unknown)}; it takes "
+                         f"{', '.join(taken) or 'none'}")
+    need = [k for k in taken if k not in params]
+    if need:
+        raise ValueError(f"family {spec} needs --params {','.join(need)}")
+    if is_file:
         with open(spec, encoding="utf-8") as fh:
             members = [decode_graph6(line.strip())
                        for line in fh if line.strip()]
         if not members:
             raise ValueError(f"family file {spec} holds no graphs")
         return ForbiddenFamily(members, name=os.path.basename(spec))
-    m = re.fullmatch(r"[Kk](\d+)", spec)
-    if m:
-        order = int(m.group(1))
+    if clique:
+        order = int(clique.group(1))
         return ForbiddenFamily([complete(order)], name=f"K{order}")
     if spec == "cx1":
-        need = [k for k in ("r", "k", "m") if k not in params]
-        if need:
-            raise ValueError(f"family cx1 needs --params {','.join(need)}")
         return cx1_family(params["r"], params["k"], params["m"])
-    if spec == "cx2":
-        need = [k for k in ("p", "m") if k not in params]
-        if need:
-            raise ValueError(f"family cx2 needs --params {','.join(need)}")
-        return cx2_package(params["p"], params["m"]).family
-    raise ValueError(f"family {spec!r} is neither a file nor a built-in "
-                     f"(K<r>, cx1, cx2)")
+    return cx2_package(params["p"], params["m"]).family
 
 
 def _graph_entry(label: str, g: Graph) -> dict:

@@ -250,6 +250,12 @@ def build_named(name: str, params: dict) -> NamedConstruction:
     missing = [key for key in required[name] if key not in params]
     if missing:
         raise ValueError(f"{name} needs parameters {', '.join(missing)}")
+    taken = required[name] + (("m",) if name == "cx1" else ())
+    unknown = [key for key in params if key not in taken]
+    if unknown:
+        raise ValueError(f"construction {name} takes no parameter "
+                         f"{', '.join(unknown)}; it takes "
+                         f"{', '.join(taken) or 'none'}")
     if name == "f1":
         return NamedConstruction("f1", {}, (f1(),))
     if name == "cx1":

@@ -5,10 +5,21 @@ kept only when deleting its canonically-last edge reproduces the parent, which
 yields each isomorphism class exactly once (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998). A parent tries one non-edge per orbit of
 the automorphisms its own canonization found, and each child is canonized
-once. Before the parent test canonizes anything, a child is rejected when the
-end degrees of its canonically last edge differ from those of the added edge,
-as the two deletions then leave different degree sequences. Freeness pruning
-is sound because adding edges never removes a forbidden subgraph.
+once. Freeness pruning is sound because adding edges never removes a
+forbidden subgraph.
+
+Most children fail the parent test, so two exact filters that need no
+canonization reject them first (McKay's cheap invariants):
+
+* The last-edge filter, before the child is canonized. ``canon`` lays out
+  components by size, and inside a component label order refines degree
+  order, so the canonically last edge lies in a component of maximum size
+  and its end degrees form one of the pairs ``_last_edge_admits`` derives
+  from degrees alone. An added edge whose end degrees form none of them
+  cannot be that edge, nor share its end degrees, so the child fails.
+* The profile filter, before the deletion of the canonically last edge is
+  canonized. Unequal degree profiles (``_profile``) mean the deletion is
+  not isomorphic to the parent.
 
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest embedded in one part, optionally
@@ -27,7 +38,8 @@ from typing import Iterator
 
 from .canon import _canonical, _generators, canonical_form
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import Graph, disjoint_union, embed_in_part, empty_graph, turan
+from .graphs import (Graph, _iter_bits, disjoint_union, embed_in_part,
+                     empty_graph, turan)
 from .patterns import ForbiddenFamily, is_free
 from .spectral import compare_lambda_exact, perron_root_interval, spectral_radius
 from .constructions import free_trees
@@ -116,15 +128,84 @@ def _edge_orbit(u: int, v: int, gens: list[list[int]], covered: set) -> None:
                 frontier.append(e)
 
 
+def _last_edge_admits(adj: tuple[int, ...], deg: list[int],
+                      comps: list[int], a: int, b: int) -> bool:
+    """Whether (a, b), a <= b, can be the end degrees of the last edge.
+
+    ``comps`` are the components of maximum size. In canonical labels the
+    last edge (i, j), i < j, has i the last vertex with a later neighbour
+    and j that neighbour's last one. ``canon`` orders components by size,
+    so a graph with an edge has its last edge in a maximum-size component
+    C. Inside C label order refines degree order: the first refinement
+    pass splits the unit cell by degree, ascending, and every later split,
+    individualization and twin split keeps cell order. So over the edges
+    of C, deg i is the largest smaller end degree d, and deg j is the
+    largest neighbour degree of i. The pair is therefore (d, e) with e the
+    largest neighbour degree of some x in C of degree d. That holds for
+    a = d exactly when (A) no edge of C joins two vertices of degree
+    above a, and (B) some x in C of degree a has a neighbour of degree b
+    and none above b. Which maximum-size component comes last is not
+    known before canonizing, so any of them may supply the pair.
+    """
+    hi = eq_a = eq_b = gt_b = 0
+    for x, d in enumerate(deg):
+        bit = 1 << x
+        if d > a:
+            hi |= bit
+            if d > b:
+                gt_b |= bit
+        elif d == a:
+            eq_a |= bit
+        if d == b:
+            eq_b |= bit
+    for comp in comps:
+        h = hi & comp
+        if any(adj[x] & h for x in _iter_bits(h)):
+            continue
+        for x in _iter_bits(eq_a & comp):
+            row = adj[x]
+            if row & eq_b and not row & gt_b:
+                return True
+    return False
+
+
+def _profile(adj: tuple[int, ...]) -> list:
+    """Sorted (degree, sorted neighbour degrees) over the vertices.
+
+    An isomorphism invariant: graphs with unequal profiles are not
+    isomorphic.
+    """
+    deg = [row.bit_count() for row in adj]
+    return sorted((deg[x], sorted(deg[y] for y in _iter_bits(row)))
+                  for x, row in enumerate(adj))
+
+
 def _accepted_children(g: Graph, gform: bytes, gsym: list,
                        family: ForbiddenFamily | None) -> list[tuple]:
     """Canonical-augmentation children of g, one per isomorphism class.
 
     Each entry is (child, canonical form, symmetry record), the child being
     g plus its first non-edge in lexicographic order within its class.
+
+    A child is accepted when deleting its canonically last edge e* gives
+    g's class; that is a property of the child's class. Two filters reject
+    children before the canonization that would decide it:
+    ``_last_edge_admits`` before the child is canonized (an added edge
+    whose end degrees no last edge can have), and ``_profile`` before
+    child - e* is. Both are exact, so a rejected child would have been
+    rejected anyway; and since isomorphic children are accepted or
+    rejected together, leaving rejected ones out of the sibling dedup
+    keeps both the output and its order.
     """
     n = g.n
     gens = _generators(gsym)
+    gdeg = [row.bit_count() for row in g.adj]
+    gcomps = g.components()
+    comp_of = [0] * n
+    for comp in gcomps:
+        for x in _iter_bits(comp):
+            comp_of[x] = comp
+    gprofile = None
     covered: set[tuple[int, int]] = set()
     out = []
     seen = set()
@@ -135,22 +216,34 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
             # non-edges in the orbit of uv give isomorphic children
             _edge_orbit(u, v, gens, covered)
             child = g.with_edge(u, v)
+            deg = gdeg[:]
+            deg[u] += 1
+            deg[v] += 1
+            a, b = sorted((deg[u], deg[v]))
+            # the child's components of maximum size
+            cu, cv = comp_of[u], comp_of[v]
+            comps = [c for c in gcomps if c != cu and c != cv] + [cu | cv]
+            if len(comps) > 1:
+                top = max(c.bit_count() for c in comps)
+                comps = [c for c in comps if c.bit_count() == top]
+            if not _last_edge_admits(child.adj, deg, comps, a, b):
+                continue
             perm, rows, sym = _canonical(child)
             rep = Graph._from_adj(n, rows)
             form = encode_graph6(rep).encode("ascii")
             if form in seen:
                 continue
             seen.add(form)
-            # the canonically last edge must lead back to this parent: its
-            # end degrees must match those of uv (else the degree sequences
-            # differ), and deleting it must give g's class
+            # deleting the canonically last edge must give g's class
             i = max(i for i in range(n) if rows[i] >> (i + 1))
             ea, eb = perm.index(i), perm.index(rows[i].bit_length() - 1)
             if (min(ea, eb), max(ea, eb)) != (u, v):
-                if sorted((child.degree(ea), child.degree(eb))) != \
-                        sorted((child.degree(u), child.degree(v))):
+                parent = child.without_edge(ea, eb)
+                if gprofile is None:
+                    gprofile = _profile(g.adj)
+                if _profile(parent.adj) != gprofile:
                     continue
-                if canonical_form(child.without_edge(ea, eb)) != gform:
+                if canonical_form(parent) != gform:
                     continue
             if family is not None and not is_free(rep, family):
                 continue

@@ -99,6 +99,13 @@ class TestConstructQuotientPipeline:
         assert code == 2
         assert "error:" in err
 
+    def test_construct_param_not_taken_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--name", "cx2",
+                                 "--params", "p=7,m=3,q=9")
+        assert code == 2
+        assert out == ""
+        assert "construction cx2 takes no parameter q; it takes p, m" in err
+
 
 class TestOracleCommands:
     def test_ex(self, capsys):
@@ -122,6 +129,24 @@ class TestOracleCommands:
                 canonical_form(pkg.h_prime).decode("ascii")}
         assert set(doc["extremal_set"]) == want
         assert doc["restricted"] is True
+
+    @pytest.mark.parametrize("argv, named", [
+        (("ex", "--n", "5", "--family", "K3", "--params", "q=9"),
+         "family K3 takes no parameter q; it takes none"),
+        (("spex", "--n", "5", "--family", "K3", "--params", "q=9"),
+         "family K3 takes no parameter q; it takes none"),
+        (("restricted-ex", "--n", "14", "--family", "cx2",
+          "--params", "p=7,m=3,r=2", "--r", "2", "--max-tree-order", "3"),
+         "family cx2 takes no parameter r; it takes p, m"),
+        (("free-check", "--family", "cx1", "--params", "r=3,k=6,m=5,p=7",
+          "--graph6", "Bw"),
+         "family cx1 takes no parameter p; it takes r, k, m"),
+    ])
+    def test_family_param_not_taken_exits_two(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert named in err
 
     def test_guardrail_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "ex", "--n", "10", "--family", "K3")

@@ -245,3 +245,13 @@ class TestBuildNamed:
     def test_unknown(self):
         with pytest.raises(ValueError):
             build_named("f2", {})
+
+    @pytest.mark.parametrize("name, params, taken", [
+        ("cx2", {"p": 7, "m": 3, "q": 9}, "p, m"),
+        ("cx1", {"r": 3, "k": 6, "n": 55, "q": 9}, "r, k, n, m"),
+        ("f1", {"q": 9}, "none"),
+    ])
+    def test_param_not_taken(self, name, params, taken):
+        with pytest.raises(ValueError, match=f"{name} takes no parameter q; "
+                                             f"it takes {taken}$"):
+            build_named(name, params)

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spexlab import (
     ExtremalReport,
@@ -87,12 +88,16 @@ class TestEnumeration:
                    if relabel(g, p).adj == g.adj) == 1
 
     @pytest.mark.parametrize("g, canonized", [
-        (star(6), 1),
+        # the one child adds a leaf-leaf edge, of end degrees (2, 2), while
+        # every canonically last edge joins the centre to a leaf, (2, 5)
+        (star(6), 0),
         (empty_graph(6), 1),
-        # trivial automorphism group: every non-edge is its own orbit
-        (ASYMMETRIC, 15 - ASYMMETRIC.edge_count),
+        # trivial automorphism group: every non-edge is its own orbit, and
+        # the last-edge filter leaves 2 of the 9
+        (ASYMMETRIC, 2),
     ])
     def test_one_child_canonized_per_orbit(self, monkeypatch, g, canonized):
+        # the pinned counts are what the rejection filters leave
         calls = []
 
         def counting(h):
@@ -105,6 +110,25 @@ class TestEnumeration:
         monkeypatch.setattr(oracle, "_canonical", counting)
         oracle._accepted_children(g, form, sym, None)
         assert len(calls) == canonized
+        # no two canonized children are isomorphic: at most one per orbit
+        assert len({canonical_form(h) for h in calls}) == len(calls)
+
+    def test_spex_six_canonizations_pinned(self, monkeypatch):
+        counts = {"_canonical": 0, "canonical_form": 0}
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def wrapper(h):
+                counts[name] += 1
+                return real(h)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(oracle, name, counted(name))
+        rep = spex_oracle(6, [complete(4)])
+        assert rep.extremal_set == ("E]~o",)
+        assert counts == {"_canonical": 204, "canonical_form": 29}
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):
@@ -132,6 +156,78 @@ class TestEnumeration:
         out = list(enumerate_graphs(11, family=fam, allow_large=True))
         assert len(out) == 1
         assert out[0].edge_count == 0
+
+
+def _last_edge_pair(h: Graph) -> tuple[int, int]:
+    """Sorted end degrees of h's canonically last edge."""
+    perm, rows, _ = canon._canonical(h)
+    i = max(i for i in range(h.n) if rows[i] >> (i + 1))
+    ea, eb = perm.index(i), perm.index(rows[i].bit_length() - 1)
+    return tuple(sorted((h.degree(ea), h.degree(eb))))
+
+
+def _largest_components(h: Graph) -> list[int]:
+    comps = h.components()
+    top = max(c.bit_count() for c in comps)
+    return [c for c in comps if c.bit_count() == top]
+
+
+@st.composite
+def labeled_graphs(draw) -> tuple[Graph, list[int]]:
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    return g, draw(st.permutations(range(n)))
+
+
+class TestRejectBeforeCanonizing:
+    def test_last_edge_pair_is_admitted(self):
+        rng = random.Random(8)
+        checked = 0
+        for n in range(2, 8):
+            for g in enumerate_graphs(n):
+                if not g.edge_count:
+                    continue
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, perm)):
+                    a, b = _last_edge_pair(h)
+                    deg = [row.bit_count() for row in h.adj]
+                    assert oracle._last_edge_admits(
+                        h.adj, deg, _largest_components(h), a, b), \
+                        (encode_graph6(h), a, b)
+                    checked += 1
+        # every class on 2..7 vertices but the six edgeless ones, twice
+        assert checked == 2 * (sum(KNOWN_COUNTS[n] for n in range(2, 8)) - 6)
+
+    def test_filter_rejects_other_pairs(self):
+        # P4 plus a pendant at an inner vertex: (2, 3) is the one edge
+        # whose smaller end degree is largest
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        deg = [row.bit_count() for row in g.adj]
+        admitted = {(a, b) for a in range(4) for b in range(a, 4)
+                    if oracle._last_edge_admits(g.adj, deg, [0b11111], a, b)}
+        assert admitted == {(2, 3)}
+
+    def test_filters_reject_only_what_the_parent_test_rejects(self, monkeypatch):
+        def children(g):
+            _, rows, sym = canon._canonical(g)
+            form = encode_graph6(Graph._from_adj(g.n, rows)).encode("ascii")
+            return [(c.adj, f) for c, f, _ in
+                    oracle._accepted_children(g, form, sym, None)]
+
+        parents = [g for n in range(2, 7) for g in enumerate_graphs(n)]
+        filtered = [children(g) for g in parents]
+        monkeypatch.setattr(oracle, "_last_edge_admits", lambda *args: True)
+        monkeypatch.setattr(oracle, "_profile", lambda adj: None)
+        assert [children(g) for g in parents] == filtered
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_graphs())
+    def test_profile_survives_relabeling(self, drawn):
+        g, perm = drawn
+        assert oracle._profile(relabel(g, perm).adj) == oracle._profile(g.adj)
 
 
 class TestExOracle:
