@@ -4,7 +4,10 @@ Containment is decided exactly by decomposing the host graph: a host that is a
 join splits into co-components (the pattern is partitioned among them), a
 disconnected host packs pattern components into host components, and the
 remaining connected, co-connected cores run a backtracking matcher over
-twin-collapsed vertex classes with forward checking.
+twin-collapsed vertex classes with forward checking. Both backtracking
+searches break the pattern's own symmetry: pattern twins take parts (or
+host classes) in order, so no search re-tries a placement that only swaps
+interchangeable pattern vertices.
 
 No host is canonized. Verdicts are cached under the host's exact adjacency
 and the pattern's canonical form: patterns are small and recur across hosts,
@@ -106,9 +109,40 @@ def _complement_components(g: Graph) -> list[int]:
     return Graph._from_adj(g.n, comp_adj).components()
 
 
+def _twin_prev(g: Graph, order: list[int]) -> list[int]:
+    """For each position of order, the position of the previous twin, or -1.
+
+    Twins have equal open neighbourhoods or equal closed neighbourhoods, and
+    swapping two twins is an automorphism of g. A vertex with a twin has
+    only one kind, and an open neighbourhood never equals a closed one
+    (N(u) = N[w] puts w in N(u), so u in N(w), a subset of N(u)), so one
+    dict keyed by both kinds finds the previous twin.
+    """
+    seen: dict[int, int] = {}
+    prev = []
+    for i, v in enumerate(order):
+        nbhd, closed = g.adj[v], g.adj[v] | 1 << v
+        prev.append(seen.get(nbhd, seen.get(closed, -1)))
+        seen[nbhd] = seen[closed] = i
+    return prev
+
+
 # -- host is a join: partition the pattern among the co-components ----------
 
 def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
+    """Whether the pattern splits among the host's co-components.
+
+    Pattern vertices are placed one at a time along order, each into a part.
+    Two rules cut the search without losing an embedding: a pattern vertex
+    takes a part no lower than its previous twin's, and of identical empty
+    parts only the first may open. Swapping two twins is an automorphism of
+    the pattern, and swapping two parts of one _iso_groups group is one of
+    the host; the lexicographically least part vector (along order) in an
+    embedding's orbit under both has twins non-decreasing, or a twin swap
+    would lower it, and opens identical empty parts in index order, or a
+    part swap would lower it. So a host that holds the pattern keeps an
+    embedding both rules admit.
+    """
     parts = [induced_subgraph(host, mask) for mask in cocomps]
     sizes = [p.n for p in parts]
     maxdeg = [max((p.degree(v) for v in range(p.n)), default=0) for p in parts]
@@ -119,6 +153,8 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
 
     m = pattern.n
     order = sorted(range(m), key=lambda v: -pattern.degree(v))
+    prev_twin = _twin_prev(pattern, order)
+    part_of = [0] * m  # indexed by position in the order
     padj = pattern.adj
 
     # pattern co-components: pieces of distinct co-components sharing a host
@@ -167,7 +203,8 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
         v = order[idx]
         row = padj[v]
         cv = comp_of[v]
-        for i in range(s):
+        prev = prev_twin[idx]
+        for i in range(part_of[prev] if prev >= 0 else 0, s):
             if counts[i] >= sizes[i]:
                 continue
             if counts[i] == 0:
@@ -192,6 +229,7 @@ def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
             counts[i] += 1
             inner_edges[i] += newdeg
             deg_in_class[v] = newdeg
+            part_of[idx] = i
             for w in _iter_bits(inside):
                 deg_in_class[w] += 1
             if place(idx + 1):
@@ -332,6 +370,16 @@ def _pattern_order(pattern: Graph) -> list[int]:
 
 
 def _core_match(host: Graph, pattern: Graph) -> bool:
+    """Whether a connected, co-connected host holds the pattern.
+
+    Pattern vertices are mapped along _pattern_order to host twin classes
+    (_fold), whose members are interchangeable. A pattern vertex takes a
+    class index no lower than its previous twin's: swapping two twins is an
+    automorphism of the pattern, so the lexicographically least class vector
+    in an embedding's orbit has twins non-decreasing, or a twin swap would
+    lower it, and forward checking only drops classes no embedding extending
+    the current prefix uses.
+    """
     sizes, cliques, rows, vdeg = _fold(host)
     nclasses = len(sizes)
     # classes usable by two pattern-adjacent vertices at once
@@ -356,6 +404,8 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
 
     rem = list(sizes)
     domains = [init[v] for v in order]  # indexed by position in the order
+    prev_twin = _twin_prev(pattern, order)
+    cls = [0] * m
     padj_pos = []
     for i, v in enumerate(order):
         later = [pos[w] for w in _iter_bits(pattern.adj[v]) if pos[w] > i]
@@ -365,6 +415,9 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
         if i == m:
             return True
         dom = domains[i]
+        prev = prev_twin[i]
+        if prev >= 0:
+            dom &= -1 << cls[prev]
         while dom:
             low = dom & -dom
             dom ^= low
@@ -372,6 +425,7 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
             if rem[c] == 0:
                 continue
             rem[c] -= 1
+            cls[i] = c
             saved = []
             ok = True
             for j in padj_pos[i]:

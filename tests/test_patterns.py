@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spexlab import (
     ForbiddenFamily,
@@ -12,6 +12,7 @@ from spexlab import (
     complete,
     complete_multipartite,
     contains_subgraph,
+    copies,
     cx1_family,
     cx1_pair,
     cx2_package,
@@ -94,6 +95,144 @@ def composite_hosts(draw) -> list[Graph]:
         perm = draw(st.permutations(range(host.n)))
         hosts += [host, relabel(host, perm)]
     return hosts
+
+
+def _shuffle(draw, g: Graph) -> Graph:
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def join_hosts(draw) -> Graph:
+    """A relabeled join of 2-3 parts on <= 8 vertices: edgeless, star
+    forests, or random on 2-3 vertices."""
+    parts = []
+    for _ in range(draw(st.integers(2, 3))):
+        kind = draw(st.sampled_from(("edgeless", "stars", "random")))
+        if kind == "edgeless":
+            part = empty_graph(draw(st.integers(2, 4)))
+        elif kind == "stars":
+            part = empty_graph(0)
+            for k in draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)):
+                part = disjoint_union(part, star(k))
+        else:
+            part = draw(small_graphs(2, 3))
+        if sum(p.n for p in parts) + part.n > 8:
+            break
+        parts.append(part)
+    assume(len(parts) > 1)
+    host = parts[0]
+    for part in parts[1:]:
+        host = join(host, part)
+    return _shuffle(draw, host)
+
+
+@st.composite
+def core_hosts(draw) -> Graph:
+    """A relabeled connected, co-connected host on <= 8 vertices: a random
+    base blown up into twin classes (independent or clique)."""
+    base = draw(small_graphs(4, 5))
+    assume(len(base.components()) == 1
+           and len(patterns._complement_components(base)) == 1)
+    classes, n = [], 0
+    for v in range(base.n):
+        size = min(draw(st.integers(1, 3)), 8 - n - (base.n - v - 1))
+        classes.append(list(range(n, n + size)))
+        n += size
+    cliques = [draw(st.booleans()) for _ in classes]
+    edges = [(a, b) for u, v in base.edges() for a in classes[u] for b in classes[v]]
+    edges += [(a, b) for verts, clique in zip(classes, cliques) if clique
+              for a in verts for b in verts if a < b]
+    return _shuffle(draw, Graph(n, edges))
+
+
+@st.composite
+def twin_patterns(draw, n: int) -> Graph:
+    """A relabeled pattern on n >= 2 vertices with large twin classes: a small
+    graph joined to a complete multipartite block, or repeated components."""
+    # joins are mostly refused and unions mostly held; two to one keeps
+    # each verdict at a third or more on both kinds of host
+    if n < 4 or draw(st.sampled_from(("join", "join", "union"))) == "join":
+        base = draw(small_graphs(1, min(3, n - 1)))
+        sizes, left = [], n - base.n
+        while left:
+            sizes.append(draw(st.integers(1, min(2, left))))
+            left -= sizes[-1]
+        pattern = join(base, complete_multipartite(sizes))
+    else:
+        comp = draw(small_graphs(2, min(3, n // 2)))
+        if not comp.edge_count:
+            comp = comp.with_edge(0, 1)
+        pattern = copies(n // comp.n, comp)
+        pattern = disjoint_union(pattern, draw(small_graphs(0, n - pattern.n)))
+    return _shuffle(draw, pattern)
+
+
+@st.composite
+def host_and_pattern(draw, hosts) -> tuple[Graph, Graph]:
+    """A host and a twin pattern on at most 2 fewer vertices, and at most 6
+    so that the brute-force injection search stays fast."""
+    host = draw(hosts)
+    n = draw(st.integers(max(2, host.n - 2), min(host.n, 6)))
+    return host, draw(twin_patterns(n))
+
+
+class TestTwinOrder:
+    """Pattern twins take host parts (or host classes) in non-decreasing order."""
+
+    @staticmethod
+    def chains(g: Graph, order: list[int], classes: list[set]) -> list[int]:
+        want = []
+        for i, v in enumerate(order):
+            cls = next(c for c in classes if v in c)
+            want.append(max((j for j in range(i) if order[j] in cls), default=-1))
+        return want
+
+    def test_open_twins_of_k33_join_p3(self):
+        g = join(complete_multipartite((3, 3)), path(3))  # P3 is 6-7-8
+        classes = [{0, 1, 2}, {3, 4, 5}, {6, 8}, {7}]
+        order = [8, 0, 3, 7, 1, 6, 4, 2, 5]
+        assert patterns._twin_prev(g, order) == [-1, -1, -1, -1, 1, 0, 2, 4, 6]
+        rng = random.Random(33)
+        for _ in range(20):
+            rng.shuffle(order)
+            assert patterns._twin_prev(g, order) == self.chains(g, order, classes)
+
+    def test_closed_twins_of_k4_minus_an_edge(self):
+        g = complete(4).without_edge(0, 1)  # 2, 3 closed twins; 0, 1 open
+        assert patterns._twin_prev(g, [2, 0, 3, 1]) == [-1, -1, 0, 1]
+        assert patterns._twin_prev(g, [3, 2, 1, 0]) == [-1, 0, -1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(host_and_pattern(join_hosts()))
+    def test_join_split_matches_brute_force(self, case):
+        host, pattern = case
+        cocomps = patterns._complement_components(host)
+        assert len(cocomps) > 1
+        assert patterns._join_split(host, cocomps, pattern) \
+            == brute_contains(host, pattern)
+
+    @settings(max_examples=150, deadline=None)
+    @given(host_and_pattern(core_hosts()))
+    def test_core_match_matches_brute_force(self, case):
+        host, pattern = case
+        assert len(host.components()) == 1
+        assert len(patterns._complement_components(host)) == 1
+        assert patterns._core_match(host, pattern) == brute_contains(host, pattern)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cx1_verdicts_survive_relabeling(self, seed):
+        rng = random.Random(seed)
+
+        def shuffled(g: Graph) -> Graph:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            return relabel(g, perm)
+
+        g, h = (shuffled(x) for x in cx1_pair(3, 6, 55))
+        for m in (5, 6):
+            fam = [shuffled(member) for member in cx1_family(3, 6, m)]
+            assert is_free(g, fam) == (m == 6), (seed, m)
+            assert is_free(h, fam), (seed, m)
 
 
 class TestCache:
