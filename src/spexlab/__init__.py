@@ -40,7 +40,6 @@ from .patterns import (
     is_free,
 )
 from .spectral import (
-    ConvergenceError,
     RationalMatrix,
     RationalPoly,
     SpectralResult,

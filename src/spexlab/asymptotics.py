@@ -4,14 +4,13 @@ The threshold half evaluates E(r), certifies its ceiling k with rational
 interval arithmetic (no float comparison ever decides a ceiling), and
 derives the densities c(r) = (k-1)/(kr) and c1(r).  The experiment half
 builds matched graph pairs over a doubling schedule of sizes, measures the
-spectral-radius gap at tight tolerance, and extrapolates n*dlam to its
-limit, which should land on the predicted first-order constant.
+spectral-radius gap, and extrapolates n*dlam to its limit, which should
+land on the predicted first-order constant.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -37,7 +36,6 @@ __all__ = [
     "cx1_gap",
 ]
 
-_DLAM_TOL = 1e-11
 _REFINE_BITS = (64, 128, 256, 512, 1024)
 
 
@@ -279,15 +277,8 @@ def _default_ns(name: str, params: dict) -> list:
     return [r * (w << i) + 1 for i in range(4)]
 
 
-def _measure(task: tuple) -> tuple:
-    name, params, n = task
-    a, b = _BUILDERS[name](params, n)
-    return n, (spectral_radius(a, tol=_DLAM_TOL).value
-               - spectral_radius(b, tol=_DLAM_TOL).value)
-
-
-def experiment(name: str, params: dict, ns: Optional[Sequence[int]] = None,
-               jobs: int = 1) -> FitResult:
+def experiment(name: str, params: dict,
+               ns: Optional[Sequence[int]] = None) -> FitResult:
     """Run a named first-order experiment and extrapolate its constant.
 
     Each experiment builds a pair of graphs per size n whose spectral radii
@@ -322,30 +313,28 @@ def experiment(name: str, params: dict, ns: Optional[Sequence[int]] = None,
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 sizes to extrapolate, "
                          f"got {len(sizes)}")
-    tasks = [(key, run_params, n) for n in sizes]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            measured = list(pool.map(_measure, tasks))
-    else:
-        measured = [_measure(t) for t in tasks]
+    measured = []
+    for n in sizes:
+        a, b = _BUILDERS[key](run_params, n)
+        measured.append((n, spectral_radius(a).value - spectral_radius(b).value))
     return fit_first_order(measured, predicted=_predicted(key, run_params))
 
 
-def star_vs_path(r: int, k: int, ns=None, jobs: int = 1) -> FitResult:
+def star_vs_path(r: int, k: int, ns=None) -> FitResult:
     """Tree-shape comparison; predicted C = (k - 5 + 6/k)/(r - 1)."""
-    return experiment("star_vs_path", {"r": r, "k": k}, ns=ns, jobs=jobs)
+    return experiment("star_vs_path", {"r": r, "k": k}, ns=ns)
 
 
-def edge_add(r: int, b: int, a: int, ns=None, jobs: int = 1) -> FitResult:
+def edge_add(r: int, b: int, a: int, ns=None) -> FitResult:
     """Bounded-edit shift on the Turan graph; predicted C = 2(b - a)."""
-    return experiment("edge_add", {"r": r, "b": b, "a": a}, ns=ns, jobs=jobs)
+    return experiment("edge_add", {"r": r, "b": b, "a": a}, ns=ns)
 
 
-def transfer_shift(r: int, k: int, ns=None, jobs: int = 1) -> FitResult:
+def transfer_shift(r: int, k: int, ns=None) -> FitResult:
     """Part-rebalancing shift; predicted C = -4(k - 1)/(kr)."""
-    return experiment("transfer_shift", {"r": r, "k": k}, ns=ns, jobs=jobs)
+    return experiment("transfer_shift", {"r": r, "k": k}, ns=ns)
 
 
-def cx1_gap(r: int, k: int, ns=None, jobs: int = 1) -> FitResult:
+def cx1_gap(r: int, k: int, ns=None) -> FitResult:
     """One extra edge versus packing shape; negative exactly when k > E(r)."""
-    return experiment("cx1_gap", {"r": r, "k": k}, ns=ns, jobs=jobs)
+    return experiment("cx1_gap", {"r": r, "k": k}, ns=ns)

@@ -26,6 +26,7 @@ from .patterns import ForbiddenFamily, chromatic_number, is_free
 from .spectral import quotient_matrix, spectral_radius
 
 _SCHEMA = 1
+_CONFIG_KEYS = ("jobs",)
 
 _CONSTRUCT_LABELS = {
     "f1": ("F1",),
@@ -83,8 +84,11 @@ def _read_config(path: str | None) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            conf[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"accepted keys: {', '.join(_CONFIG_KEYS)}")
+            conf[key] = val
     return conf
 
 
@@ -99,15 +103,6 @@ def _resolve_jobs(args, config: dict) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1)
-
-
-def _resolve_tol(args, config: dict, default: float = 1e-10) -> float:
-    tol = getattr(args, "tol", None)
-    if tol is not None:
-        return tol
-    if "tol" in config:
-        return float(config["tol"])
-    return default
 
 
 def _parse_params(text: str | None) -> dict:
@@ -243,10 +238,9 @@ def _cmd_chromatic(args, config) -> int:
 
 def _cmd_lambda(args, config) -> int:
     g = _read_graph(args)
-    res = spectral_radius(g, tol=_resolve_tol(args, config))
+    res = spectral_radius(g)
     _emit(args, {"n": g.n, "graph6": encode_graph6(g),
-                 "lambda": res.value, "residual": res.residual,
-                 "iterations": res.iterations})
+                 "lambda": res.value, "residual": res.residual})
     return 0
 
 
@@ -295,8 +289,7 @@ def _cmd_restricted_ex(args, config) -> int:
 def _cmd_fit(args, config) -> int:
     params = _parse_params(args.params)
     ns = [int(x) for x in args.ns.split(",")] if args.ns else None
-    fit = experiment(args.experiment, params, ns=ns,
-                     jobs=_resolve_jobs(args, config))
+    fit = experiment(args.experiment, params, ns=ns)
     if args.data_out:
         with open(args.data_out, "w", encoding="utf-8") as fh:
             for n, dlam in fit.samples:
@@ -328,13 +321,15 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers, 1 to the CPU count "
-                             "(default 1)")
     common.add_argument("--config", default=None,
                         help="key = value config file")
     common.add_argument("--no-timestamps", action="store_true",
                         help="omit timestamps for byte-identical reruns")
+    # only ex, spex and verify (its oracle claims) read --jobs
+    parallel = argparse.ArgumentParser(add_help=False)
+    parallel.add_argument("--jobs", type=int, default=None,
+                          help="parallel workers, 1 to the CPU count "
+                               "(default 1)")
 
     top = argparse.ArgumentParser(
         prog="spexlab",
@@ -363,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chromatic)
 
     p = sub.add_parser("lambda", parents=[common],
-                       help="spectral radius by power iteration")
+                       help="spectral radius on the equitable quotient")
     _add_graph_input(p)
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (default 1e-10)")
     p.set_defaults(func=_cmd_lambda)
 
     p = sub.add_parser("quotient", parents=[common],
@@ -379,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, blurb in (
             ("ex", _cmd_ex, "exhaustive extremal edge count"),
             ("spex", _cmd_spex, "exhaustive spectral extremal set")):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+        p = sub.add_parser(name, parents=[common, parallel], help=blurb)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--family", required=True)
         p.add_argument("--params", help="family parameters")
@@ -409,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write two-column (n, n*dlam) data here")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, parallel],
                        help="replay desk-scale claims")
     p.add_argument("--claim", action="append",
                    help=f"one of {', '.join(verify_mod.CLAIM_IDS)} "

@@ -364,7 +364,7 @@ def spex_oracle(n: int, family, allow_large: bool = False, jobs: int = 1,
     scored: list[tuple[float, Graph]] = []
     top = float("-inf")
     for g in _free_graphs(n, family, allow_large, jobs):
-        lam = spectral_radius(g, tol=1e-10).value
+        lam = spectral_radius(g).value
         if lam > top:
             top = lam
             scored = [(l, h) for l, h in scored if l >= top - prefilter_tol]

@@ -1,10 +1,12 @@
 """Float and exact spectral-radius tools.
 
-The float side runs power iteration per connected component on the shifted
-operator A+I (so bipartite components cannot oscillate between the +/- Perron
-pair), reports a Rayleigh-quotient estimate with an infinity-norm residual,
-and finishes in extended precision when the requested tolerance sits below
-what double arithmetic can certify.
+Both sides work on a graph's coarsest equitable quotient. The float side
+solves one connected component at a time: it refines the component's
+vertices to their coarsest equitable partition on g's own rows, symmetrizes
+the quotient B as S = D^1/2 B D^-1/2 (D the cell sizes; |C_i| B_ij =
+|C_j| B_ji, so S_ij = sqrt(B_ij B_ji)), takes S's top eigenpair with a dense
+symmetric eigensolver, and lifts it back onto the cells. No n x n matrix is
+built; by equitability the quotient residual is the whole graph's.
 
 The exact side takes Fraction matrices (a graph's Perron root is certified
 on its coarsest equitable quotient) and decides in integers: quotient
@@ -24,13 +26,12 @@ from typing import Iterable
 import numpy as np
 
 from .canon import _refine
-from .graphs import Graph, Partition, _iter_bits, _unpack_rows, adjacency_matrix
-# Unused here; kept as the module attribute perfbench/spans.py patches.
-from .graphs import induced_subgraph  # noqa: F401
+from .graphs import Graph, Partition, _iter_bits
+# Unused here; kept as module attributes perfbench/spans.py patches.
+from .graphs import adjacency_matrix, induced_subgraph  # noqa: F401
 
 __all__ = [
     "SpectralResult",
-    "ConvergenceError",
     "spectral_radius",
     "is_equitable",
     "quotient_matrix",
@@ -42,116 +43,75 @@ __all__ = [
     "compare_lambda_exact",
 ]
 
-_STALL_LIMIT = 50
-_MAX_ITER = 1_000_000
-
 
 class SpectralResult:
-    """Converged spectral-radius estimate.
+    """Float spectral-radius estimate.
 
     ``vector`` has infinity norm exactly 1, is nonnegative, and is supported
     on a component attaining the radius; ``residual`` is the infinity norm of
-    A v - value * v.
+    A v - value * v. ``iterations`` is always 0 (a direct eigensolve); it
+    stays for perfbench/spans.py until the package keeps its own work counts.
     """
 
     __slots__ = ("value", "vector", "residual", "iterations")
 
-    def __init__(self, value: float, vector: tuple[float, ...],
-                 residual: float, iterations: int):
+    def __init__(self, value: float, vector: tuple[float, ...], residual: float):
         self.value = value
         self.vector = vector
         self.residual = residual
-        self.iterations = iterations
+        self.iterations = 0
 
     def __repr__(self) -> str:
         return (f"SpectralResult(value={self.value!r}, residual={self.residual:.3e}, "
                 f"iterations={self.iterations})")
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap; ``best`` holds the last estimate."""
+def _quotient_eigenpair(adj: tuple[int, ...],
+                        comp: int) -> tuple[float, list, np.ndarray, float]:
+    """(lambda, cells, x, residual) for the component comp of adj.
 
-    def __init__(self, message: str, best: SpectralResult):
-        super().__init__(message)
-        self.best = best
-
-
-def _iterate(A: np.ndarray, x: np.ndarray, tol: float, budget: int,
-             start_iter: int) -> tuple[float, np.ndarray, float, int, bool]:
-    it = start_iter
-    best = None
-    stall = 0
-    lam = 0.0
-    res = float("inf")
-    while it < budget:
-        z = A @ x
-        lam = float((x @ z) / (x @ x))
-        res = float(np.abs(z - lam * x).max())
-        if res <= tol:
-            return lam, x, res, it, True
-        if best is None or res < best:
-            best = res
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                return lam, x, res, it, False
-        x = z + x  # one shifted step of A+I, reusing the matvec
-        x /= x.max()
-        it += 1
-    return lam, x, res, it, False
+    x holds one Perron-vector entry per cell, infinity norm 1.
+    """
+    cells = _refine(adj, [list(_iter_bits(comp))])
+    masks = []
+    for cell in cells:
+        mask = 0
+        for v in cell:
+            mask |= 1 << v
+        masks.append(mask)
+    b = np.array([[(adj[cell[0]] & mask).bit_count() for mask in masks]
+                  for cell in cells], dtype=np.float64)
+    vals, vecs = np.linalg.eigh(np.sqrt(b * b.T))
+    sizes = np.array([len(cell) for cell in cells], dtype=np.float64)
+    x = np.abs(vecs[:, -1]) / np.sqrt(sizes)
+    x /= x.max()
+    lam = float(vals[-1])
+    return lam, cells, x, float(np.abs(b @ x - lam * x).max())
 
 
-def _component_matrix(g: Graph, comp: int) -> np.ndarray:
-    """Adjacency matrix of the component comp, vertices in ascending order."""
-    if comp == (1 << g.n) - 1:
-        return adjacency_matrix(g)
-    verts = list(_iter_bits(comp))
-    rows = _unpack_rows([g.adj[v] for v in verts], g.n)
-    return rows[:, verts].astype(np.float64, order="C")
-
-
-def _power_component(g: Graph, comp: int, tol: float,
-                     budget: int) -> tuple[float, np.ndarray, float, int]:
-    if comp & (comp - 1) == 0:  # an isolated vertex
-        return 0.0, np.ones(1), 0.0, 0
-    A = _component_matrix(g, comp)
-    x = np.ones(len(A))
-    lam, x, res, it, done = _iterate(A, x, tol, budget, 0)
-    if not done and it < budget:
-        # double precision stalled above tol; retry in extended precision
-        A_l = A.astype(np.longdouble)
-        lam, x, res, it, done = _iterate(A_l, x.astype(np.longdouble), tol, budget, it)
-    if not done:
-        raise ConvergenceError(
-            f"power iteration did not reach tol={tol:g} within {budget} iterations "
-            f"(best residual {res:.3e})",
-            SpectralResult(float(lam), tuple(float(v) for v in x), float(res), it))
-    return float(lam), x, float(res), it
-
-
-def spectral_radius(g: Graph, tol: float = 1e-10) -> SpectralResult:
+def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue of g with an uncertified float residual.
 
-    Runs per component and returns an eigenvector supported on a component
-    attaining the radius (zero elsewhere). The empty graph has radius 0.
+    Solves each component on its coarsest equitable quotient and returns an
+    eigenvector supported on the first component attaining the radius (zero
+    elsewhere). The empty graph has radius 0.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     if g.n == 0:
-        return SpectralResult(0.0, (), 0.0, 0)
-    total_iters = 0
-    best: tuple[float, int, np.ndarray, float] | None = None
+        return SpectralResult(0.0, (), 0.0)
+    best = None
     for comp in g.components():
-        lam, x, res, it = _power_component(g, comp, tol, _MAX_ITER - total_iters)
-        total_iters += it
-        if best is None or lam > best[0]:
-            best = (lam, comp, x, res)
-    lam, comp, x, res = best
+        if comp & (comp - 1) == 0:  # an isolated vertex
+            found = (0.0, [[comp.bit_length() - 1]], np.ones(1), 0.0)
+        else:
+            found = _quotient_eigenpair(g.adj, comp)
+        if best is None or found[0] > best[0]:
+            best = found
+    lam, cells, x, res = best
     vector = [0.0] * g.n
-    for i, v in enumerate(sorted(_iter_bits(comp))):
-        vector[v] = float(x[i])
-    return SpectralResult(lam, tuple(vector), res, total_iters)
+    for cell, xi in zip(cells, x.tolist()):
+        for v in cell:
+            vector[v] = xi
+    return SpectralResult(lam, tuple(vector), res)
 
 
 # -- equitable partitions ----------------------------------------------------

@@ -115,8 +115,7 @@ def _bracket(lo: Fraction, hi: Fraction) -> str:
 def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
     r, k, m = params["r"], params["k"], params["m"]
     fam = cx1_family(r, k, m)
-    fit = asymptotics.experiment("cx1_gap", {"r": r, "k": k}, ns=_CX1_NS,
-                                 jobs=jobs)
+    fit = asymptotics.experiment("cx1_gap", {"r": r, "k": k}, ns=_CX1_NS)
     gaps = dict(fit.samples)
     for n in _CX1_NS:
         g, h = cx1_pair(r, k, n)
@@ -182,9 +181,9 @@ def _claim_cx2(c: _Checker, params: dict, jobs: int) -> None:
 
     for label, g in graphs.items():
         lo, hi = brackets[label]
-        measured = spectral_radius(g, tol=1e-10).value
+        measured = spectral_radius(g).value
         root = float((lo + hi) / 2)
-        c.check(f"power iteration on {label} matches quotient root",
+        c.check(f"float radius of {label} matches quotient root",
                 abs(measured - root) <= 1e-8,
                 detail=f"|{measured:.12f} - {root:.12f}|")
 
@@ -229,19 +228,19 @@ def _check_fit(c: _Checker, label: str, fit, rel: float = 0.05) -> None:
 def _claim_tree_lemma(c: _Checker, params: dict, jobs: int) -> None:
     for k in (4, 5):
         _check_fit(c, f"star_vs_path(3, {k}) constant",
-                   asymptotics.star_vs_path(3, k, jobs=jobs))
+                   asymptotics.star_vs_path(3, k))
 
 
 def _claim_edge_add(c: _Checker, params: dict, jobs: int) -> None:
     r, b, a = params["r"], params["b"], params["a"]
     _check_fit(c, f"edge_add({r}, {b}, {a}) constant",
-               asymptotics.edge_add(r, b, a, jobs=jobs))
+               asymptotics.edge_add(r, b, a))
 
 
 def _claim_transfer_shift(c: _Checker, params: dict, jobs: int) -> None:
     r, k = params["r"], params["k"]
     _check_fit(c, f"transfer_shift({r}, {k}) constant",
-               asymptotics.transfer_shift(r, k, jobs=jobs))
+               asymptotics.transfer_shift(r, k))
 
 
 # ----------------------------------------------------- oracle claims ----

@@ -14,7 +14,6 @@ import numpy as np
 
 from spexlab import Graph, SpectralResult, adjacency_matrix, induced_subgraph
 from spexlab.graphs import _iter_bits
-from spexlab.spectral import _iterate
 
 
 def brute_contains(host: Graph, pattern: Graph) -> bool:
@@ -133,25 +132,23 @@ def fraction_perron_less_than(entries, q) -> bool:
     return True
 
 
-def componentwise_radius(g: Graph, tol: float = 1e-10,
-                         max_iter: int = 1_000_000) -> SpectralResult:
-    """spectral_radius with each component relabelled by induced_subgraph
-    and its matrix built by adjacency_matrix, in double precision."""
-    best = None
-    total = 0
+def componentwise_radius(g: Graph) -> SpectralResult:
+    """spectral_radius by dense eigh on each component's adjacency_matrix.
+
+    Components are relabelled by induced_subgraph; no quotient is formed.
+    Radii within 1e-12 count as tied, and the first tied component wins.
+    """
+    found = []
     for comp in g.components():
-        sub = induced_subgraph(g, comp)
-        if sub.edge_count == 0:
-            lam, x, res, it = 0.0, np.ones(sub.n), 0.0, 0
-        else:
-            lam, x, res, it, done = _iterate(adjacency_matrix(sub), np.ones(sub.n),
-                                             tol, max_iter - total, 0)
-            assert done, "reference covers double-precision convergence only"
-        total += it
-        if best is None or lam > best[0]:
-            best = (lam, comp, x, res)
-    lam, comp, x, res = best
+        a = adjacency_matrix(induced_subgraph(g, comp))
+        vals, vecs = np.linalg.eigh(a)
+        x = np.abs(vecs[:, -1])
+        x /= x.max()
+        found.append((float(vals[-1]), comp, x,
+                      float(np.abs(a @ x - vals[-1] * x).max())))
+    top = max(lam for lam, *_ in found)
+    lam, comp, x, res = next(f for f in found if f[0] >= top - 1e-12)
     vector = [0.0] * g.n
     for i, v in enumerate(_iter_bits(comp)):
         vector[v] = float(x[i])
-    return SpectralResult(lam, tuple(vector), res, total)
+    return SpectralResult(lam, tuple(vector), res)

@@ -136,7 +136,7 @@ def test_criterion_9c_residuals(acceptance):
     worst = 0.0
     for _ in range(120):
         g = random_graph(rng, rng.randrange(1, 12), rng.random())
-        res = spectral_radius(g, tol=1e-10)
+        res = spectral_radius(g)
         worst = max(worst, res.residual)
     acceptance("9c eigen-residual bound", worst <= 1e-10,
                f"worst residual {worst:.2e}")

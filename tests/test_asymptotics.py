@@ -231,9 +231,3 @@ class TestExperiments:
     def test_builders_check_congruences(self):
         with pytest.raises(ValueError):
             star_vs_path(3, 4, ns=(49, 98, 196))
-
-    def test_jobs_deterministic(self):
-        ns = (48, 96, 192)
-        a = star_vs_path(3, 4, ns=ns, jobs=1)
-        b = star_vs_path(3, 4, ns=ns, jobs=2)
-        assert a.first_order == b.first_order

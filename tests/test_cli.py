@@ -261,22 +261,31 @@ class TestOutputControls:
 
 
 class TestConfig:
-    def test_config_tol_applies(self, capsys, tmp_path):
-        g6 = encode_graph6(turan(11, 2).without_edge(0, 6))
-        cfg = tmp_path / "spexlab.conf"
-        cfg.write_text("tol = 1e-2  # loose\n")
-        loose = run_json(capsys, "lambda", "--graph6", g6,
-                         "--config", str(cfg))
-        tight = run_json(capsys, "lambda", "--graph6", g6)
-        assert loose["iterations"] < tight["iterations"]
+    def test_jobs_precedence(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setenv("SPEXLAB_JOBS", "4")
+        config = {"jobs": "3"}
+        assert _resolve_jobs(argparse.Namespace(jobs=2), config) == 2
+        assert _resolve_jobs(argparse.Namespace(jobs=None), config) == 3
+        assert _resolve_jobs(argparse.Namespace(jobs=None), {}) == 4
 
-    def test_flag_beats_config(self, capsys, tmp_path):
-        g6 = encode_graph6(turan(11, 2).without_edge(0, 6))
-        cfg = tmp_path / "spexlab.conf"
-        cfg.write_text("tol = 1e-2\n")
-        doc = run_json(capsys, "lambda", "--graph6", g6,
-                       "--config", str(cfg), "--tol", "1e-10")
-        assert doc["residual"] <= 1e-10
+    def test_unknown_config_key_exit_two(self, capsys, tmp_path):
+        cfg = tmp_path / "stale.conf"
+        cfg.write_text("jobs = 1\ntol = 1e-10  # no longer a setting\n")
+        code, out, err = run_cli(capsys, "lambda", "--graph6", "Bw",
+                                 "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert ":2: unknown key 'tol'; accepted keys: jobs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--experiment", "edge-add", "--params", "r=3,b=2,a=0"),
+        ("lambda", "--graph6", "Bw")])
+    def test_jobs_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 3)

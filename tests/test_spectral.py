@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from spexlab import (
-    ConvergenceError,
     Partition,
     RationalMatrix,
     compare_lambda_exact,
@@ -26,6 +25,7 @@ from spexlab import (
     relabel,
     spectral_radius,
     star,
+    star_path_pair,
     turan,
 )
 from spexlab import spectral
@@ -71,7 +71,7 @@ class TestSpectralRadius:
         rng = random.Random(2718)
         for _ in range(80):
             g = random_graph(rng, rng.randrange(1, 11))
-            res = spectral_radius(g, tol=1e-10)
+            res = spectral_radius(g)
             assert res.residual <= 1e-10
 
     def test_vector_positive_on_connected(self):
@@ -83,14 +83,6 @@ class TestSpectralRadius:
             assert max(res.vector) == pytest.approx(1.0)
             assert all(x > 0 for x in res.vector)
 
-    def test_convergence_error_carries_best(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_MAX_ITER", 40)
-        with pytest.raises(ConvergenceError) as err:
-            spectral_radius(path(5), tol=1e-30)
-        best = err.value.best
-        assert abs(best.value - eig_radius(path(5))) <= 1e-6
-        assert best.iterations == 40
-
     def test_disconnected_matches_componentwise_reference(self):
         rng = random.Random(5150)
         cases = [disjoint_union(complete(5), empty_graph(3)),
@@ -101,20 +93,22 @@ class TestSpectralRadius:
             cases.append(disjoint_union(g, h))
         for g in cases:
             got, want = spectral_radius(g), componentwise_radius(g)
-            assert (got.value, got.vector, got.residual, got.iterations) \
-                == (want.value, want.vector, want.residual, want.iterations)
+            assert abs(got.value - want.value) <= 1e-12, g
+            assert max(abs(a - b) for a, b in zip(got.vector, want.vector)) \
+                <= 1e-9, g
+            assert got.residual <= 1e-10 and got.iterations == 0
 
     def test_disconnected_builds_only_component_matrices(self, monkeypatch):
         # an n x n float matrix here would be 2005^2 * 8 bytes = 32 MB
         g = disjoint_union(complete(5), empty_graph(2000))
-        widths = []
-        iterate = spectral._iterate
+        solved = []
+        solve = spectral._quotient_eigenpair
 
-        def spy(A, *args):
-            widths.append(A.shape[1])
-            return iterate(A, *args)
+        def spy(adj, comp):
+            solved.append(comp)
+            return solve(adj, comp)
 
-        monkeypatch.setattr(spectral, "_iterate", spy)
+        monkeypatch.setattr(spectral, "_quotient_eigenpair", spy)
 
         def whole_graph(h):
             raise AssertionError(f"built the {h.n}-vertex matrix")
@@ -126,10 +120,34 @@ class TestSpectralRadius:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert widths == [5]
+        assert solved == [0b11111]
         assert peak < 4 * 2**20
         assert abs(res.value - 4) <= 1e-9
         assert res.vector[5:] == (0.0,) * 2000
+
+    @pytest.mark.parametrize("g", [star_path_pair(960, 3, 5)[0],
+                                   cx1_pair(3, 6, 433)[0]],
+                             ids=["star_path_960", "cx1_433"])
+    def test_residual_honest_at_scale(self, g, monkeypatch):
+        def whole_graph(h):
+            raise AssertionError(f"built the {h.n}-vertex matrix")
+
+        monkeypatch.setattr(spectral, "adjacency_matrix", whole_graph)
+        res = spectral_radius(g)
+        lo, hi = perron_root_interval(g, Fraction(1, 10 ** 30))
+        assert abs(res.value - float((lo + hi) / 2)) <= 1e-12
+        # exact infinity norm of A v - value v over every vertex, summing
+        # neighbours by their (few distinct) vector entries
+        lam = Fraction(res.value)
+        masks = {}
+        for v, x in enumerate(res.vector):
+            masks[x] = masks.get(x, 0) | 1 << v
+        residual = max(
+            abs(sum((Fraction(x) * (g.adj[v] & m).bit_count()
+                     for x, m in masks.items()), Fraction(0))
+                - lam * Fraction(res.vector[v]))
+            for v in range(g.n))
+        assert residual <= Fraction(1, 10 ** 10), float(residual)
 
     def test_subgraph_monotone(self):
         rng = random.Random(41)

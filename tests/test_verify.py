@@ -80,7 +80,7 @@ def test_first_failure():
 
 
 def test_cx1_sign_does_not_read_the_float_gaps(monkeypatch):
-    def wrong_sign(name, params, ns, jobs):
+    def wrong_sign(name, params, ns):
         return asymptotics.FitResult(tuple((n, 1e-3) for n in ns),
                                      -1.0, 0.0, -1.0)
 
