@@ -88,8 +88,24 @@ def _read_config(path: str | None) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"accepted keys: {', '.join(_CONFIG_KEYS)}")
+            # jobs, the only key, is checked here, so that subcommands that
+            # never read it refuse a bad value too
+            try:
+                _jobs_value(val)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
             conf[key] = val
     return conf
+
+
+def _jobs_value(value) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise ValueError(f"jobs must be an integer, got {value!r}") from None
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def _resolve_jobs(args, config: dict) -> int:
@@ -97,12 +113,10 @@ def _resolve_jobs(args, config: dict) -> int:
     if args.jobs is not None:
         jobs = args.jobs
     elif "jobs" in config:
-        jobs = int(config["jobs"])
+        jobs = config["jobs"]
     else:
-        jobs = int(os.environ.get("SPEXLAB_JOBS") or 1)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+        jobs = os.environ.get("SPEXLAB_JOBS") or 1
+    return min(_jobs_value(jobs), os.cpu_count() or 1)
 
 
 def _parse_params(text: str | None) -> dict:

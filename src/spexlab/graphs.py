@@ -93,9 +93,11 @@ class Graph:
 
     Immutable; no self-loops. ``partition`` is optional metadata (a Partition
     riding along with multipartite constructions) and is ignored by equality.
+    The edge count and degree sequence are computed on first use and kept
+    in slots that stay unset until then.
     """
 
-    __slots__ = ("n", "adj", "partition")
+    __slots__ = ("n", "adj", "partition", "_edge_count", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  partition: Partition | None = None):
@@ -138,7 +140,12 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        try:
+            return self._edge_count
+        except AttributeError:
+            object.__setattr__(self, "_edge_count",
+                               sum(row.bit_count() for row in self.adj) // 2)
+            return self._edge_count
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -149,7 +156,12 @@ class Graph:
         return out
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
+        try:
+            return self._degrees
+        except AttributeError:
+            object.__setattr__(self, "_degrees", tuple(
+                sorted((row.bit_count() for row in self.adj), reverse=True)))
+            return self._degrees
 
     # -- derived graphs --------------------------------------------------
 

@@ -4,16 +4,25 @@ Containment is decided exactly by decomposing the host graph: a host that is a
 join splits into co-components (the pattern is partitioned among them), a
 disconnected host packs pattern components into host components, and the
 remaining connected, co-connected cores run a backtracking matcher over
-twin-collapsed vertex classes with forward checking. Both backtracking
-searches break the pattern's own symmetry: pattern twins take parts (or
-host classes) in order, so no search re-tries a placement that only swaps
-interchangeable pattern vertices.
+twin-collapsed vertex classes with forward checking.
+
+In a join, each edgeless co-component first takes a whole set of pattern
+vertices: a maximal independent set of those still left, or a subset of one
+as large as the part. Only what is left goes to the parts with edges, and
+vertex by vertex only when there are two or more of them. So a Turán graph
+with a forest in one part costs a search over a few sets and one containment
+test in the forest part. Every search breaks the pattern's own symmetry:
+pattern twins take parts (or host classes) in order, and a whole set holds
+the earlier twins of its members, so no search re-tries a placement that
+only swaps interchangeable pattern vertices.
 
 No host is canonized. Verdicts are cached under the host's exact adjacency
 and the pattern's canonical form: patterns are small and recur across hosts,
 while hosts rarely recur except as the canonical representatives that the
-exhaustive walk already passes in. Interchangeable host parts are found by a
-cheap invariant, and canonical forms break only the ties it leaves.
+exhaustive walk already passes in. Maximal independent sets are cached per
+pattern and vertex subset. Interchangeable host parts with edges are found
+by a cheap invariant, and canonical forms break only the ties it leaves;
+edgeless parts are interchangeable exactly when their sizes are equal.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Iterable
 
 from .canon import canonical_form
 from .graphs import Graph, _iter_bits, complete_multipartite, disjoint_union, \
-    induced_subgraph
+    induced_subgraph, relabel
 
 __all__ = [
     "ForbiddenFamily",
@@ -38,7 +47,19 @@ _cform = lru_cache(maxsize=4096)(canonical_form)
 
 # (host order, host adjacency, pattern canonical form) -> verdict
 _cache: dict[tuple, bool] = {}
+# (pattern order, pattern adjacency, vertex mask) -> [each vertex's previous
+# twin in the induced subgraph, its maximal independent sets (None until a
+# part of two or more vertices asks), _allowed_sets' answers by part size]
+_mis_cache: dict[tuple, list] = {}
 _CACHE_CAP = 200_000
+
+
+def _remember(cache: dict, key, value):
+    """Store value under key, emptying the cache first when it is full."""
+    if len(cache) >= _CACHE_CAP:
+        cache.clear()
+    cache[key] = value
+    return value
 
 
 # -- containment -----------------------------------------------------------
@@ -83,11 +104,7 @@ def _contains(host: Graph, pattern: Graph) -> bool:
             res = _pack_components(host, comps, pattern)
         else:
             res = _core_match(host, pattern)
-
-    if len(_cache) >= _CACHE_CAP:
-        _cache.clear()
-    _cache[key] = res
-    return res
+    return _remember(_cache, key, res)
 
 
 def _iso_groups(graphs: list[Graph]) -> list[int]:
@@ -103,25 +120,27 @@ def _iso_groups(graphs: list[Graph]) -> list[int]:
             for i, (g, inv) in enumerate(zip(graphs, invs))]
 
 
-def _complement_components(g: Graph) -> list[int]:
+@lru_cache(maxsize=256)
+def _complement_components(g: Graph) -> tuple[int, ...]:
     full = (1 << g.n) - 1
     comp_adj = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj))
-    return Graph._from_adj(g.n, comp_adj).components()
+    return tuple(Graph._from_adj(g.n, comp_adj).components())
 
 
-def _twin_prev(g: Graph, order: list[int]) -> list[int]:
+def _twin_prev(g: Graph, order: list[int], within: int = -1) -> list[int]:
     """For each position of order, the position of the previous twin, or -1.
 
-    Twins have equal open neighbourhoods or equal closed neighbourhoods, and
-    swapping two twins is an automorphism of g. A vertex with a twin has
-    only one kind, and an open neighbourhood never equals a closed one
-    (N(u) = N[w] puts w in N(u), so u in N(w), a subset of N(u)), so one
-    dict keyed by both kinds finds the previous twin.
+    Twins have equal open neighbourhoods or equal closed neighbourhoods in
+    g[within], and swapping two twins is an automorphism of g[within]. A
+    vertex with a twin has only one kind, and an open neighbourhood never
+    equals a closed one (N(u) = N[w] puts w in N(u), so u in N(w), a subset
+    of N(u)), so one dict keyed by both kinds finds the previous twin.
     """
     seen: dict[int, int] = {}
     prev = []
     for i, v in enumerate(order):
-        nbhd, closed = g.adj[v], g.adj[v] | 1 << v
+        nbhd = g.adj[v] & within
+        closed = nbhd | 1 << v
         prev.append(seen.get(nbhd, seen.get(closed, -1)))
         seen[nbhd] = seen[closed] = i
     return prev
@@ -129,27 +148,215 @@ def _twin_prev(g: Graph, order: list[int]) -> list[int]:
 
 # -- host is a join: partition the pattern among the co-components ----------
 
-def _join_split(host: Graph, cocomps: list[int], pattern: Graph) -> bool:
+def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
     """Whether the pattern splits among the host's co-components.
 
-    Pattern vertices are placed one at a time along order, each into a part.
-    Two rules cut the search without losing an embedding: a pattern vertex
-    takes a part no lower than its previous twin's, and of identical empty
-    parts only the first may open. Swapping two twins is an automorphism of
-    the pattern, and swapping two parts of one _iso_groups group is one of
-    the host; the lexicographically least part vector (along order) in an
-    embedding's orbit under both has twins non-decreasing, or a twin swap
-    would lower it, and opens identical empty parts in index order, or a
-    part swap would lower it. So a host that holds the pattern keeps an
+    The pattern fits exactly when its vertices split into sets S_i with
+    pattern[S_i] a subgraph of part P_i. For an edgeless part the allowed
+    S_i are the independent sets of at most |P_i| vertices, a family closed
+    under subsets, and moving a vertex into such an S_i only shrinks what
+    the other parts must hold. So the edgeless parts, taken in a fixed
+    order, each take a whole set first: a maximal allowed set of the
+    vertices still left, which is a maximal independent set of them or a
+    |P_i|-subset of a larger one (_allowed_sets). What is left must fit
+    the join of the parts with edges: nothing, one _contains call, or the
+    vertex search of _vertex_split.
+
+    Vertices are relabeled by falling degree, and two more rules cut the
+    set search: a set holds the earlier twins, in what is left, of its
+    members; and of two consecutive edgeless parts of equal size, the
+    first takes the set with the lower least vertex (a lex-leader break of
+    the host's symmetry, after Crawford, Ginsberg, Luks & Roy, KR 1996).
+    No rule loses an embedding. Rank a set by its least vertex, then by
+    size (larger first), then by its sorted vertex tuple, and compare
+    embeddings by their sets' ranks in part order, lexicographically. Each
+    of three rewrites keeps an embedding, keeps the sets before some part
+    and lowers that part's rank: extending its set to a maximal allowed
+    one (later parts, or the rest, give the vertices up); swapping a
+    member for an earlier twin outside the set (an automorphism of what is
+    left); swapping the sets of two consecutive equal parts when the
+    second has the lower least vertex (an automorphism of the host). There
+    are finitely many embeddings, so a host that holds the pattern has one
+    that no rewrite lowers, and that embedding meets every rule.
+    """
+    caps, parts, groups, qdeg = _join_host(host, cocomps)
+    k = len(caps)
+    # reach[j]: how many vertices parts j.. can hold; beyond[j]: how many
+    # the parts after part j's run of equal sizes can
+    room = len(qdeg)
+    qedges = sum(qdeg) // 2
+    reach = [room + sum(caps[j:]) for j in range(k + 1)]
+    beyond = [reach[next((i for i in range(j, k) if caps[i] != caps[j]), k)]
+              for j in range(k)]
+    pattern = _by_degree(pattern)
+    padj = pattern.adj
+
+    def residue_fits(left: int) -> bool:
+        if not left:
+            return True
+        degs = sorted(((padj[v] & left).bit_count() for v in _iter_bits(left)),
+                      reverse=True)
+        if (len(degs) > room or sum(degs) > 2 * qedges
+                or any(d > h for d, h in zip(degs, qdeg))):
+            return False
+        sub = induced_subgraph(pattern, left)
+        if len(parts) == 1:
+            return _contains(parts[0], sub)
+        return _vertex_split(parts, groups, sub)
+
+    failed: set[tuple[int, int, int]] = set()  # (part, left, low) states
+
+    def fill(j: int, left: int, low: int) -> bool:
+        """Whether parts j.. take left, with part j's least vertex above low."""
+        if (j, left, low) in failed:
+            return False
+        if j == k or not left:
+            if residue_fits(left):
+                return True
+        elif left.bit_count() <= reach[j]:
+            tied = j + 1 < k and caps[j + 1] == caps[j]
+            above = -1 << (low + 1)
+            for t in _allowed_sets(pattern, left, caps[j]):
+                if t & above != t:
+                    continue
+                rest = left ^ t
+                least = (t & -t).bit_length() - 1 if tied else -1
+                # the rest of the run takes nothing below least
+                if tied and (rest & ((1 << least) - 1)).bit_count() > beyond[j]:
+                    continue
+                if fill(j + 1, rest, least):
+                    return True
+        failed.add((j, left, low))
+        return False
+
+    return fill(0, (1 << pattern.n) - 1, -1)
+
+
+@lru_cache(maxsize=64)
+def _join_host(host: Graph, cocomps: tuple[int, ...]) -> tuple:
+    """A join host's edgeless part sizes (largest first), its parts with
+    edges and their _iso_groups, and the degree sequence of their join."""
+    caps, parts = [], []
+    for mask in cocomps:
+        if any(host.adj[v] & mask for v in _iter_bits(mask)):
+            parts.append(induced_subgraph(host, mask))
+        else:
+            caps.append(mask.bit_count())
+    room = sum(p.n for p in parts)
+    qdeg = tuple(sorted((d + room - p.n for p in parts for d in p.degree_sequence()),
+                        reverse=True))
+    caps.sort(reverse=True)
+    return tuple(caps), tuple(parts), tuple(_iso_groups(parts)), qdeg
+
+
+@lru_cache(maxsize=4096)
+def _by_degree(g: Graph) -> Graph:
+    """g relabeled so that vertex degrees fall with the label."""
+    rank = sorted(range(g.n), key=lambda v: -g.degree(v))
+    pos = [0] * g.n
+    for i, v in enumerate(rank):
+        pos[v] = i
+    return relabel(g, pos)
+
+
+def _allowed_sets(g: Graph, left: int, cap: int) -> list[int]:
+    """The sets an edgeless part of cap vertices may take from g[left].
+
+    These are the maximal independent sets of g[left] and the cap-subsets
+    of larger ones, kept only when they hold the earlier twins of their
+    members; larger sets come first.
+    """
+    key = (g.n, g.adj, left)
+    entry = _mis_cache.get(key)
+    if entry is None:
+        entry = _remember(_mis_cache, key, [_twin_pred(g, left), None, {}])
+    pred, sets, by_cap = entry
+    if cap > 1:
+        if sets is None:
+            sets = entry[1] = _maximal_independent_sets(g, left)
+        cap = min(cap, sets[0].bit_count())
+    out = by_cap.get(cap)
+    if out is not None:
+        return out
+    if cap == 1:
+        # every vertex lies in a maximal independent set, so a part of one
+        # vertex may take any vertex without an earlier twin
+        out = by_cap[cap] = [1 << v for v in _iter_bits(left) if not pred[v]]
+        return out
+    found: dict[int, None] = {}
+
+    def grow(verts: list[int], i: int, chosen: int, need: int) -> None:
+        """Record chosen plus each twin-closed need-subset of verts[i:]."""
+        if need == 0:
+            found[chosen] = None
+        elif len(verts) - i >= need:
+            v = verts[i]
+            if not pred[v] & ~chosen:
+                grow(verts, i + 1, chosen | 1 << v, need - 1)
+            grow(verts, i + 1, chosen, need)
+
+    for s in sets:
+        if s.bit_count() > cap:
+            grow(list(_iter_bits(s)), 0, 0, cap)
+        elif all(not pred[v] & ~s for v in _iter_bits(s)):
+            found[s] = None
+    out = by_cap[cap] = sorted(found, key=lambda t: (-t.bit_count(), t & -t))
+    return out
+
+
+def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
+    """Maximal independent sets of g[within], largest first.
+
+    Bron–Kerbosch with pivoting (Commun. ACM 16, 1973) on the complement,
+    whose maximal cliques they are.
+    """
+    non = [within & ~(row | 1 << v) for v, row in enumerate(g.adj)]
+    out = []
+
+    def expand(chosen: int, cand: int, done: int) -> None:
+        if not cand | done:
+            out.append(chosen)
+            return
+        pivot = max(_iter_bits(cand | done), key=lambda u: (cand & non[u]).bit_count())
+        for v in _iter_bits(cand & ~non[pivot]):
+            bit = 1 << v
+            expand(chosen | bit, cand & non[v], done & non[v])
+            cand ^= bit
+            done |= bit
+
+    expand(0, within, 0)
+    return sorted(out, key=lambda s: (-s.bit_count(), s & -s))
+
+
+def _twin_pred(g: Graph, within: int) -> list[int]:
+    """For each vertex of within, the bit of its previous twin in g[within], or 0."""
+    order = list(_iter_bits(within))
+    pred = [0] * g.n
+    for v, p in zip(order, _twin_prev(g, order, within)):
+        if p >= 0:
+            pred[v] = 1 << order[p]
+    return pred
+
+
+def _vertex_split(parts: tuple[Graph, ...], groups: tuple[int, ...],
+                  pattern: Graph) -> bool:
+    """Whether the pattern splits among parts, placing one vertex at a time.
+
+    groups is _iso_groups(parts). Pattern vertices are placed along order,
+    each into a part. Two rules cut the search without losing an embedding:
+    a pattern vertex takes a part no lower than its previous twin's, and of
+    identical empty parts only the first may open. Swapping two twins is an
+    automorphism of the pattern, and swapping two parts of one group is one
+    of the host; the lexicographically least part vector (along order) in
+    an embedding's orbit under both has twins non-decreasing, or a twin
+    swap would lower it, and opens identical empty parts in index order, or
+    a part swap would lower it. So parts that hold the pattern keep an
     embedding both rules admit.
     """
-    parts = [induced_subgraph(host, mask) for mask in cocomps]
     sizes = [p.n for p in parts]
     maxdeg = [max((p.degree(v) for v in range(p.n)), default=0) for p in parts]
     ecount = [p.edge_count for p in parts]
     s = len(parts)
-    # isomorphic parts are interchangeable bins; used for a symmetry break below
-    groups = _iso_groups(parts)
 
     m = pattern.n
     order = sorted(range(m), key=lambda v: -pattern.degree(v))

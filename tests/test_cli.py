@@ -318,6 +318,20 @@ class TestConfig:
         assert out == ""
         assert "jobs must be at least 1" in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "jobs must be at least 1, got -1"),
+        ("abc", "jobs must be an integer, got 'abc'")])
+    def test_bad_config_jobs_refused_everywhere(self, capsys, tmp_path, value,
+                                                message):
+        cfg = tmp_path / "jobs.conf"
+        cfg.write_text(f"jobs = {value}\n")
+        for argv in (("lambda", "--graph6", "Bw"),
+                     ("ex", "--n", "4", "--family", "K3")):
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+            assert code == 2, argv
+            assert out == ""
+            assert f"jobs.conf:1: {message}" in err
+
     def test_env_jobs_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SPEXLAB_JOBS", "2")
         doc = run_json(capsys, "ex", "--n", "6", "--family", "K3")

@@ -1,5 +1,6 @@
 """Subgraph containment, freeness, chromatic numbers, forbidden families."""
 
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from spexlab import (
     u_packing,
 )
 from spexlab import patterns
+from spexlab.oracle import RestrictedSpace, restricted_ex
 from conftest import random_graph
 from oracles import all_graphs_upto_iso, brute_chromatic, brute_contains
 
@@ -235,6 +237,172 @@ class TestTwinOrder:
             assert is_free(h, fam), (seed, m)
 
 
+def _brute_alpha(g: Graph) -> int:
+    return max(size for size in range(g.n + 1)
+               for verts in itertools.combinations(range(g.n), size)
+               if all(not g.has_edge(u, v)
+                      for u, v in itertools.combinations(verts, 2)))
+
+
+@st.composite
+def edged_parts(draw, lo: int = 2, hi: int = 3) -> Graph:
+    g = draw(small_graphs(lo, hi))
+    return g if g.edge_count else g.with_edge(0, 1)
+
+
+@st.composite
+def edgeless_join_hosts(draw, kind: str) -> Graph:
+    """A relabeled join on <= 7 vertices whose edgeless parts include a
+    "narrow" one (1-2 vertices), form a "cocktail" run of equal ones, are
+    "universal" vertices (capacity 1), or sit beside "two_edged" parts
+    with edges. A part drawn with edges may itself be a join, so a kind
+    can end up with more, smaller parts."""
+    if kind == "narrow":
+        parts = [empty_graph(draw(st.integers(1, 2))), draw(edged_parts(2, 4))]
+        if sum(p.n for p in parts) < 7 and draw(st.booleans()):
+            parts.append(empty_graph(draw(st.integers(1, 7 - sum(p.n for p in parts)))))
+    elif kind == "cocktail":
+        size = draw(st.integers(1, 2))
+        parts = [empty_graph(size)] * draw(st.integers(2, 7 // size))
+        if sum(p.n for p in parts) <= 5 and draw(st.booleans()):
+            parts.append(draw(edged_parts(2, 7 - sum(p.n for p in parts))))
+    elif kind == "universal":
+        parts = [complete(draw(st.integers(1, 4)))]
+        parts.append(draw(edged_parts(2, 7 - parts[0].n)))
+    else:
+        parts = [empty_graph(draw(st.integers(1, 2))), draw(edged_parts())]
+        parts.append(draw(edged_parts(2, 7 - sum(p.n for p in parts))))
+    host = parts[0]
+    for part in parts[1:]:
+        host = join(host, part)
+    return _shuffle(draw, host)
+
+
+@st.composite
+def dense_graphs(draw, n: int) -> Graph:
+    """A graph on n vertices missing each pair with probability 1/4."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    bits |= draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@st.composite
+def edgeless_cases(draw, kind: str) -> tuple[Graph, Graph]:
+    """A host of the kind and a pattern of the host's order or one less: a
+    twin pattern, a graph of density 1/2 or 3/4, or a near miss (an induced
+    subgraph of the host with one edge moved). Narrow hosts get a pattern
+    with an independent set larger than the smallest edgeless part."""
+    host = draw(edgeless_join_hosts(kind))
+    n = draw(st.integers(max(2, host.n - 1), host.n))
+    shape = draw(st.sampled_from(("twins", "half", "dense", "near_miss")))
+    if shape == "twins":
+        pattern = draw(twin_patterns(n))
+    elif shape == "half":
+        pattern = draw(small_graphs(n, n))
+    elif shape == "dense":
+        pattern = draw(dense_graphs(n))
+    else:
+        pattern = induced_subgraph(host, draw(st.permutations(range(host.n)))[:n])
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n)
+                   if not pattern.has_edge(u, v)]
+        if missing and pattern.edge_count:
+            pattern = pattern.without_edge(*draw(st.sampled_from(pattern.edges())))
+            pattern = pattern.with_edge(*draw(st.sampled_from(missing)))
+    if kind == "narrow":
+        smallest = min(c.bit_count() for c in patterns._complement_components(host)
+                       if not any(host.adj[v] & c for v in patterns._iter_bits(c)))
+        assume(_brute_alpha(pattern) > smallest)
+    return host, pattern
+
+
+class TestEdgelessParts:
+    """Edgeless co-components take whole independent sets before any vertex search."""
+
+    @pytest.mark.parametrize("kind", ["narrow", "cocktail", "universal", "two_edged"])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_join_split_matches_brute_force(self, kind, data):
+        host, pattern = data.draw(edgeless_cases(kind))
+        cocomps = patterns._complement_components(host)
+        assert len(cocomps) > 1
+        assert patterns._join_split(host, cocomps, pattern) \
+            == brute_contains(host, pattern)
+
+    def test_every_six_vertex_pattern_in_six_vertex_hosts(self):
+        # each join of K2 (two parts of one vertex), 2K1 or 3K1 with a graph
+        # with edges, against every 6-vertex pattern: a part smaller than
+        # an independent set must try all its subsets, and parts of one
+        # vertex every vertex up to twins
+        patterns_6 = all_graphs_upto_iso(6)
+        for first in (complete(2), empty_graph(2), empty_graph(3)):
+            for other in all_graphs_upto_iso(6 - first.n):
+                if not other.edge_count:
+                    continue
+                host = join(first, other)
+                cocomps = patterns._complement_components(host)
+                for pattern in patterns_6:
+                    want = brute_contains(host, pattern)
+                    assert patterns._join_split(host, cocomps, pattern) == want, \
+                        (host.edges(), pattern.edges())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(1, 7), st.integers(1, (1 << 7) - 1))
+    def test_maximal_independent_sets_match_brute_force(self, g, within):
+        within &= (1 << g.n) - 1
+        assume(within)
+        verts = list(patterns._iter_bits(within))
+        indep = [sum(1 << v for v in c) for size in range(len(verts) + 1)
+                 for c in itertools.combinations(verts, size)
+                 if all(not g.has_edge(u, v) for u, v in itertools.combinations(c, 2))]
+        maximal = {s for s in indep if not any(s != t and s & t == s for t in indep)}
+        got = patterns._maximal_independent_sets(g, within)
+        assert len(got) == len(maximal) and set(got) == maximal
+        assert [s.bit_count() for s in got] == sorted((s.bit_count() for s in got),
+                                                      reverse=True)
+
+    @staticmethod
+    def count_set_choices(monkeypatch) -> list:
+        calls = []
+        allowed = patterns._allowed_sets
+
+        def counted(g, left, cap):
+            calls.append(left)
+            return allowed(g, left, cap)
+
+        monkeypatch.setattr(patterns, "_allowed_sets", counted)
+        monkeypatch.setattr(patterns, "_cache", {})
+        monkeypatch.setattr(patterns, "_mis_cache", {})
+        return calls
+
+    def test_turan_forest_hosts_skip_the_vertex_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("vertex search entered")
+
+        monkeypatch.setattr(patterns, "_vertex_split", refuse)
+        calls = self.count_set_choices(monkeypatch)
+        rep = restricted_ex(37, cx1_family(3, 6, 5), RestrictedSpace(3, 7))
+        g, h = cx1_pair(3, 6, 37)
+        assert rep.value == h.edge_count == g.edge_count + 1
+        assert calls
+
+    def test_cocktail_party_refused_in_one_pass(self, monkeypatch):
+        # 14 vertices against 7 parts of 2, no part with edges: placing
+        # vertex by vertex took 87 search nodes here
+        calls = self.count_set_choices(monkeypatch)
+        host = complete_multipartite((2,) * 7)
+        assert not contains_subgraph(host, complete_multipartite((3, 3, 2, 2, 2, 2)))
+        assert len(calls) <= 7
+
+    def test_universal_vertices_take_single_vertices(self, monkeypatch):
+        # 8 parts of capacity 1 beside a C7; placing vertex by vertex took
+        # 13 search nodes here
+        calls = self.count_set_choices(monkeypatch)
+        host = join(complete(8), cycle(7))
+        assert contains_subgraph(host, join(complete(7), cycle(5).with_edge(0, 2)))
+        assert len(calls) <= 8
+
+
 class TestCache:
     @settings(max_examples=200, deadline=None)
     @given(composite_hosts(), st.lists(small_graphs(2, 5), min_size=1, max_size=4))
@@ -284,10 +452,15 @@ class TestNoHostCanonization:
         assert canonized
         assert all(g.n < 55 for g in canonized)
 
-    def test_join_canonizes_only_tied_parts(self, monkeypatch):
+    def test_join_never_canonizes_edgeless_parts(self, monkeypatch):
         canonized = self.spy(monkeypatch)
-        assert contains_subgraph(complete_multipartite((5, 5, 7)), complete(3))
-        assert [g for g in canonized if g.n > 3] == [empty_graph(5)] * 2
+        k557 = complete_multipartite((5, 5, 7))
+        assert contains_subgraph(k557, complete(3))
+        assert not contains_subgraph(k557, complete(4))
+        assert not contains_subgraph(
+            embed_in_part(turan(12, 3), 0, u_packing(path(2), 4)), f1())
+        assert canonized  # the patterns are, for the verdict cache
+        assert [g for g in canonized if g.edge_count == 0] == []
 
     def test_parts_tied_on_the_invariant_are_told_apart(self):
         # same order, size and degree sequence, not isomorphic
