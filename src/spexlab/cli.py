@@ -216,8 +216,7 @@ def _graph_entry(label: str, g: Graph) -> dict:
 def _cmd_construct(args, config) -> int:
     params = _parse_params(args.params)
     built = build_named(args.name, params)
-    labels = _CONSTRUCT_LABELS.get(built.id,
-                                   tuple(f"g{i}" for i in range(len(built.graphs))))
+    labels = _CONSTRUCT_LABELS[built.id]
     payload = {
         "construction": built.id,
         "parameters": built.parameters,

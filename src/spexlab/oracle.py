@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _GUARDRAIL = 9
+# spex_oracle keeps every graph within this of the largest float radius
+_PREFILTER_TOL = 1e-6
 
 
 class ExtremalReport:
@@ -351,11 +353,11 @@ def ex_oracle(n: int, family, allow_large: bool = False,
         [_canon_string(g) for g in attain], time.perf_counter() - t0)
 
 
-def spex_oracle(n: int, family, allow_large: bool = False, jobs: int = 1,
-                prefilter_tol: float = 1e-6) -> ExtremalReport:
+def spex_oracle(n: int, family, allow_large: bool = False,
+                jobs: int = 1) -> ExtremalReport:
     """Exact maximum spectral radius and its attaining set.
 
-    A float pre-filter keeps every graph within prefilter_tol of the largest
+    A float pre-filter keeps every graph within _PREFILTER_TOL of the largest
     observed radius; exact comparison then decides the champion and its ties,
     so the reported set carries no floating-point equality anywhere.
     """
@@ -367,8 +369,8 @@ def spex_oracle(n: int, family, allow_large: bool = False, jobs: int = 1,
         lam = spectral_radius(g).value
         if lam > top:
             top = lam
-            scored = [(l, h) for l, h in scored if l >= top - prefilter_tol]
-        if lam >= top - prefilter_tol:
+            scored = [(l, h) for l, h in scored if l >= top - _PREFILTER_TOL]
+        if lam >= top - _PREFILTER_TOL:
             scored.append((lam, g))
     champion = None
     ties: list[Graph] = []
@@ -385,7 +387,7 @@ def spex_oracle(n: int, family, allow_large: bool = False, jobs: int = 1,
     certificate = {
         "perron_bracket": [f"{lo.numerator}/{lo.denominator}",
                            f"{hi.numerator}/{hi.denominator}"],
-        "prefilter_tol": prefilter_tol,
+        "prefilter_tol": _PREFILTER_TOL,
         "ties": "compare_lambda_exact",
     }
     return ExtremalReport(

@@ -2,27 +2,28 @@
 
 Containment is decided exactly by decomposing the host graph: a host that is a
 join splits into co-components (the pattern is partitioned among them), a
-disconnected host packs pattern components into host components, and the
-remaining connected, co-connected cores run a backtracking matcher over
-twin-collapsed vertex classes with forward checking.
+disconnected host packs pattern components into host components, and every
+other host runs a backtracking matcher over twin-collapsed vertex classes
+with forward checking.
 
 In a join, each edgeless co-component first takes a whole set of pattern
 vertices: a maximal independent set of those still left, or a subset of one
-as large as the part. Only what is left goes to the parts with edges, and
-vertex by vertex only when there are two or more of them. So a Turán graph
-with a forest in one part costs a search over a few sets and one containment
-test in the forest part. Every search breaks the pattern's own symmetry:
-pattern twins take parts (or host classes) in order, and a whole set holds
-the earlier twins of its members, so no search re-tries a placement that
-only swaps interchangeable pattern vertices.
+as large as the part. What is left is one containment test in the join of
+the parts with edges, and a join with no edgeless part goes straight to the
+matcher, which needs no connectivity. So a Turán graph with a forest in one
+part costs a search over a few sets and one containment test in the forest
+part. Every search breaks the pattern's own symmetry: pattern twins take
+host classes in order, and a whole set holds the earlier twins of its
+members, so no search re-tries a placement that only swaps interchangeable
+pattern vertices.
 
 No host is canonized. Verdicts are cached under the host's exact adjacency
 and the pattern's canonical form: patterns are small and recur across hosts,
 while hosts rarely recur except as the canonical representatives that the
 exhaustive walk already passes in. Maximal independent sets are cached per
-pattern and vertex subset. Interchangeable host parts with edges are found
-by a cheap invariant, and canonical forms break only the ties it leaves;
-edgeless parts are interchangeable exactly when their sizes are equal.
+pattern and vertex subset. Interchangeable host components are found by a
+cheap invariant, and canonical forms break only the ties it leaves;
+edgeless join parts are interchangeable exactly when their sizes are equal.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .canon import canonical_form
-from .graphs import Graph, _iter_bits, complete_multipartite, disjoint_union, \
-    induced_subgraph, relabel
+from .graphs import Graph, _iter_bits, disjoint_union, induced_subgraph, relabel
 
 __all__ = [
     "ForbiddenFamily",
@@ -159,8 +159,8 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
     order, each take a whole set first: a maximal allowed set of the
     vertices still left, which is a maximal independent set of them or a
     |P_i|-subset of a larger one (_allowed_sets). What is left must fit
-    the join of the parts with edges: nothing, one _contains call, or the
-    vertex search of _vertex_split.
+    the join of the parts with edges, which one _contains call decides. A
+    join with no edgeless part goes straight to _core_match.
 
     Vertices are relabeled by falling degree, and two more rules cut the
     set search: a set holds the earlier twins, in what is left, of its
@@ -179,12 +179,13 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
     are finitely many embeddings, so a host that holds the pattern has one
     that no rewrite lowers, and that embedding meets every rule.
     """
-    caps, parts, groups, qdeg = _join_host(host, cocomps)
+    caps, edged = _join_host(host, cocomps)
+    if not caps:
+        return _core_match(host, pattern)
     k = len(caps)
     # reach[j]: how many vertices parts j.. can hold; beyond[j]: how many
     # the parts after part j's run of equal sizes can
-    room = len(qdeg)
-    qedges = sum(qdeg) // 2
+    room, qedges, qdeg = edged.n, edged.edge_count, edged.degree_sequence()
     reach = [room + sum(caps[j:]) for j in range(k + 1)]
     beyond = [reach[next((i for i in range(j, k) if caps[i] != caps[j]), k)]
               for j in range(k)]
@@ -199,10 +200,7 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
         if (len(degs) > room or sum(degs) > 2 * qedges
                 or any(d > h for d, h in zip(degs, qdeg))):
             return False
-        sub = induced_subgraph(pattern, left)
-        if len(parts) == 1:
-            return _contains(parts[0], sub)
-        return _vertex_split(parts, groups, sub)
+        return _contains(edged, induced_subgraph(pattern, left))
 
     failed: set[tuple[int, int, int]] = set()  # (part, left, low) states
 
@@ -234,19 +232,16 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
 
 @lru_cache(maxsize=64)
 def _join_host(host: Graph, cocomps: tuple[int, ...]) -> tuple:
-    """A join host's edgeless part sizes (largest first), its parts with
-    edges and their _iso_groups, and the degree sequence of their join."""
-    caps, parts = [], []
+    """A join host's edgeless part sizes (largest first) and the join of its
+    parts with edges, as one induced subgraph."""
+    caps, edged = [], 0
     for mask in cocomps:
         if any(host.adj[v] & mask for v in _iter_bits(mask)):
-            parts.append(induced_subgraph(host, mask))
+            edged |= mask
         else:
             caps.append(mask.bit_count())
-    room = sum(p.n for p in parts)
-    qdeg = tuple(sorted((d + room - p.n for p in parts for d in p.degree_sequence()),
-                        reverse=True))
     caps.sort(reverse=True)
-    return tuple(caps), tuple(parts), tuple(_iso_groups(parts)), qdeg
+    return tuple(caps), induced_subgraph(host, edged)
 
 
 @lru_cache(maxsize=4096)
@@ -338,120 +333,6 @@ def _twin_pred(g: Graph, within: int) -> list[int]:
     return pred
 
 
-def _vertex_split(parts: tuple[Graph, ...], groups: tuple[int, ...],
-                  pattern: Graph) -> bool:
-    """Whether the pattern splits among parts, placing one vertex at a time.
-
-    groups is _iso_groups(parts). Pattern vertices are placed along order,
-    each into a part. Two rules cut the search without losing an embedding:
-    a pattern vertex takes a part no lower than its previous twin's, and of
-    identical empty parts only the first may open. Swapping two twins is an
-    automorphism of the pattern, and swapping two parts of one group is one
-    of the host; the lexicographically least part vector (along order) in
-    an embedding's orbit under both has twins non-decreasing, or a twin
-    swap would lower it, and opens identical empty parts in index order, or
-    a part swap would lower it. So parts that hold the pattern keep an
-    embedding both rules admit.
-    """
-    sizes = [p.n for p in parts]
-    maxdeg = [max((p.degree(v) for v in range(p.n)), default=0) for p in parts]
-    ecount = [p.edge_count for p in parts]
-    s = len(parts)
-
-    m = pattern.n
-    order = sorted(range(m), key=lambda v: -pattern.degree(v))
-    prev_twin = _twin_prev(pattern, order)
-    part_of = [0] * m  # indexed by position in the order
-    padj = pattern.adj
-
-    # pattern co-components: pieces of distinct co-components sharing a host
-    # part are pairwise fully adjacent, so their sizes must form a complete
-    # multipartite graph the part can host; that is the strongest cheap prune
-    pcocomps = _complement_components(pattern)
-    comp_of = [0] * m
-    for ci, mask in enumerate(pcocomps):
-        for v in _iter_bits(mask):
-            comp_of[v] = ci
-    ncomp = len(pcocomps)
-
-    members = [0] * s
-    counts = [0] * s
-    inner_edges = [0] * s
-    deg_in_class = [0] * m
-    piece = [[0] * ncomp for _ in range(s)]
-    verify_memo: dict[tuple[int, bytes], bool] = {}
-    profile_memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-
-    def profile_ok(i: int, cls_piece: list[int]) -> bool:
-        prof = tuple(sorted(x for x in cls_piece if x))
-        if len(prof) <= 1:
-            return True
-        key = (groups[i], prof)
-        hit = profile_memo.get(key)
-        if hit is None:
-            hit = _contains(parts[i], complete_multipartite(prof))
-            profile_memo[key] = hit
-        return hit
-
-    def verify(i: int) -> bool:
-        if inner_edges[i] == 0:
-            return True
-        sub = induced_subgraph(pattern, members[i])
-        key = (groups[i], _cform(sub))
-        hit = verify_memo.get(key)
-        if hit is None:
-            hit = _contains(parts[i], sub)
-            verify_memo[key] = hit
-        return hit
-
-    def place(idx: int) -> bool:
-        if idx == m:
-            return all(verify(i) for i in range(s) if counts[i])
-        v = order[idx]
-        row = padj[v]
-        cv = comp_of[v]
-        prev = prev_twin[idx]
-        for i in range(part_of[prev] if prev >= 0 else 0, s):
-            if counts[i] >= sizes[i]:
-                continue
-            if counts[i] == 0:
-                # identical empty bins: only the first of each group may open
-                g0 = groups[i]
-                if any(groups[j] == g0 and counts[j] == 0 for j in range(i)):
-                    continue
-            inside = row & members[i]
-            newdeg = inside.bit_count()
-            if newdeg:
-                if newdeg > maxdeg[i]:
-                    continue
-                if inner_edges[i] + newdeg > ecount[i]:
-                    continue
-                if any(deg_in_class[w] + 1 > maxdeg[i] for w in _iter_bits(inside)):
-                    continue
-            piece[i][cv] += 1
-            if not profile_ok(i, piece[i]):
-                piece[i][cv] -= 1
-                continue
-            members[i] |= 1 << v
-            counts[i] += 1
-            inner_edges[i] += newdeg
-            deg_in_class[v] = newdeg
-            part_of[idx] = i
-            for w in _iter_bits(inside):
-                deg_in_class[w] += 1
-            if place(idx + 1):
-                return True
-            members[i] ^= 1 << v
-            counts[i] -= 1
-            inner_edges[i] -= newdeg
-            piece[i][cv] -= 1
-            for w in _iter_bits(inside):
-                deg_in_class[w] -= 1
-        return False
-
-    return place(0)
-
-
 # -- host disconnected: pack pattern components into host components --------
 
 def _pack_components(host: Graph, comps: list[int], pattern: Graph) -> bool:
@@ -511,7 +392,7 @@ def _pack_components(host: Graph, comps: list[int], pattern: Graph) -> bool:
     return solve(full, hcounts)
 
 
-# -- connected, co-connected core: folded backtracking ----------------------
+# -- any other host: folded backtracking -----------------------------------
 
 def _fold(host: Graph) -> tuple[list[int], list[bool], list[int], list[int]]:
     """Collapse twin classes of the host.
@@ -577,7 +458,7 @@ def _pattern_order(pattern: Graph) -> list[int]:
 
 
 def _core_match(host: Graph, pattern: Graph) -> bool:
-    """Whether a connected, co-connected host holds the pattern.
+    """Whether the host holds the pattern.
 
     Pattern vertices are mapped along _pattern_order to host twin classes
     (_fold), whose members are interchangeable. A pattern vertex takes a
@@ -586,6 +467,13 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
     in an embedding's orbit has twins non-decreasing, or a twin swap would
     lower it, and forward checking only drops classes no embedding extending
     the current prefix uses.
+
+    _contains sends here connected, co-connected hosts, and _join_split
+    joins with no edgeless part, but the search is sound on any host: twin
+    classes are complete or empty to each other in every graph, and the
+    degree domains, forward checking and twin order assume nothing about
+    connectivity. A join of parts with edges keeps each part's twins as
+    twins, so folding it loses nothing.
     """
     sizes, cliques, rows, vdeg = _fold(host)
     nclasses = len(sizes)

@@ -304,10 +304,11 @@ class TestSpexOracle:
         assert lo <= Fraction(rep.value) <= hi or hi - lo < Fraction(1, 10**6)
         assert lo < hi
 
-    def test_prefilter_invariance(self):
+    def test_prefilter_invariance(self, monkeypatch):
         want = None
         for tol in (1e-9, 1e-7, 1e-5):
-            rep = spex_oracle(6, [complete(3)], prefilter_tol=tol)
+            monkeypatch.setattr(oracle, "_PREFILTER_TOL", tol)
+            rep = spex_oracle(6, [complete(3)])
             if want is None:
                 want = rep.extremal_set
             assert rep.extremal_set == want

@@ -346,6 +346,24 @@ class TestEdgelessParts:
                     assert patterns._join_split(host, cocomps, pattern) == want, \
                         (host.edges(), pattern.edges())
 
+    def test_every_six_vertex_pattern_in_joins_of_parts_with_edges(self):
+        # each join of two co-connected graphs with edges, on 3 + 3 and
+        # 3 + 4 vertices, against every 6-vertex pattern: no part is
+        # edgeless, so the whole join goes to the matcher
+        patterns_6 = all_graphs_upto_iso(6)
+        parts = {n: [g for g in all_graphs_upto_iso(n) if g.edge_count
+                     and len(patterns._complement_components(g)) == 1]
+                 for n in (3, 4)}
+        hosts = [join(a, b) for a in parts[3] for b in parts[3] + parts[4]]
+        assert len(hosts) == 6
+        for host in hosts:
+            cocomps = patterns._complement_components(host)
+            assert len(cocomps) == 2
+            for pattern in patterns_6:
+                want = brute_contains(host, pattern)
+                assert patterns._join_split(host, cocomps, pattern) == want, \
+                    (host.edges(), pattern.edges())
+
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(1, 7), st.integers(1, (1 << 7) - 1))
     def test_maximal_independent_sets_match_brute_force(self, g, within):
@@ -376,15 +394,24 @@ class TestEdgelessParts:
         return calls
 
     def test_turan_forest_hosts_skip_the_vertex_search(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("vertex search entered")
+        # no Turán-plus-forest join reaches the generic matcher: only
+        # co-connected hosts (trees of the forest part, say) do
+        hosts = []
+        core_match = patterns._core_match
 
-        monkeypatch.setattr(patterns, "_vertex_split", refuse)
+        def spied(host, pattern):
+            hosts.append(host)
+            return core_match(host, pattern)
+
+        monkeypatch.setattr(patterns, "_core_match", spied)
         calls = self.count_set_choices(monkeypatch)
         rep = restricted_ex(37, cx1_family(3, 6, 5), RestrictedSpace(3, 7))
         g, h = cx1_pair(3, 6, 37)
         assert rep.value == h.edge_count == g.edge_count + 1
-        assert calls
+        assert calls and hosts
+        joins = [host.edges() for host in hosts
+                 if len(patterns._complement_components(host)) != 1]
+        assert joins == []
 
     def test_cocktail_party_refused_in_one_pass(self, monkeypatch):
         # 14 vertices against 7 parts of 2, no part with edges: placing
