@@ -17,13 +17,16 @@ host classes in order, and a whole set holds the earlier twins of its
 members, so no search re-tries a placement that only swaps interchangeable
 pattern vertices.
 
-No host is canonized. Verdicts are cached under the host's exact adjacency
-and the pattern's canonical form: patterns are small and recur across hosts,
-while hosts rarely recur except as the canonical representatives that the
+Verdicts are cached under the exact adjacency of host and pattern. That key
+is finer than isomorphism, so a hit is never wrong, and the subgraphs a
+search asks about are built deterministically, so they recur with the same
+labels; hosts rarely recur except as the canonical representatives that the
 exhaustive walk already passes in. Maximal independent sets are cached per
-pattern and vertex subset. Interchangeable host components are found by a
-cheap invariant, and canonical forms break only the ties it leaves;
-edgeless join parts are interchangeable exactly when their sizes are equal.
+pattern and vertex subset. Containment canonizes only to break ties in
+_pack_components: interchangeable host components are found by a cheap
+invariant and canonical forms settle the ties it leaves, and pattern
+components are grouped by canonical form. Edgeless join parts are
+interchangeable exactly when their sizes are equal.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
 
 _cform = lru_cache(maxsize=4096)(canonical_form)
 
-# (host order, host adjacency, pattern canonical form) -> verdict
+# (host adjacency, pattern adjacency) -> verdict; n is len(adj)
 _cache: dict[tuple, bool] = {}
 # (pattern order, pattern adjacency, vertex mask) -> [each vertex's previous
 # twin in the induced subgraph, its maximal independent sets (None until a
@@ -90,7 +93,7 @@ def _contains(host: Graph, pattern: Graph) -> bool:
     if any(hd[i] < pd[i] for i in range(pattern.n)):
         return False
 
-    key = (host.n, host.adj, _cform(pattern))
+    key = (host.adj, pattern.adj)
     hit = _cache.get(key)
     if hit is not None:
         return hit

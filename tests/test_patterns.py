@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from spexlab import (
     ForbiddenFamily,
     Graph,
+    canonical_form,
     chromatic_number,
     complete,
     complete_multipartite,
@@ -438,6 +439,18 @@ class TestCache:
             for host in hosts + hosts:  # the repeats are answered from the cache
                 assert contains_subgraph(host, pattern) == brute_contains(host, pattern)
 
+    @settings(max_examples=100, deadline=None)
+    @given(composite_hosts(), small_graphs(2, 5), st.data())
+    def test_relabeled_patterns_match_brute_force(self, hosts, pattern, data):
+        # each labeling of a pattern is cached under its own adjacency
+        for host in hosts:
+            contains_subgraph(host, pattern)
+        labelings = [pattern] + [_shuffle(data.draw, pattern) for _ in range(3)]
+        for host in hosts:
+            expected = brute_contains(host, pattern)
+            for g in labelings:
+                assert contains_subgraph(host, g) == expected
+
     def test_cap_bounds_entries(self, monkeypatch):
         monkeypatch.setattr(patterns, "_CACHE_CAP", 4)
         monkeypatch.setattr(patterns, "_cache", {})
@@ -469,14 +482,19 @@ class TestNoHostCanonization:
         return canonized
 
     def test_cx1_hosts_are_not_canonized(self, monkeypatch):
+        # nor are the family members: verdicts are keyed on their exact
+        # adjacency, and only packing's component ties are canonized
         canonized = self.spy(monkeypatch)
-        fam = cx1_family(3, 6, 5)
         rng = random.Random(55)
-        for host in cx1_pair(3, 6, 55):
-            perm = list(range(host.n))
-            rng.shuffle(perm)
-            is_free(relabel(host, perm), fam)
+        hosts = [relabel(host, rng.sample(range(host.n), host.n))
+                 for host in cx1_pair(3, 6, 55)]
+        members = set()
+        for m in (5, 6):
+            fam = cx1_family(3, 6, m)
+            members.update(canonical_form(g) for g in fam)
+            assert [is_free(host, fam) for host in hosts] == [m == 6, True], m
         assert canonized
+        assert [g for g in canonized if canonical_form(g) in members] == []
         assert all(g.n < 55 for g in canonized)
 
     def test_join_never_canonizes_edgeless_parts(self, monkeypatch):
@@ -486,8 +504,7 @@ class TestNoHostCanonization:
         assert not contains_subgraph(k557, complete(4))
         assert not contains_subgraph(
             embed_in_part(turan(12, 3), 0, u_packing(path(2), 4)), f1())
-        assert canonized  # the patterns are, for the verdict cache
-        assert [g for g in canonized if g.edge_count == 0] == []
+        assert canonized == []  # nor the patterns: verdicts use exact keys
 
     def test_parts_tied_on_the_invariant_are_told_apart(self):
         # same order, size and degree sequence, not isomorphic

@@ -10,7 +10,7 @@ import importlib
 import types
 from pathlib import Path
 
-from spexlab import asymptotics, path, spectral
+from spexlab import asymptotics, path, patterns, spectral
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -27,6 +27,13 @@ def test_every_traced_site_resolves():
     missing = [f"{module}.{attr}" for module, attr, _ in _load_spans().SITES
                if not hasattr(importlib.import_module(f"spexlab.{module}"), attr)]
     assert missing == []
+
+
+def test_cform_keeps_its_lru_statistics():
+    # the tracer reads the hits and misses of patterns._cform.cache_info()
+    # when it installs its wrappers and when it restores the originals
+    info = patterns._cform.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
 
 
 def test_builders_registry_is_a_dict():
