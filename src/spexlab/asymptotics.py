@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .constructions import cx1_pair, star_path_pair
+from .constructions import check_params, cx1_pair, star_path_pair
 from .graphs import embed_in_part, star, transfer_vertex, turan, u_packing
 from .spectral import spectral_radius
 
@@ -29,6 +29,7 @@ __all__ = [
     "c_of_r",
     "k_bound",
     "fit_first_order",
+    "EXPERIMENTS",
     "experiment",
     "star_vs_path",
     "edge_add",
@@ -231,50 +232,42 @@ def _pair_cx1_gap(params: dict, n: int):
     return h, g
 
 
-_BUILDERS = {
-    "star_vs_path": _pair_star_vs_path,
-    "edge_add": _pair_edge_add,
-    "transfer_shift": _pair_transfer_shift,
-    "cx1_gap": _pair_cx1_gap,
+def _doubling(unit: int, least: int, lowest: int = 1) -> list:
+    """Four doublings of the least multiple of ``unit`` that is at least
+    ``least`` and at least ``lowest * unit``."""
+    base = unit * max(lowest, -(-least // unit))
+    return [base << i for i in range(4)]
+
+
+class _Experiment(NamedTuple):
+    takes: tuple
+    build: Callable       # (params, n) -> (graph a, graph b)
+    predicted: Callable   # keyword parameters -> float constant C
+    default_ns: Callable  # keyword parameters -> four doubling sizes
+
+
+EXPERIMENTS = {
+    "star_vs_path": _Experiment(
+        ("r", "k"), _pair_star_vs_path,
+        lambda r, k: (k - 5 + 6 / k) / (r - 1),
+        lambda r, k: _doubling(r * k, 120)),
+    "edge_add": _Experiment(
+        ("r", "b", "a"), _pair_edge_add,
+        lambda r, b, a: 2.0 * (b - a),
+        lambda r, b, a: _doubling(r, 120)),
+    "transfer_shift": _Experiment(
+        ("r", "k"), _pair_transfer_shift,
+        lambda r, k: -4 * (k - 1) / (k * r),
+        lambda r, k: [r * w + 1 for w in _doubling(k, 36, 2)]),
+    "cx1_gap": _Experiment(
+        ("r", "k"), _pair_cx1_gap,
+        lambda r, k: 2 - (k - 5 + 6 / k) / (r - 1) - 4 * (k - 1) / (k * r),
+        lambda r, k: [r * w + 1 for w in _doubling(k, 18)]),
 }
 
-_REQUIRED = {
-    "star_vs_path": ("r", "k"),
-    "edge_add": ("r", "b", "a"),
-    "transfer_shift": ("r", "k"),
-    "cx1_gap": ("r", "k"),
-}
-
-
-def _predicted(name: str, params: dict) -> float:
-    r = params["r"]
-    if name == "star_vs_path":
-        k = params["k"]
-        return (k - 5 + 6 / k) / (r - 1)
-    if name == "edge_add":
-        return 2.0 * (params["b"] - params["a"])
-    if name == "transfer_shift":
-        k = params["k"]
-        return -4 * (k - 1) / (k * r)
-    k = params["k"]
-    return 2 - (k - 5 + 6 / k) / (r - 1) - 4 * (k - 1) / (k * r)
-
-
-def _default_ns(name: str, params: dict) -> list:
-    """Four doubling sizes from ~120 up, honoring each builder's congruences."""
-    r = params["r"]
-    if name == "star_vs_path":
-        unit = r * params["k"]
-        base = unit * max(1, -(-120 // unit))
-        return [base << i for i in range(4)]
-    if name == "edge_add":
-        base = r * max(1, -(-120 // r))
-        return [base << i for i in range(4)]
-    if name == "transfer_shift":
-        w = params["k"] * max(2, -(-36 // params["k"]))
-        return [r * (w << i) + 1 for i in range(4)]
-    w = params["k"] * max(1, -(-18 // params["k"]))
-    return [r * (w << i) + 1 for i in range(4)]
+# experiment() calls each builder through this dict, not through its record,
+# so that a profiler can wrap the builders by replacing these values.
+_BUILDERS = {name: spec.build for name, spec in EXPERIMENTS.items()}
 
 
 def experiment(name: str, params: dict,
@@ -294,22 +287,19 @@ def experiment(name: str, params: dict,
       cx1_gap(r, k):        path-packed H against star-packed G with
                             e(H) = e(G) + 1,
                             C = 2 - (k - 5 + 6/k)/(r - 1) - 4(k - 1)/(kr)
+
+    Each is one record in ``EXPERIMENTS``, which also gives its default
+    sizes: four doublings that honor the builder's congruences.
     """
     key = name.replace("-", "_")
-    if key not in _BUILDERS:
+    if key not in EXPERIMENTS:
         raise ValueError(
-            f"unknown experiment {name!r}; choose from {sorted(_BUILDERS)}")
-    missing = [p for p in _REQUIRED[key] if p not in params]
-    if missing:
-        raise ValueError(f"experiment {name!r} needs parameters {missing}")
-    bad = [f"{p}={v!r}" for p, v in params.items()
-           if p not in _REQUIRED[key] or not isinstance(v, int)]
-    if bad:
-        raise ValueError(f"experiment {key} cannot take {', '.join(bad)}; "
-                         f"it takes integer {', '.join(_REQUIRED[key])}")
+            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    spec = EXPERIMENTS[key]
+    check_params("experiment", key, params, spec.takes)
     run_params = dict(params)
     sizes = sorted(int(n) for n in ns) if ns is not None \
-        else _default_ns(key, run_params)
+        else spec.default_ns(**run_params)
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 sizes to extrapolate, "
                          f"got {len(sizes)}")
@@ -317,7 +307,7 @@ def experiment(name: str, params: dict,
     for n in sizes:
         a, b = _BUILDERS[key](run_params, n)
         measured.append((n, spectral_radius(a).value - spectral_radius(b).value))
-    return fit_first_order(measured, predicted=_predicted(key, run_params))
+    return fit_first_order(measured, predicted=spec.predicted(**run_params))
 
 
 def star_vs_path(r: int, k: int, ns=None) -> FitResult:

@@ -17,8 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__, verify as verify_mod
-from .asymptotics import experiment
-from .constructions import build_named, cx1_family, cx2_package
+from .asymptotics import EXPERIMENTS, experiment
+from .constructions import CONSTRUCTIONS, build_named, check_params, \
+    cx1_family, cx2_package
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import Graph, Partition, complete
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
@@ -28,11 +29,9 @@ from .spectral import quotient_matrix, spectral_radius
 _SCHEMA = 1
 _CONFIG_KEYS = ("jobs",)
 
-_CONSTRUCT_LABELS = {
-    "f1": ("F1",),
-    "cx1": ("G", "H"),
-    "cx2": ("G", "H", "H_prime"),
-    "star-path": ("G_star", "G_path"),
+_FAMILIES = {
+    "cx1": (("r", "k", "m"), cx1_family),
+    "cx2": (("p", "m"), lambda p, m: cx2_package(p, m).family),
 }
 
 
@@ -120,7 +119,7 @@ def _resolve_jobs(args, config: dict) -> int:
 
 
 def _parse_params(text: str | None) -> dict:
-    """Parse "r=3,k=6" into {"r": 3, "k": 6} (ints where possible)."""
+    """Parse "r=3,k=6" into {"r": 3, "k": 6}; a non-integer stays a string."""
     params: dict = {}
     if not text:
         return params
@@ -135,10 +134,7 @@ def _parse_params(text: str | None) -> dict:
         try:
             params[key] = int(val)
         except ValueError:
-            try:
-                params[key] = float(val)
-            except ValueError:
-                params[key] = val
+            params[key] = val
     return params
 
 
@@ -168,28 +164,17 @@ def _parse_partition(text: str, n: int) -> Partition:
 def _load_family(spec: str, params: dict) -> ForbiddenFamily:
     """A family from a graph6-lines file or a named built-in.
 
-    Built-ins: K<r> (single clique), cx1 (needs r, k, m), cx2 (needs p, m).
-    Files and cliques take no parameters; a key the family does not take
-    is an error.
+    Built-ins: K<r> (single clique) and the ``_FAMILIES`` table, cx1 (r, k,
+    m) and cx2 (p, m). Files and cliques take no parameters; every mapping
+    goes through ``check_params``.
     """
-    named = {"cx1": ("r", "k", "m"), "cx2": ("p", "m")}
     is_file = os.path.exists(spec)
     clique = re.fullmatch(r"[Kk](\d+)", spec)
-    if is_file or clique:
-        taken = ()
-    elif spec in named:
-        taken = named[spec]
-    else:
+    if not (is_file or clique or spec in _FAMILIES):
         raise ValueError(f"family {spec!r} is neither a file nor a built-in "
                          f"(K<r>, cx1, cx2)")
-    unknown = [k for k in params if k not in taken]
-    if unknown:
-        raise ValueError(f"family {spec} takes no parameter "
-                         f"{', '.join(unknown)}; it takes "
-                         f"{', '.join(taken) or 'none'}")
-    need = [k for k in taken if k not in params]
-    if need:
-        raise ValueError(f"family {spec} needs --params {','.join(need)}")
+    takes, build = ((), None) if is_file or clique else _FAMILIES[spec]
+    check_params("family", spec, params, takes)
     if is_file:
         with open(spec, encoding="utf-8") as fh:
             members = [decode_graph6(line.strip())
@@ -200,9 +185,7 @@ def _load_family(spec: str, params: dict) -> ForbiddenFamily:
     if clique:
         order = int(clique.group(1))
         return ForbiddenFamily([complete(order)], name=f"K{order}")
-    if spec == "cx1":
-        return cx1_family(params["r"], params["k"], params["m"])
-    return cx2_package(params["p"], params["m"]).family
+    return build(**params)
 
 
 def _graph_entry(label: str, g: Graph) -> dict:
@@ -216,7 +199,7 @@ def _graph_entry(label: str, g: Graph) -> dict:
 def _cmd_construct(args, config) -> int:
     params = _parse_params(args.params)
     built = build_named(args.name, params)
-    labels = _CONSTRUCT_LABELS[built.id]
+    labels = CONSTRUCTIONS[built.id].labels
     payload = {
         "construction": built.id,
         "parameters": built.parameters,
@@ -271,19 +254,10 @@ def _cmd_quotient(args, config) -> int:
     return 0
 
 
-def _cmd_ex(args, config) -> int:
+def _cmd_oracle(args, config) -> int:
     params = _parse_params(args.params)
     fam = _load_family(args.family, params)
-    rep = ex_oracle(args.n, fam, allow_large=args.allow_large,
-                    jobs=_resolve_jobs(args, config))
-    _emit(args, rep.as_dict())
-    return 0
-
-
-def _cmd_spex(args, config) -> int:
-    params = _parse_params(args.params)
-    fam = _load_family(args.family, params)
-    rep = spex_oracle(args.n, fam, allow_large=args.allow_large,
+    rep = args.oracle(args.n, fam, allow_large=args.allow_large,
                       jobs=_resolve_jobs(args, config))
     _emit(args, rep.as_dict())
     return 0
@@ -353,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common],
                        help="emit a named construction as graph6 + JSON")
     p.add_argument("--name", required=True,
-                   choices=sorted(_CONSTRUCT_LABELS))
+                   choices=sorted(CONSTRUCTIONS))
     p.add_argument("--params", help="comma list, e.g. r=3,k=6,n=55")
     p.set_defaults(func=_cmd_construct)
 
@@ -382,16 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help='classes like "0 1 2; 3 4" (default: stored)')
     p.set_defaults(func=_cmd_quotient)
 
-    for name, fn, blurb in (
-            ("ex", _cmd_ex, "exhaustive extremal edge count"),
-            ("spex", _cmd_spex, "exhaustive spectral extremal set")):
+    for name, oracle, blurb in (
+            ("ex", ex_oracle, "exhaustive extremal edge count"),
+            ("spex", spex_oracle, "exhaustive spectral extremal set")):
         p = sub.add_parser(name, parents=[common, parallel], help=blurb)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--family", required=True)
         p.add_argument("--params", help="family parameters")
         p.add_argument("--allow-large", action="store_true",
                        help="lift the enumeration size guardrail")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_oracle, oracle=oracle)
 
     p = sub.add_parser("restricted-ex", parents=[common],
                        help="edge maximum over the structured space")
@@ -408,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common],
                        help="run a 1/n experiment and extrapolate")
     p.add_argument("--experiment", required=True,
-                   help="star_vs_path | edge_add | transfer_shift | cx1_gap")
+                   help=" | ".join(EXPERIMENTS))
     p.add_argument("--params", help="e.g. r=3,k=6")
     p.add_argument("--ns", help="comma list of sizes (default: auto)")
     p.add_argument("--data-out",

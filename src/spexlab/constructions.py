@@ -8,7 +8,7 @@ equitable partition carry it in their ``partition`` attribute.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .canon import canonical_form
 from .graphs import (
@@ -37,6 +37,8 @@ __all__ = [
     "cx2_package",
     "star_path_pair",
     "NamedConstruction",
+    "CONSTRUCTIONS",
+    "check_params",
     "build_named",
 ]
 
@@ -220,51 +222,70 @@ def star_path_pair(n: int, r: int, k: int) -> tuple[Graph, Graph]:
     return g_star, g_path
 
 
-class NamedConstruction:
+class NamedConstruction(NamedTuple):
     """A built construction bundled with its id, parameters, and family."""
+    id: str
+    parameters: dict
+    graphs: tuple[Graph, ...]
+    family: ForbiddenFamily | None
 
-    __slots__ = ("id", "parameters", "graphs", "family")
 
-    def __init__(self, id: str, parameters: dict, graphs: tuple[Graph, ...],
-                 family: ForbiddenFamily | None = None):
-        self.id = id
-        self.parameters = dict(parameters)
-        self.graphs = tuple(graphs)
-        self.family = family
+def check_params(kind: str, name: str, params: dict, takes: tuple,
+                 optional: tuple = ()) -> None:
+    """Refuse a key missing from ``takes``, a key outside ``takes`` and
+    ``optional``, or a non-integer value, naming ``kind``, ``name``, each
+    offending key and every key taken."""
+    taken = tuple(takes) + tuple(optional)
+    listed = ", ".join(taken) or "none"
+    missing = [key for key in takes if key not in params]
+    if missing:
+        raise ValueError(f"{kind} {name} needs parameter {', '.join(missing)}; "
+                         f"it takes {listed}")
+    unknown = [key for key in params if key not in taken]
+    if unknown:
+        raise ValueError(f"{kind} {name} takes no parameter "
+                         f"{', '.join(unknown)}; it takes {listed}")
+    bad = [f"{key}={val!r}" for key, val in params.items()
+           if not isinstance(val, int)]
+    if bad:
+        raise ValueError(f"{kind} {name} cannot take {', '.join(bad)}; "
+                         f"it takes integer {listed}")
 
-    def __repr__(self) -> str:
-        return (f"NamedConstruction(id={self.id!r}, parameters={self.parameters!r}, "
-                f"graphs={len(self.graphs)}, family={self.family!r})")
+
+def _build_cx1(r, k, n, m=None):
+    return cx1_pair(r, k, n), None if m is None else cx1_family(r, k, m)
+
+
+def _build_cx2(p, m):
+    pkg = cx2_package(p, m)
+    return (pkg.g, pkg.h, pkg.h_prime), pkg.family
+
+
+class _Construction(NamedTuple):
+    takes: tuple
+    optional: tuple
+    labels: tuple
+    build: Callable  # keyword parameters -> (graphs, family or None)
+
+
+CONSTRUCTIONS = {
+    "f1": _Construction((), (), ("F1",), lambda: ((f1(),), None)),
+    "cx1": _Construction(("r", "k", "n"), ("m",), ("G", "H"), _build_cx1),
+    "cx2": _Construction(("p", "m"), (), ("G", "H", "H_prime"), _build_cx2),
+    "star-path": _Construction(("n", "r", "k"), (), ("G_star", "G_path"),
+                               lambda n, r, k: (star_path_pair(n, r, k), None)),
+}
 
 
 def build_named(name: str, params: dict) -> NamedConstruction:
-    """Build one of the named constructions from a parameter mapping.
+    """Build one of the ``CONSTRUCTIONS`` from its integer parameters.
 
-    Known names: f1 (no parameters), cx1 (r, k, n; optional m adds the
-    family), cx2 (p, m), star-path (n, r, k).
+    f1 takes none, cx1 takes r, k, n (an optional m adds its family), cx2
+    takes p, m and star-path takes n, r, k.
     """
-    required = {"f1": (), "cx1": ("r", "k", "n"), "cx2": ("p", "m"),
-                "star-path": ("n", "r", "k")}
-    if name not in required:
+    if name not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {name!r}")
-    missing = [key for key in required[name] if key not in params]
-    if missing:
-        raise ValueError(f"{name} needs parameters {', '.join(missing)}")
-    taken = required[name] + (("m",) if name == "cx1" else ())
-    unknown = [key for key in params if key not in taken]
-    if unknown:
-        raise ValueError(f"construction {name} takes no parameter "
-                         f"{', '.join(unknown)}; it takes "
-                         f"{', '.join(taken) or 'none'}")
-    if name == "f1":
-        return NamedConstruction("f1", {}, (f1(),))
-    if name == "cx1":
-        r, k, n = params["r"], params["k"], params["n"]
-        g, h = cx1_pair(r, k, n)
-        fam = cx1_family(r, k, params["m"]) if "m" in params else None
-        return NamedConstruction("cx1", params, (g, h), fam)
-    if name == "cx2":
-        pkg = cx2_package(params["p"], params["m"])
-        return NamedConstruction("cx2", params, (pkg.g, pkg.h, pkg.h_prime), pkg.family)
-    n, r, k = params["n"], params["r"], params["k"]
-    return NamedConstruction("star-path", params, star_path_pair(n, r, k))
+    spec = CONSTRUCTIONS[name]
+    check_params("construction", name, params, spec.takes, spec.optional)
+    graphs, family = spec.build(**params)
+    return NamedConstruction(name, dict(params), tuple(graphs), family)

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics
 from .canon import canonical_form
-from .constructions import cx1_family, cx1_pair, cx2_package, f1
+from .constructions import check_params, cx1_family, cx1_pair, \
+    cx2_package, f1
 from .graphs import Graph, complete, embed_in_part, \
     induced_subgraph, path, turan, u_packing
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
@@ -33,10 +34,9 @@ __all__ = ["CLAIM_IDS", "CLAIM_SPECS", "ClaimSpec", "run_claim", "run_all",
            "first_failure"]
 
 class ClaimSpec(NamedTuple):
-    """One claim: its id, default params, expected checks and runner."""
+    """One claim: its id, default params and runner."""
     id: str
     params: dict
-    expected: tuple
     run: Callable
 
 
@@ -269,27 +269,15 @@ def _claim_mantel(c: _Checker, params: dict, jobs: int) -> None:
 # ----------------------------------------------------------- driver ----
 
 CLAIM_SPECS = {spec.id: spec for spec in (
-    ClaimSpec("f1", {}, ("chromatic numbers", "two-part edge containment",
-                         "path-pair containment", "matching freeness"),
-              _claim_f1),
-    ClaimSpec("cx1", {"r": 3, "k": 6, "m": 5},
-              ("edge count offset", "family freeness", "spectral gap sign",
-               "extrapolated constant"), _claim_cx1),
-    ClaimSpec("cx2", {"p": 7, "m": 3},
-              ("equitable partitions", "quotient matrices",
-               "certified eigenvalue bounds", "restricted optimum"),
-              _claim_cx2),
-    ClaimSpec("table", {}, ("eight rational densities", "certified ceilings"),
-              _claim_table),
-    ClaimSpec("tree-lemma", {}, ("star versus path constants",),
-              _claim_tree_lemma),
-    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0}, ("bounded edit constant",),
-              _claim_edge_add),
-    ClaimSpec("transfer-shift", {"r": 3, "k": 6},
-              ("part rebalancing constant",), _claim_transfer_shift),
-    ClaimSpec("spectral-turan", {}, ("spectral extremal sets",),
-              _claim_spectral_turan),
-    ClaimSpec("mantel", {}, ("edge counts", "extremal sets"), _claim_mantel),
+    ClaimSpec("f1", {}, _claim_f1),
+    ClaimSpec("cx1", {"r": 3, "k": 6, "m": 5}, _claim_cx1),
+    ClaimSpec("cx2", {"p": 7, "m": 3}, _claim_cx2),
+    ClaimSpec("table", {}, _claim_table),
+    ClaimSpec("tree-lemma", {}, _claim_tree_lemma),
+    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0}, _claim_edge_add),
+    ClaimSpec("transfer-shift", {"r": 3, "k": 6}, _claim_transfer_shift),
+    ClaimSpec("spectral-turan", {}, _claim_spectral_turan),
+    ClaimSpec("mantel", {}, _claim_mantel),
 )}
 
 CLAIM_IDS = tuple(CLAIM_SPECS)
@@ -303,10 +291,7 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
         raise ValueError(f"unknown claim {claim_id!r}; "
                          f"choose from {', '.join(CLAIM_IDS)}")
     spec = CLAIM_SPECS[cid]
-    unknown = [k for k in params or {} if k not in spec.params]
-    if unknown:
-        raise ValueError(f"claim {cid} takes no parameter {', '.join(unknown)}; "
-                         f"it takes {', '.join(spec.params) or 'none'}")
+    check_params("claim", cid, params or {}, (), tuple(spec.params))
     merged = dict(spec.params)
     merged.update(params or {})
     checker = _Checker()

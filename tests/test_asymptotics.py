@@ -19,6 +19,7 @@ from spexlab import (
     threshold_expression,
     thresholds,
 )
+from spexlab import asymptotics
 from spexlab.asymptotics import _sqrt_enclosure
 
 
@@ -216,8 +217,8 @@ class TestExperiments:
             experiment("star-vs-path", {"r": 3})
 
     def test_param_not_taken_names_experiment_key_and_keys_taken(self):
-        with pytest.raises(ValueError, match="experiment edge_add cannot take "
-                                             "q=9; it takes integer r, b, a"):
+        with pytest.raises(ValueError, match="experiment edge_add takes no "
+                                             "parameter q; it takes r, b, a"):
             experiment("edge-add", {"r": 3, "b": 2, "a": 0, "q": 9},
                        ns=(60, 120, 240))
 
@@ -231,3 +232,101 @@ class TestExperiments:
     def test_builders_check_congruences(self):
         with pytest.raises(ValueError):
             star_vs_path(3, 4, ns=(49, 98, 196))
+
+
+# Default sizes and predicted constants, pinned exactly: ``verify --all``
+# runs one parameter set per experiment, so these hold the rest. At k = 40
+# transfer_shift's floor of two units decides the first size.
+PINNED_DEFAULTS = [
+    ('star_vs_path', {'r': 3, 'k': 4}, (120, 240, 480, 960), 0.25),
+    ('star_vs_path', {'r': 3, 'k': 5}, (120, 240, 480, 960), 0.6),
+    ('star_vs_path', {'r': 3, 'k': 6}, (126, 252, 504, 1008), 1.0),
+    ('star_vs_path', {'r': 3, 'k': 7}, (126, 252, 504, 1008), 1.4285714285714286),
+    ('star_vs_path', {'r': 3, 'k': 8}, (120, 240, 480, 960), 1.875),
+    ('star_vs_path', {'r': 3, 'k': 9}, (135, 270, 540, 1080), 2.3333333333333335),
+    ('star_vs_path', {'r': 3, 'k': 20}, (120, 240, 480, 960), 7.65),
+    ('star_vs_path', {'r': 3, 'k': 40}, (120, 240, 480, 960), 17.575),
+    ('star_vs_path', {'r': 4, 'k': 4}, (128, 256, 512, 1024), 0.16666666666666666),
+    ('star_vs_path', {'r': 4, 'k': 5}, (120, 240, 480, 960), 0.39999999999999997),
+    ('star_vs_path', {'r': 4, 'k': 6}, (120, 240, 480, 960), 0.6666666666666666),
+    ('star_vs_path', {'r': 4, 'k': 7}, (140, 280, 560, 1120), 0.9523809523809524),
+    ('star_vs_path', {'r': 4, 'k': 8}, (128, 256, 512, 1024), 1.25),
+    ('star_vs_path', {'r': 4, 'k': 9}, (144, 288, 576, 1152), 1.5555555555555556),
+    ('star_vs_path', {'r': 4, 'k': 20}, (160, 320, 640, 1280), 5.1000000000000005),
+    ('star_vs_path', {'r': 4, 'k': 40}, (160, 320, 640, 1280), 11.716666666666667),
+    ('star_vs_path', {'r': 5, 'k': 4}, (120, 240, 480, 960), 0.125),
+    ('star_vs_path', {'r': 5, 'k': 5}, (125, 250, 500, 1000), 0.3),
+    ('star_vs_path', {'r': 5, 'k': 6}, (120, 240, 480, 960), 0.5),
+    ('star_vs_path', {'r': 5, 'k': 7}, (140, 280, 560, 1120), 0.7142857142857143),
+    ('star_vs_path', {'r': 5, 'k': 8}, (120, 240, 480, 960), 0.9375),
+    ('star_vs_path', {'r': 5, 'k': 9}, (135, 270, 540, 1080), 1.1666666666666667),
+    ('star_vs_path', {'r': 5, 'k': 20}, (200, 400, 800, 1600), 3.825),
+    ('star_vs_path', {'r': 5, 'k': 40}, (200, 400, 800, 1600), 8.7875),
+    ('transfer_shift', {'r': 3, 'k': 4}, (109, 217, 433, 865), -1.0),
+    ('transfer_shift', {'r': 3, 'k': 5}, (121, 241, 481, 961), -1.0666666666666667),
+    ('transfer_shift', {'r': 3, 'k': 6}, (109, 217, 433, 865), -1.1111111111111112),
+    ('transfer_shift', {'r': 3, 'k': 7}, (127, 253, 505, 1009), -1.1428571428571428),
+    ('transfer_shift', {'r': 3, 'k': 8}, (121, 241, 481, 961), -1.1666666666666667),
+    ('transfer_shift', {'r': 3, 'k': 9}, (109, 217, 433, 865), -1.1851851851851851),
+    ('transfer_shift', {'r': 3, 'k': 20}, (121, 241, 481, 961), -1.2666666666666666),
+    ('transfer_shift', {'r': 3, 'k': 40}, (241, 481, 961, 1921), -1.3),
+    ('transfer_shift', {'r': 4, 'k': 4}, (145, 289, 577, 1153), -0.75),
+    ('transfer_shift', {'r': 4, 'k': 5}, (161, 321, 641, 1281), -0.8),
+    ('transfer_shift', {'r': 4, 'k': 6}, (145, 289, 577, 1153), -0.8333333333333334),
+    ('transfer_shift', {'r': 4, 'k': 7}, (169, 337, 673, 1345), -0.8571428571428571),
+    ('transfer_shift', {'r': 4, 'k': 8}, (161, 321, 641, 1281), -0.875),
+    ('transfer_shift', {'r': 4, 'k': 9}, (145, 289, 577, 1153), -0.8888888888888888),
+    ('transfer_shift', {'r': 4, 'k': 20}, (161, 321, 641, 1281), -0.95),
+    ('transfer_shift', {'r': 4, 'k': 40}, (321, 641, 1281, 2561), -0.975),
+    ('transfer_shift', {'r': 5, 'k': 4}, (181, 361, 721, 1441), -0.6),
+    ('transfer_shift', {'r': 5, 'k': 5}, (201, 401, 801, 1601), -0.64),
+    ('transfer_shift', {'r': 5, 'k': 6}, (181, 361, 721, 1441), -0.6666666666666666),
+    ('transfer_shift', {'r': 5, 'k': 7}, (211, 421, 841, 1681), -0.6857142857142857),
+    ('transfer_shift', {'r': 5, 'k': 8}, (201, 401, 801, 1601), -0.7),
+    ('transfer_shift', {'r': 5, 'k': 9}, (181, 361, 721, 1441), -0.7111111111111111),
+    ('transfer_shift', {'r': 5, 'k': 20}, (201, 401, 801, 1601), -0.76),
+    ('transfer_shift', {'r': 5, 'k': 40}, (401, 801, 1601, 3201), -0.78),
+    ('cx1_gap', {'r': 3, 'k': 4}, (61, 121, 241, 481), 0.75),
+    ('cx1_gap', {'r': 3, 'k': 5}, (61, 121, 241, 481), 0.33333333333333326),
+    ('cx1_gap', {'r': 3, 'k': 6}, (55, 109, 217, 433), -0.11111111111111116),
+    ('cx1_gap', {'r': 3, 'k': 7}, (64, 127, 253, 505), -0.5714285714285714),
+    ('cx1_gap', {'r': 3, 'k': 8}, (73, 145, 289, 577), -1.0416666666666667),
+    ('cx1_gap', {'r': 3, 'k': 9}, (55, 109, 217, 433), -1.5185185185185186),
+    ('cx1_gap', {'r': 3, 'k': 20}, (61, 121, 241, 481), -6.916666666666667),
+    ('cx1_gap', {'r': 3, 'k': 40}, (121, 241, 481, 961), -16.875),
+    ('cx1_gap', {'r': 4, 'k': 4}, (81, 161, 321, 641), 1.0833333333333333),
+    ('cx1_gap', {'r': 4, 'k': 5}, (81, 161, 321, 641), 0.8),
+    ('cx1_gap', {'r': 4, 'k': 6}, (73, 145, 289, 577), 0.5000000000000001),
+    ('cx1_gap', {'r': 4, 'k': 7}, (85, 169, 337, 673), 0.19047619047619035),
+    ('cx1_gap', {'r': 4, 'k': 8}, (97, 193, 385, 769), -0.125),
+    ('cx1_gap', {'r': 4, 'k': 9}, (73, 145, 289, 577), -0.4444444444444444),
+    ('cx1_gap', {'r': 4, 'k': 20}, (81, 161, 321, 641), -4.050000000000001),
+    ('cx1_gap', {'r': 4, 'k': 40}, (161, 321, 641, 1281), -10.691666666666666),
+    ('cx1_gap', {'r': 5, 'k': 4}, (101, 201, 401, 801), 1.275),
+    ('cx1_gap', {'r': 5, 'k': 5}, (101, 201, 401, 801), 1.06),
+    ('cx1_gap', {'r': 5, 'k': 6}, (91, 181, 361, 721), 0.8333333333333334),
+    ('cx1_gap', {'r': 5, 'k': 7}, (106, 211, 421, 841), 0.5999999999999999),
+    ('cx1_gap', {'r': 5, 'k': 8}, (121, 241, 481, 961), 0.36250000000000004),
+    ('cx1_gap', {'r': 5, 'k': 9}, (91, 181, 361, 721), 0.12222222222222212),
+    ('cx1_gap', {'r': 5, 'k': 20}, (101, 201, 401, 801), -2.585),
+    ('cx1_gap', {'r': 5, 'k': 40}, (201, 401, 801, 1601), -7.5675),
+    ('edge_add', {'r': 3, 'b': 2, 'a': 0}, (120, 240, 480, 960), 4.0),
+    ('edge_add', {'r': 3, 'b': 1, 'a': 1}, (120, 240, 480, 960), 0.0),
+    ('edge_add', {'r': 4, 'b': 2, 'a': 0}, (120, 240, 480, 960), 4.0),
+    ('edge_add', {'r': 4, 'b': 1, 'a': 1}, (120, 240, 480, 960), 0.0),
+    ('edge_add', {'r': 5, 'b': 2, 'a': 0}, (120, 240, 480, 960), 4.0),
+    ('edge_add', {'r': 5, 'b': 1, 'a': 1}, (120, 240, 480, 960), 0.0),
+]
+
+
+class _UnitRadius:
+    value = 1.0
+
+
+@pytest.mark.parametrize("name, params, sizes, predicted", PINNED_DEFAULTS)
+def test_default_sizes_and_predicted_constants(monkeypatch, name, params,
+                                               sizes, predicted):
+    monkeypatch.setattr(asymptotics, "spectral_radius", lambda g: _UnitRadius)
+    fit = experiment(name, params)
+    assert tuple(n for n, _ in fit.samples) == sizes
+    assert fit.predicted == predicted

@@ -154,6 +154,30 @@ class TestOracleCommands:
         assert "allow_large" in err or "allow-large" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("construct", "--name", "star-path", "--params", "n=abc,r=3,k=5"),
+     "construction star-path cannot take n='abc'; it takes integer n, r, k"),
+    (("free-check", "--graph6", "Bw", "--family", "cx2",
+      "--params", "p=7.0,m=3"),
+     "family cx2 cannot take p='7.0'; it takes integer p, m"),
+    (("ex", "--n", "5", "--family", "cx2", "--params", "p=7,m=x"),
+     "family cx2 cannot take m='x'; it takes integer p, m"),
+    (("spex", "--n", "5", "--family", "cx2", "--params", "p=7,m=x"),
+     "family cx2 cannot take m='x'; it takes integer p, m"),
+    (("restricted-ex", "--n", "14", "--family", "cx2", "--params", "p=7,m=abc",
+      "--r", "2", "--max-tree-order", "3"),
+     "family cx2 cannot take m='abc'; it takes integer p, m"),
+    (("verify", "--claim", "edge-add", "--params", "b=2.5"),
+     "claim edge-add cannot take b='2.5'; it takes integer r, b, a"),
+])
+def test_non_integer_param_exits_two(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert named in err
+
+
 class TestFit:
     def test_fit_with_data_out(self, capsys, tmp_path):
         out = tmp_path / "curve.dat"
@@ -179,7 +203,7 @@ class TestFit:
                                  "--ns", "60,120,240")
         assert code == 2
         assert out == ""
-        assert "q=9; it takes integer r, b, a" in err
+        assert "experiment edge_add takes no parameter q; it takes r, b, a" in err
 
     def test_non_integer_param_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "fit", "--experiment", "edge-add",
@@ -187,7 +211,8 @@ class TestFit:
                                  "--ns", "60,120,240")
         assert code == 2
         assert out == ""
-        assert "r=3.5" in err
+        assert ("experiment edge_add cannot take r='3.5'; "
+                "it takes integer r, b, a") in err
 
 
 class TestVerifyCommand:

@@ -246,6 +246,11 @@ class TestBuildNamed:
         with pytest.raises(ValueError):
             build_named("f2", {})
 
+    def test_non_integer_param(self):
+        with pytest.raises(ValueError, match="construction star-path cannot "
+                                             "take n='60'"):
+            build_named("star-path", {"n": "60", "r": 3, "k": 5})
+
     @pytest.mark.parametrize("name, params, taken", [
         ("cx2", {"p": 7, "m": 3, "q": 9}, "p, m"),
         ("cx1", {"r": 3, "k": 6, "n": 55, "q": 9}, "r, k, n, m"),

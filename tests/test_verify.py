@@ -16,7 +16,6 @@ def test_claim_ids_match_specs():
                          "mantel")
     for cid, spec in CLAIM_SPECS.items():
         assert spec.id == cid
-        assert spec.expected
         assert callable(spec.run)
 
 
@@ -60,6 +59,11 @@ def test_unknown_claim():
 def test_param_not_taken_names_claim_key_and_keys_taken():
     with pytest.raises(ValueError, match="claim edge-add .* q; it takes r, b, a"):
         run_claim("edge-add", {"r": 3, "q": 5})
+
+
+def test_non_integer_param_is_bad_input():
+    with pytest.raises(ValueError, match="claim edge-add cannot take b=2.5"):
+        run_claim("edge-add", {"b": 2.5})
 
 
 def test_exception_becomes_failed_assertion():
