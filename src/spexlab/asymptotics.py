@@ -31,6 +31,8 @@ __all__ = [
     "fit_first_order",
     "EXPERIMENTS",
     "experiment",
+    "experiment_pairs",
+    "fit_pairs",
     "star_vs_path",
     "edge_add",
     "transfer_shift",
@@ -291,6 +293,13 @@ def experiment(name: str, params: dict,
     Each is one record in ``EXPERIMENTS``, which also gives its default
     sizes: four doublings that honor the builder's congruences.
     """
+    return fit_pairs(*experiment_pairs(name, params, ns))
+
+
+def experiment_pairs(name: str, params: dict,
+                     ns: Optional[Sequence[int]] = None) -> tuple[list, float]:
+    """The experiment's pairs [(n, a, b), ...] in increasing n (default:
+    the record's sizes) and its predicted constant; no spectral radius."""
     key = name.replace("-", "_")
     if key not in EXPERIMENTS:
         raise ValueError(
@@ -303,11 +312,15 @@ def experiment(name: str, params: dict,
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 sizes to extrapolate, "
                          f"got {len(sizes)}")
-    measured = []
-    for n in sizes:
-        a, b = _BUILDERS[key](run_params, n)
-        measured.append((n, spectral_radius(a).value - spectral_radius(b).value))
-    return fit_first_order(measured, predicted=spec.predicted(**run_params))
+    pairs = [(n, *_BUILDERS[key](run_params, n)) for n in sizes]
+    return pairs, spec.predicted(**run_params)
+
+
+def fit_pairs(pairs: Sequence[tuple], predicted: Optional[float] = None) -> FitResult:
+    """Extrapolate n*(lambda(a) - lambda(b)) over pairs (n, a, b)."""
+    return fit_first_order(
+        [(n, spectral_radius(a).value - spectral_radius(b).value)
+         for n, a, b in pairs], predicted=predicted)
 
 
 def star_vs_path(r: int, k: int, ns=None) -> FitResult:

@@ -119,7 +119,8 @@ def _resolve_jobs(args, config: dict) -> int:
 
 
 def _parse_params(text: str | None) -> dict:
-    """Parse "r=3,k=6" into {"r": 3, "k": 6}; a non-integer stays a string."""
+    """Parse "r=3,k=6" into {"r": 3, "k": 6}; a non-integer stays a string,
+    and a key given twice is refused."""
     params: dict = {}
     if not text:
         return params
@@ -131,6 +132,8 @@ def _parse_params(text: str | None) -> dict:
             raise ValueError(f"bad parameter {chunk!r}, expected key=value")
         key, val = chunk.split("=", 1)
         key, val = key.strip(), val.strip()
+        if key in params:
+            raise ValueError(f"parameter {key} given twice in {text!r}")
         try:
             params[key] = int(val)
         except ValueError:
@@ -242,10 +245,7 @@ def _cmd_lambda(args, config) -> int:
 
 def _cmd_quotient(args, config) -> int:
     g = _read_graph(args)
-    part = _parse_partition(args.partition, g.n) if args.partition \
-        else g.partition
-    if part is None:
-        raise ValueError("graph carries no partition; pass --partition")
+    part = _parse_partition(args.partition, g.n)
     q = quotient_matrix(g, part)
     poly = q.char_poly()
     _emit(args, {"n": g.n, "classes": [list(c) for c in part.classes],
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", parents=[common],
                        help="equitable quotient matrix and char poly")
     _add_graph_input(p)
-    p.add_argument("--partition",
-                   help='classes like "0 1 2; 3 4" (default: stored)')
+    p.add_argument("--partition", required=True,
+                   help='classes like "0 1 2; 3 4"')
     p.set_defaults(func=_cmd_quotient)
 
     for name, oracle, blurb in (

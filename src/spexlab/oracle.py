@@ -33,7 +33,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterator
 
 from .canon import _canonical, _generators, canonical_form
@@ -453,28 +454,10 @@ def _forests(w: int, max_order: int) -> Iterator[Graph]:
     """
     for kparts in range((w + max_order - 1) // max_order, w + 1):
         for shape in _partitions_into(w, kparts, max_order):
-            pools = []
-            i = 0
-            while i < len(shape):
-                j = i
-                while j < len(shape) and shape[j] == shape[i]:
-                    j += 1
-                pools.append((shape[i], j - i))
-                i = j
-            choices = [list(combinations_with_replacement(free_trees(s), c))
-                       for s, c in pools]
-
-            def assemble(level=0, acc=()):
-                if level == len(choices):
-                    forest = empty_graph(0)
-                    for t in acc:
-                        forest = disjoint_union(forest, t)
-                    yield forest
-                    return
-                for combo in choices[level]:
-                    yield from assemble(level + 1, acc + tuple(combo))
-
-            yield from assemble()
+            pools = [combinations_with_replacement(free_trees(s), len(list(run)))
+                     for s, run in groupby(shape)]
+            for combo in product(*pools):
+                yield reduce(disjoint_union, chain.from_iterable(combo), empty_graph(0))
 
 
 def _part_indices(sizes: tuple[int, ...], policy: str) -> list[int]:

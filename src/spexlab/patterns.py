@@ -22,11 +22,12 @@ is finer than isomorphism, so a hit is never wrong, and the subgraphs a
 search asks about are built deterministically, so they recur with the same
 labels; hosts rarely recur except as the canonical representatives that the
 exhaustive walk already passes in. Maximal independent sets are cached per
-pattern and vertex subset. Containment canonizes only to break ties in
-_pack_components: interchangeable host components are found by a cheap
-invariant and canonical forms settle the ties it leaves, and pattern
-components are grouped by canonical form. Edgeless join parts are
-interchangeable exactly when their sizes are equal.
+pattern and vertex subset. Each host's decomposition (join, packing or
+matcher, and the parts each needs) is worked out once and kept in one LRU
+cache, _plan. Containment canonizes only to break ties among a disconnected
+host's components, which a cheap invariant leaves, and to group pattern
+components in _pack_components. Edgeless join parts are interchangeable
+exactly when their sizes are equal.
 """
 
 from __future__ import annotations
@@ -98,36 +99,49 @@ def _contains(host: Graph, pattern: Graph) -> bool:
     if hit is not None:
         return hit
 
-    cocomps = _complement_components(host)
-    if len(cocomps) > 1:
-        res = _join_split(host, cocomps, pattern)
+    kind = _plan(host)[0]
+    if kind == "join":
+        res = _join_split(host, pattern)
+    elif kind == "pack":
+        res = _pack_components(host, pattern)
     else:
-        comps = host.components()
-        if len(comps) > 1:
-            res = _pack_components(host, comps, pattern)
-        else:
-            res = _core_match(host, pattern)
+        res = _core_match(host, pattern)
     return _remember(_cache, key, res)
 
 
-def _iso_groups(graphs: list[Graph]) -> list[int]:
-    """For each graph, the index of the first graph isomorphic to it.
-
-    Graphs whose (order, size, degree sequence) no other graph shares are
-    their own group; only graphs that tie on it are canonized.
-    """
-    invs = [(g.n, g.edge_count, g.degree_sequence()) for g in graphs]
-    tally = Counter(invs)
-    first: dict = {}
-    return [first.setdefault(inv if tally[inv] == 1 else _cform(g), i)
-            for i, (g, inv) in enumerate(zip(graphs, invs))]
-
-
 @lru_cache(maxsize=256)
-def _complement_components(g: Graph) -> tuple[int, ...]:
-    full = (1 << g.n) - 1
-    comp_adj = tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj))
-    return tuple(Graph._from_adj(g.n, comp_adj).components())
+def _plan(host: Graph) -> tuple:
+    """How _contains decomposes the host, worked out once per host.
+
+    ("join", caps, edged): a join with an edgeless co-component; caps are
+    the edgeless parts' sizes, largest first, and edged is the join of the
+    parts with edges. ("pack", types, counts): a disconnected host, with
+    one component per isomorphism type, largest first, and the number of
+    components of each type; only components that tie on (order, size,
+    degree sequence) are canonized. ("core",): any other host, a join of
+    parts with edges included. No host is both a join and disconnected,
+    since the complement of a disconnected graph is connected.
+    """
+    full = (1 << host.n) - 1
+    co = Graph._from_adj(host.n, tuple(full ^ row ^ (1 << v)
+                                       for v, row in enumerate(host.adj)))
+    cocomps = co.components()
+    edgeless = [mask for mask in cocomps
+                if not any(host.adj[v] & mask for v in _iter_bits(mask))]
+    if len(cocomps) > 1 and edgeless:
+        caps = tuple(sorted((mask.bit_count() for mask in edgeless), reverse=True))
+        return "join", caps, induced_subgraph(host, full ^ sum(edgeless))
+    comps = host.components()
+    if len(comps) == 1:
+        return ("core",)
+    subs = [induced_subgraph(host, mask) for mask in comps]
+    invs = [(g.n, g.edge_count, g.degree_sequence()) for g in subs]
+    tally = Counter(invs)
+    types: dict = {}
+    for sub, inv in zip(subs, invs):
+        types.setdefault(inv if tally[inv] == 1 else _cform(sub), [sub, 0])[1] += 1
+    ordered = sorted(types.values(), key=lambda e: (-e[0].n, -e[0].edge_count))
+    return "pack", tuple(e[0] for e in ordered), tuple(e[1] for e in ordered)
 
 
 def _twin_prev(g: Graph, order: list[int], within: int = -1) -> list[int]:
@@ -151,7 +165,7 @@ def _twin_prev(g: Graph, order: list[int], within: int = -1) -> list[int]:
 
 # -- host is a join: partition the pattern among the co-components ----------
 
-def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
+def _join_split(host: Graph, pattern: Graph) -> bool:
     """Whether the pattern splits among the host's co-components.
 
     The pattern fits exactly when its vertices split into sets S_i with
@@ -162,8 +176,7 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
     order, each take a whole set first: a maximal allowed set of the
     vertices still left, which is a maximal independent set of them or a
     |P_i|-subset of a larger one (_allowed_sets). What is left must fit
-    the join of the parts with edges, which one _contains call decides. A
-    join with no edgeless part goes straight to _core_match.
+    the join of the parts with edges, which one _contains call decides.
 
     Vertices are relabeled by falling degree, and two more rules cut the
     set search: a set holds the earlier twins, in what is left, of its
@@ -182,9 +195,7 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
     are finitely many embeddings, so a host that holds the pattern has one
     that no rewrite lowers, and that embedding meets every rule.
     """
-    caps, edged = _join_host(host, cocomps)
-    if not caps:
-        return _core_match(host, pattern)
+    _, caps, edged = _plan(host)
     k = len(caps)
     # reach[j]: how many vertices parts j.. can hold; beyond[j]: how many
     # the parts after part j's run of equal sizes can
@@ -231,20 +242,6 @@ def _join_split(host: Graph, cocomps: tuple[int, ...], pattern: Graph) -> bool:
         return False
 
     return fill(0, (1 << pattern.n) - 1, -1)
-
-
-@lru_cache(maxsize=64)
-def _join_host(host: Graph, cocomps: tuple[int, ...]) -> tuple:
-    """A join host's edgeless part sizes (largest first) and the join of its
-    parts with edges, as one induced subgraph."""
-    caps, edged = [], 0
-    for mask in cocomps:
-        if any(host.adj[v] & mask for v in _iter_bits(mask)):
-            edged |= mask
-        else:
-            caps.append(mask.bit_count())
-    caps.sort(reverse=True)
-    return tuple(caps), induced_subgraph(host, edged)
 
 
 @lru_cache(maxsize=4096)
@@ -338,14 +335,8 @@ def _twin_pred(g: Graph, within: int) -> list[int]:
 
 # -- host disconnected: pack pattern components into host components --------
 
-def _pack_components(host: Graph, comps: list[int], pattern: Graph) -> bool:
-    subs = [induced_subgraph(host, mask) for mask in comps]
-    types: dict[int, list] = {}
-    for sub, group in zip(subs, _iso_groups(subs)):
-        types.setdefault(group, [sub, 0])[1] += 1
-    htypes = sorted(types.values(), key=lambda e: (-e[0].n, -e[0].edge_count))
-    hgraphs = [e[0] for e in htypes]
-    hcounts = tuple(e[1] for e in htypes)
+def _pack_components(host: Graph, pattern: Graph) -> bool:
+    _, hgraphs, hcounts = _plan(host)
 
     mlist = [induced_subgraph(pattern, mask) for mask in pattern.components()]
     mkeys = [_cform(c) for c in mlist]
@@ -471,8 +462,8 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
     lower it, and forward checking only drops classes no embedding extending
     the current prefix uses.
 
-    _contains sends here connected, co-connected hosts, and _join_split
-    joins with no edgeless part, but the search is sound on any host: twin
+    _contains sends here connected, co-connected hosts and joins with no
+    edgeless part, but the search is sound on any host: twin
     classes are complete or empty to each other in every graph, and the
     degree domains, forward checking and twin order assume nothing about
     connectivity. A join of parts with edges keeps each part's twins as

@@ -5,9 +5,10 @@ Each claim runs end to end and returns a plain report dict:
     {"claim": id, "params": {...}, "ok": bool, "elapsed": seconds,
      "assertions": [{"name": ..., "ok": ..., "detail": ...}, ...]}
 
-Claims never raise past their boundary; an unexpected exception becomes a
-failed assertion so a batch run always yields a full report. The first
-failing assertion's name is what the command line surfaces on exit 1.
+A claim's inputs are built first, and a ValueError there is bad input.
+After that claims never raise past their boundary; an unexpected exception
+becomes a failed assertion so a batch run always yields a full report. The
+first failing assertion's name is what the command line surfaces on exit 1.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ __all__ = ["CLAIM_IDS", "CLAIM_SPECS", "ClaimSpec", "run_claim", "run_all",
            "first_failure"]
 
 class ClaimSpec(NamedTuple):
-    """One claim: its id, default params and runner."""
+    """One claim: its id, default params, runner, and the builder of the
+    inputs it checks (none for claims without parameters)."""
     id: str
     params: dict
     run: Callable
+    build: Callable = lambda params: None
 
 
 class _Checker:
@@ -62,7 +65,7 @@ def _canon(g: Graph) -> str:
 
 # ---------------------------------------------------------------- f1 ----
 
-def _claim_f1(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_f1(c: _Checker, params: dict, inputs, jobs: int) -> None:
     base = f1()
     c.check("chi(F1) = 4", chromatic_number(base) == 4,
             detail=f"got {chromatic_number(base)}")
@@ -112,13 +115,18 @@ def _bracket(lo: Fraction, hi: Fraction) -> str:
             f"{Decimal(math.ceil(hi * 10 ** 15)).scaleb(-15)})")
 
 
-def _claim_cx1(c: _Checker, params: dict, jobs: int) -> None:
+def _cx1_inputs(params: dict) -> tuple:
+    """The family and the (G, H) pair at each of _CX1_NS."""
     r, k, m = params["r"], params["k"], params["m"]
-    fam = cx1_family(r, k, m)
+    return cx1_family(r, k, m), [(n, *cx1_pair(r, k, n)) for n in _CX1_NS]
+
+
+def _claim_cx1(c: _Checker, params: dict, inputs, jobs: int) -> None:
+    r, k = params["r"], params["k"]
+    fam, pairs = inputs
     fit = asymptotics.experiment("cx1_gap", {"r": r, "k": k}, ns=_CX1_NS)
     gaps = dict(fit.samples)
-    for n in _CX1_NS:
-        g, h = cx1_pair(r, k, n)
+    for n, g, h in pairs:
         c.check(f"e(H) = e(G) + 1 at n = {n}",
                 h.edge_count == g.edge_count + 1,
                 detail=f"e(H) = {h.edge_count}, e(G) = {g.edge_count}")
@@ -153,9 +161,8 @@ def _cx2_expected(p: int) -> dict:
     return {"G": b, "H": cm, "H_prime": cp}
 
 
-def _claim_cx2(c: _Checker, params: dict, jobs: int) -> None:
-    p, m = params["p"], params["m"]
-    pkg = cx2_package(p, m)
+def _claim_cx2(c: _Checker, params: dict, pkg, jobs: int) -> None:
+    p = params["p"]
     graphs = {"G": pkg.g, "H": pkg.h, "H_prime": pkg.h_prime}
     expected = _cx2_expected(p)
     quotients, brackets = {}, {}
@@ -202,7 +209,7 @@ _TABLE = {3: Fraction(5, 18), 4: Fraction(7, 32), 5: Fraction(9, 50),
           9: Fraction(17, 162), 10: Fraction(19, 200)}
 
 
-def _claim_table(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_table(c: _Checker, params: dict, inputs, jobs: int) -> None:
     for r, want in _TABLE.items():
         got = asymptotics.c_of_r(r)
         c.check(f"c({r}) = {want.numerator}/{want.denominator}", got == want,
@@ -225,27 +232,27 @@ def _check_fit(c: _Checker, label: str, fit, rel: float = 0.05) -> None:
             detail=f"got {fit.first_order:.6f} (error est {fit.error:.2e})")
 
 
-def _claim_tree_lemma(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_tree_lemma(c: _Checker, params: dict, inputs, jobs: int) -> None:
     for k in (4, 5):
         _check_fit(c, f"star_vs_path(3, {k}) constant",
                    asymptotics.star_vs_path(3, k))
 
 
-def _claim_edge_add(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_edge_add(c: _Checker, params: dict, pairs, jobs: int) -> None:
     r, b, a = params["r"], params["b"], params["a"]
     _check_fit(c, f"edge_add({r}, {b}, {a}) constant",
-               asymptotics.edge_add(r, b, a))
+               asymptotics.fit_pairs(*pairs))
 
 
-def _claim_transfer_shift(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_transfer_shift(c: _Checker, params: dict, pairs, jobs: int) -> None:
     r, k = params["r"], params["k"]
     _check_fit(c, f"transfer_shift({r}, {k}) constant",
-               asymptotics.transfer_shift(r, k))
+               asymptotics.fit_pairs(*pairs))
 
 
 # ----------------------------------------------------- oracle claims ----
 
-def _claim_spectral_turan(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_spectral_turan(c: _Checker, params: dict, inputs, jobs: int) -> None:
     for r, lo in ((2, 4), (3, 6)):
         fam = ForbiddenFamily([complete(r + 1)], name=f"K{r + 1}")
         for n in range(lo, 9):
@@ -255,7 +262,7 @@ def _claim_spectral_turan(c: _Checker, params: dict, jobs: int) -> None:
                     detail=f"got {rep.extremal_set}")
 
 
-def _claim_mantel(c: _Checker, params: dict, jobs: int) -> None:
+def _claim_mantel(c: _Checker, params: dict, inputs, jobs: int) -> None:
     fam = ForbiddenFamily([complete(3)], name="K3")
     for n in range(4, 9):
         rep = ex_oracle(n, fam, jobs=jobs)
@@ -270,12 +277,15 @@ def _claim_mantel(c: _Checker, params: dict, jobs: int) -> None:
 
 CLAIM_SPECS = {spec.id: spec for spec in (
     ClaimSpec("f1", {}, _claim_f1),
-    ClaimSpec("cx1", {"r": 3, "k": 6, "m": 5}, _claim_cx1),
-    ClaimSpec("cx2", {"p": 7, "m": 3}, _claim_cx2),
+    ClaimSpec("cx1", {"r": 3, "k": 6, "m": 5}, _claim_cx1, _cx1_inputs),
+    ClaimSpec("cx2", {"p": 7, "m": 3}, _claim_cx2,
+              lambda params: cx2_package(params["p"], params["m"])),
     ClaimSpec("table", {}, _claim_table),
     ClaimSpec("tree-lemma", {}, _claim_tree_lemma),
-    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0}, _claim_edge_add),
-    ClaimSpec("transfer-shift", {"r": 3, "k": 6}, _claim_transfer_shift),
+    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0}, _claim_edge_add,
+              lambda params: asymptotics.experiment_pairs("edge_add", params)),
+    ClaimSpec("transfer-shift", {"r": 3, "k": 6}, _claim_transfer_shift,
+              lambda params: asymptotics.experiment_pairs("transfer_shift", params)),
     ClaimSpec("spectral-turan", {}, _claim_spectral_turan),
     ClaimSpec("mantel", {}, _claim_mantel),
 )}
@@ -294,10 +304,11 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     check_params("claim", cid, params or {}, (), tuple(spec.params))
     merged = dict(spec.params)
     merged.update(params or {})
-    checker = _Checker()
     start = time.perf_counter()
+    inputs = spec.build(merged)  # a ValueError here is bad input
+    checker = _Checker()
     try:
-        spec.run(checker, merged, jobs)
+        spec.run(checker, merged, inputs, jobs)
     except Exception as e:  # claim bodies must not kill a batch run
         checker.check(f"{cid} ran to completion", False, detail=repr(e))
     return {"claim": cid, "params": merged, "ok": checker.ok,

@@ -107,6 +107,21 @@ class TestConstructQuotientPipeline:
         assert "construction cx2 takes no parameter q; it takes p, m" in err
 
 
+    def test_construct_repeated_param_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--name", "cx2",
+                                 "--params", "p=7,p=13,m=3")
+        assert code == 2
+        assert out == ""
+        assert "parameter p given twice" in err
+
+    def test_quotient_needs_partition(self, capsys):
+        # graph6 carries no partition, so there is nothing to default to
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient", "--graph6", "Bw"])
+        assert exc.value.code == 2
+        assert "--partition" in capsys.readouterr().err
+
+
 class TestOracleCommands:
     def test_ex(self, capsys):
         doc = run_json(capsys, "ex", "--n", "5", "--family", "K3")
@@ -238,6 +253,19 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "claim table" in err and "q" in err
+
+    @pytest.mark.parametrize("claim, params, named", [
+        ("cx2", "p=6", "need p congruent to 1 mod 3, got p = 6"),
+        ("edge-add", "b=-1", "need nonnegative b, a with b + a >= 1"),
+        ("cx1", "r=4", "got floor(55/4) = 13"),
+    ])
+    def test_out_of_range_param_exits_two(self, capsys, claim, params, named):
+        code, out, err = run_cli(capsys, "verify", "--claim", claim,
+                                 "--params", params)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert named in err
 
     def test_params_the_claim_takes_are_accepted(self, capsys):
         # cx1 runs and fails on its own criterion, not on its parameters

@@ -53,6 +53,29 @@ def canon_set(graphs):
     return {canonical_form(g) for g in graphs}
 
 
+# unlabeled trees on 0..5 vertices (OEIS A000055)
+_TREES = (1, 1, 1, 1, 2, 3)
+
+
+@pytest.mark.parametrize("max_order", range(1, 6))
+def test_forests_are_distinct_bounded_and_counted(max_order):
+    for w in range(1, 11):
+        forests = list(oracle._forests(w, max_order))
+        # multisets of trees on <= max_order vertices, w vertices in all
+        count = [1] + [0] * w
+        for order in range(1, max_order + 1):
+            for _ in range(_TREES[order]):
+                for i in range(order, w + 1):
+                    count[i] += count[i - order]
+        assert len(forests) == count[w], (w, max_order)
+        assert len({canonical_form(f) for f in forests}) == len(forests)
+        for f in forests:
+            comps = f.components()
+            assert f.n == w and f.edge_count == w - len(comps)
+            assert max(c.bit_count() for c in comps) <= max_order
+        edges = [f.edge_count for f in forests]
+        assert edges == sorted(edges, reverse=True)
+
 class TestEnumeration:
     def test_counts_up_to_seven(self):
         for n in range(1, 8):

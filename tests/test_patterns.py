@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -104,6 +105,12 @@ def _shuffle(draw, g: Graph) -> Graph:
     return relabel(g, draw(st.permutations(range(g.n))))
 
 
+def _co_components(g: Graph) -> list[int]:
+    """Vertex masks of the components of g's complement."""
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if not g.has_edge(u, v)]).components()
+
+
 @st.composite
 def join_hosts(draw) -> Graph:
     """A relabeled join of 2-3 parts on <= 8 vertices: edgeless, star
@@ -134,8 +141,9 @@ def core_hosts(draw) -> Graph:
     """A relabeled connected, co-connected host on <= 8 vertices: a random
     base blown up into twin classes (independent or clique)."""
     base = draw(small_graphs(4, 5))
-    assume(len(base.components()) == 1
-           and len(patterns._complement_components(base)) == 1)
+    # on 4-5 vertices a join always has an edgeless part, so "core" means
+    # connected and co-connected
+    assume(patterns._plan(base)[0] == "core")
     classes, n = [], 0
     for v in range(base.n):
         size = min(draw(st.integers(1, 3)), 8 - n - (base.n - v - 1))
@@ -208,18 +216,22 @@ class TestTwinOrder:
     @settings(max_examples=200, deadline=None)
     @given(host_and_pattern(join_hosts()))
     def test_join_split_matches_brute_force(self, case):
+        # a join of parts that all have edges goes to the matcher instead
         host, pattern = case
-        cocomps = patterns._complement_components(host)
-        assert len(cocomps) > 1
-        assert patterns._join_split(host, cocomps, pattern) \
-            == brute_contains(host, pattern)
+        plan = patterns._plan(host)
+        if plan[0] == "join":
+            got = patterns._join_split(host, pattern)
+        else:
+            assert plan == ("core",)
+            patterns._cache.clear()
+            got = patterns._contains(host, pattern)
+        assert got == brute_contains(host, pattern)
 
     @settings(max_examples=150, deadline=None)
     @given(host_and_pattern(core_hosts()))
     def test_core_match_matches_brute_force(self, case):
         host, pattern = case
-        assert len(host.components()) == 1
-        assert len(patterns._complement_components(host)) == 1
+        assert patterns._plan(host) == ("core",)
         assert patterns._core_match(host, pattern) == brute_contains(host, pattern)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -252,7 +264,7 @@ def edged_parts(draw, lo: int = 2, hi: int = 3) -> Graph:
 
 
 @st.composite
-def edgeless_join_hosts(draw, kind: str) -> Graph:
+def edgeless_joins(draw, kind: str) -> Graph:
     """A relabeled join on <= 7 vertices whose edgeless parts include a
     "narrow" one (1-2 vertices), form a "cocktail" run of equal ones, are
     "universal" vertices (capacity 1), or sit beside "two_edged" parts
@@ -294,7 +306,7 @@ def edgeless_cases(draw, kind: str) -> tuple[Graph, Graph]:
     twin pattern, a graph of density 1/2 or 3/4, or a near miss (an induced
     subgraph of the host with one edge moved). Narrow hosts get a pattern
     with an independent set larger than the smallest edgeless part."""
-    host = draw(edgeless_join_hosts(kind))
+    host = draw(edgeless_joins(kind))
     n = draw(st.integers(max(2, host.n - 1), host.n))
     shape = draw(st.sampled_from(("twins", "half", "dense", "near_miss")))
     if shape == "twins":
@@ -311,9 +323,7 @@ def edgeless_cases(draw, kind: str) -> tuple[Graph, Graph]:
             pattern = pattern.without_edge(*draw(st.sampled_from(pattern.edges())))
             pattern = pattern.with_edge(*draw(st.sampled_from(missing)))
     if kind == "narrow":
-        smallest = min(c.bit_count() for c in patterns._complement_components(host)
-                       if not any(host.adj[v] & c for v in patterns._iter_bits(c)))
-        assume(_brute_alpha(pattern) > smallest)
+        assume(_brute_alpha(pattern) > min(patterns._plan(host)[1]))
     return host, pattern
 
 
@@ -325,10 +335,8 @@ class TestEdgelessParts:
     @given(data=st.data())
     def test_join_split_matches_brute_force(self, kind, data):
         host, pattern = data.draw(edgeless_cases(kind))
-        cocomps = patterns._complement_components(host)
-        assert len(cocomps) > 1
-        assert patterns._join_split(host, cocomps, pattern) \
-            == brute_contains(host, pattern)
+        assert patterns._plan(host)[0] == "join"
+        assert patterns._join_split(host, pattern) == brute_contains(host, pattern)
 
     def test_every_six_vertex_pattern_in_six_vertex_hosts(self):
         # each join of K2 (two parts of one vertex), 2K1 or 3K1 with a graph
@@ -341,28 +349,29 @@ class TestEdgelessParts:
                 if not other.edge_count:
                     continue
                 host = join(first, other)
-                cocomps = patterns._complement_components(host)
+                assert patterns._plan(host)[0] == "join"
                 for pattern in patterns_6:
                     want = brute_contains(host, pattern)
-                    assert patterns._join_split(host, cocomps, pattern) == want, \
+                    assert patterns._join_split(host, pattern) == want, \
                         (host.edges(), pattern.edges())
 
-    def test_every_six_vertex_pattern_in_joins_of_parts_with_edges(self):
+    def test_every_six_vertex_pattern_in_joins_of_parts_with_edges(self, monkeypatch):
         # each join of two co-connected graphs with edges, on 3 + 3 and
         # 3 + 4 vertices, against every 6-vertex pattern: no part is
-        # edgeless, so the whole join goes to the matcher
+        # edgeless, so the whole join goes to the matcher (a join on 3-4
+        # vertices has an edgeless part, so "not join" is co-connected)
         patterns_6 = all_graphs_upto_iso(6)
         parts = {n: [g for g in all_graphs_upto_iso(n) if g.edge_count
-                     and len(patterns._complement_components(g)) == 1]
+                     and patterns._plan(g)[0] != "join"]
                  for n in (3, 4)}
         hosts = [join(a, b) for a in parts[3] for b in parts[3] + parts[4]]
         assert len(hosts) == 6
+        monkeypatch.setattr(patterns, "_cache", {})
         for host in hosts:
-            cocomps = patterns._complement_components(host)
-            assert len(cocomps) == 2
+            assert patterns._plan(host) == ("core",)
             for pattern in patterns_6:
                 want = brute_contains(host, pattern)
-                assert patterns._join_split(host, cocomps, pattern) == want, \
+                assert patterns._contains(host, pattern) == want, \
                     (host.edges(), pattern.edges())
 
     @settings(max_examples=150, deadline=None)
@@ -410,8 +419,7 @@ class TestEdgelessParts:
         g, h = cx1_pair(3, 6, 37)
         assert rep.value == h.edge_count == g.edge_count + 1
         assert calls and hosts
-        joins = [host.edges() for host in hosts
-                 if len(patterns._complement_components(host)) != 1]
+        joins = [host.edges() for host in hosts if len(_co_components(host)) != 1]
         assert joins == []
 
     def test_cocktail_party_refused_in_one_pass(self, monkeypatch):
@@ -467,6 +475,54 @@ class TestCache:
         assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
+@st.composite
+def union_hosts(draw) -> Graph:
+    """A relabeled disjoint union of 2-3 small graphs on <= 8 vertices, a
+    part often repeated (relabeled) so that components tie."""
+    parts = [draw(small_graphs(1, 4))]
+    for _ in range(draw(st.integers(1, 2))):
+        room = 8 - sum(p.n for p in parts)
+        if room < 1:
+            break
+        if parts[-1].n <= room and draw(st.booleans()):
+            parts.append(_shuffle(draw, parts[-1]))
+        else:
+            parts.append(draw(small_graphs(1, min(4, room))))
+    host = parts[0]
+    for part in parts[1:]:
+        host = disjoint_union(host, part)
+    return _shuffle(draw, host)
+
+
+class TestPlan:
+    @settings(max_examples=300, deadline=None)
+    @given(host_and_pattern(st.one_of(join_hosts(), core_hosts(), union_hosts())))
+    def test_tag_matches_structure(self, case):
+        # and containment agrees with brute force whichever branch it takes
+        host, pattern = case
+        plan = patterns._plan(host)
+        comps, cocomps = host.components(), _co_components(host)
+        edgeless = [c for c in cocomps if not induced_subgraph(host, c).edge_count]
+        if len(cocomps) > 1 and edgeless:
+            assert plan[0] == "join"
+            assert plan[1] == tuple(sorted((c.bit_count() for c in edgeless),
+                                           reverse=True))
+            edged = [v for v in range(host.n) if not any(c >> v & 1 for c in edgeless)]
+            assert plan[2] == induced_subgraph(host, edged)
+        elif len(comps) > 1:
+            assert plan[0] == "pack"
+            _, types, counts = plan
+            want = Counter(canonical_form(induced_subgraph(host, c)) for c in comps)
+            assert len(types) == len(want)
+            assert dict(zip(map(canonical_form, types), counts)) == want
+            shapes = [(t.n, t.edge_count) for t in types]
+            assert shapes == sorted(shapes, reverse=True)
+        else:
+            assert plan == ("core",)
+        patterns._cache.clear()
+        assert patterns._contains(host, pattern) == brute_contains(host, pattern)
+
+
 class TestNoHostCanonization:
     @staticmethod
     def spy(monkeypatch) -> list:
@@ -479,6 +535,7 @@ class TestNoHostCanonization:
 
         monkeypatch.setattr(patterns, "_cform", counted)
         monkeypatch.setattr(patterns, "_cache", {})
+        patterns._plan.cache_clear()  # plans hold canonized host components
         return canonized
 
     def test_cx1_hosts_are_not_canonized(self, monkeypatch):

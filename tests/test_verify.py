@@ -1,6 +1,7 @@
 """Claim runner: report shape, failure reporting, id hygiene."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -66,18 +67,39 @@ def test_non_integer_param_is_bad_input():
         run_claim("edge-add", {"b": 2.5})
 
 
-def test_exception_becomes_failed_assertion():
-    rep = run_claim("cx2", {"p": 6})
+@pytest.fixture
+def cx2_raises(monkeypatch):
+    """Make the cx2 claim body raise once its inputs are built."""
+    def boom(*args):
+        raise ValueError("quotient check blew up")
+
+    monkeypatch.setattr(verify, "is_equitable", boom)
+
+
+def test_exception_becomes_failed_assertion(cx2_raises):
+    # even a ValueError, once the inputs are built
+    rep = run_claim("cx2")
     assert not rep["ok"]
     last = rep["assertions"][-1]
     assert last["name"] == "cx2 ran to completion"
     assert not last["ok"]
-    assert "p = 6" in last["detail"]
+    assert "quotient check blew up" in last["detail"]
 
 
-def test_first_failure():
+@pytest.mark.parametrize("claim, params, named", [
+    ("cx2", {"p": 6}, "p = 6"),
+    ("edge-add", {"b": -1}, "b = -1"),
+    ("transfer-shift", {"k": 1}, "k = 1"),
+    ("cx1", {"r": 4}, "floor(55/4)"),
+])
+def test_out_of_range_param_is_bad_input(claim, params, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_claim(claim, params)
+
+
+def test_first_failure(cx2_raises):
     good = run_claim("table")
-    bad = run_claim("cx2", {"p": 6})
+    bad = run_claim("cx2")
     assert first_failure([good]) is None
     assert first_failure([good, bad]) == "cx2: cx2 ran to completion"
     assert first_failure([bad, good]) == "cx2: cx2 ran to completion"
