@@ -27,7 +27,6 @@ from .patterns import ForbiddenFamily, chromatic_number, is_free
 from .spectral import quotient_matrix, spectral_radius
 
 _SCHEMA = 1
-_CONFIG_KEYS = ("jobs",)
 
 _FAMILIES = {
     "cx1": (("r", "k", "m"), cx1_family),
@@ -72,50 +71,11 @@ def _emit(args, payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _read_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    conf = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"accepted keys: {', '.join(_CONFIG_KEYS)}")
-            # jobs, the only key, is checked here, so that subcommands that
-            # never read it refuse a bad value too
-            try:
-                _jobs_value(val)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            conf[key] = val
-    return conf
-
-
-def _jobs_value(value) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise ValueError(f"jobs must be an integer, got {value!r}") from None
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
-def _resolve_jobs(args, config: dict) -> int:
-    """Flag, then config, then SPEXLAB_JOBS; at least 1, at most the CPUs."""
-    if args.jobs is not None:
-        jobs = args.jobs
-    elif "jobs" in config:
-        jobs = config["jobs"]
-    else:
-        jobs = os.environ.get("SPEXLAB_JOBS") or 1
-    return min(_jobs_value(jobs), os.cpu_count() or 1)
+def _resolve_jobs(args) -> int:
+    """--jobs, at least 1 and clamped to the CPU count."""
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    return min(args.jobs, os.cpu_count() or 1)
 
 
 def _parse_params(text: str | None) -> dict:
@@ -199,7 +159,7 @@ def _graph_entry(label: str, g: Graph) -> dict:
     return entry
 
 
-def _cmd_construct(args, config) -> int:
+def _cmd_construct(args) -> int:
     params = _parse_params(args.params)
     built = build_named(args.name, params)
     labels = CONSTRUCTIONS[built.id].labels
@@ -218,7 +178,7 @@ def _cmd_construct(args, config) -> int:
     return 0
 
 
-def _cmd_free_check(args, config) -> int:
+def _cmd_free_check(args) -> int:
     params = _parse_params(args.params)
     g = _read_graph(args)
     fam = _load_family(args.family, params)
@@ -228,14 +188,14 @@ def _cmd_free_check(args, config) -> int:
     return 0
 
 
-def _cmd_chromatic(args, config) -> int:
+def _cmd_chromatic(args) -> int:
     g = _read_graph(args)
     _emit(args, {"n": g.n, "graph6": encode_graph6(g),
                  "chi": chromatic_number(g)})
     return 0
 
 
-def _cmd_lambda(args, config) -> int:
+def _cmd_lambda(args) -> int:
     g = _read_graph(args)
     res = spectral_radius(g)
     _emit(args, {"n": g.n, "graph6": encode_graph6(g),
@@ -243,7 +203,7 @@ def _cmd_lambda(args, config) -> int:
     return 0
 
 
-def _cmd_quotient(args, config) -> int:
+def _cmd_quotient(args) -> int:
     g = _read_graph(args)
     part = _parse_partition(args.partition, g.n)
     q = quotient_matrix(g, part)
@@ -254,16 +214,16 @@ def _cmd_quotient(args, config) -> int:
     return 0
 
 
-def _cmd_oracle(args, config) -> int:
+def _cmd_oracle(args) -> int:
     params = _parse_params(args.params)
     fam = _load_family(args.family, params)
     rep = args.oracle(args.n, fam, allow_large=args.allow_large,
-                      jobs=_resolve_jobs(args, config))
+                      jobs=_resolve_jobs(args))
     _emit(args, rep.as_dict())
     return 0
 
 
-def _cmd_restricted_ex(args, config) -> int:
+def _cmd_restricted_ex(args) -> int:
     params = _parse_params(args.params)
     fam = _load_family(args.family, params)
     space = RestrictedSpace(args.r, args.max_tree_order,
@@ -273,7 +233,7 @@ def _cmd_restricted_ex(args, config) -> int:
     return 0
 
 
-def _cmd_fit(args, config) -> int:
+def _cmd_fit(args) -> int:
     params = _parse_params(args.params)
     ns = [int(x) for x in args.ns.split(",")] if args.ns else None
     fit = experiment(args.experiment, params, ns=ns)
@@ -286,12 +246,12 @@ def _cmd_fit(args, config) -> int:
     return 0
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args) -> int:
     claims = list(verify_mod.CLAIM_IDS) if args.all else (args.claim or [])
     if not claims:
         raise ValueError("pass --claim <id> (repeatable) or --all")
     params = _parse_params(args.params)
-    jobs = _resolve_jobs(args, config)
+    jobs = _resolve_jobs(args)
     reports = [verify_mod.run_claim(cid, params or None, jobs=jobs)
                for cid in claims]
     ok = all(rep["ok"] for rep in reports)
@@ -308,13 +268,11 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="key = value config file")
     common.add_argument("--no-timestamps", action="store_true",
                         help="omit timestamps for byte-identical reruns")
     # only ex, spex and verify (its oracle claims) read --jobs
     parallel = argparse.ArgumentParser(add_help=False)
-    parallel.add_argument("--jobs", type=int, default=None,
+    parallel.add_argument("--jobs", type=int, default=1,
                           help="parallel workers, 1 to the CPU count "
                                "(default 1)")
 
@@ -404,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _read_config(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, Graph6Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -330,7 +330,7 @@ def ex_oracle(n: int, family, allow_large: bool = False,
     """Exact maximum edge count and all extremal graphs, by enumeration.
 
     Each extremal graph is verified edge-maximal: every added edge creates a
-    forbidden subgraph.
+    forbidden subgraph, and a graph that fails this raises RuntimeError.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
@@ -346,9 +346,10 @@ def ex_oracle(n: int, family, allow_large: bool = False,
     for g in attain:
         for u in range(n):
             for v in range(u + 1, n):
-                if not g.has_edge(u, v):
-                    assert not is_free(g.with_edge(u, v), family), \
-                        "extremal graph is not edge-maximal"
+                if not g.has_edge(u, v) and is_free(g.with_edge(u, v), family):
+                    raise RuntimeError(
+                        f"extremal graph {encode_graph6(g)} is not "
+                        f"edge-maximal: adding ({u}, {v}) keeps it free")
     return ExtremalReport(
         "ex", n, _family_id(family), best,
         [_canon_string(g) for g in attain], time.perf_counter() - t0)
@@ -479,7 +480,8 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
 
     The value can undercut the true extremal number when the family rewards
     graphs outside the space; reports carry the space definition so the
-    restriction is always visible.
+    restriction is always visible. When no graph in the space is free, the
+    value is None and the extremal set is empty.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
@@ -524,8 +526,7 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
                 break  # forests only get sparser from here
             edits(embed_in_part(base, part, forest), space.edit_budget, 0)
 
-    report = ExtremalReport(
-        "restricted-ex", n, _family_id(family), best,
+    return ExtremalReport(
+        "restricted-ex", n, _family_id(family), best if attain else None,
         list(attain), time.perf_counter() - t0,
         restricted=True, space=space)
-    return report

@@ -372,12 +372,15 @@ def perron_less_than(matrix, q) -> bool:
     leading principal minors; returns False at q equal to the radius.
     Bareiss elimination on the integer matrix s*(qI - A) makes pivot k the
     (k+1)-th leading principal minor of that matrix, s^(k+1) times the
-    minor of qI - A, so the signs are the ones the criterion needs.
+    minor of qI - A, so the signs are the ones the criterion needs. The
+    0 x 0 matrix has radius 0, as spectral_radius reports for the empty graph.
     """
     a = _perron_matrix(matrix)
     if any(x < 0 for row in a.entries for x in row):
         raise ValueError("matrix must be entrywise nonnegative")
     q = Fraction(q)
+    if a.n == 0:
+        return q > 0
     d, b = a._scaled()
     s = lcm(d, q.denominator)
     sq = q.numerator * (s // q.denominator)

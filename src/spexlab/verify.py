@@ -17,6 +17,7 @@ import math
 import time
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics
@@ -124,7 +125,9 @@ def _cx1_inputs(params: dict) -> tuple:
 def _claim_cx1(c: _Checker, params: dict, inputs, jobs: int) -> None:
     r, k = params["r"], params["k"]
     fam, pairs = inputs
-    fit = asymptotics.experiment("cx1_gap", {"r": r, "k": k}, ns=_CX1_NS)
+    fit = asymptotics.fit_pairs(
+        [(n, h, g) for n, g, h in pairs],
+        asymptotics.EXPERIMENTS["cx1_gap"].predicted(r=r, k=k))
     gaps = dict(fit.samples)
     for n, g, h in pairs:
         c.check(f"e(H) = e(G) + 1 at n = {n}",
@@ -238,16 +241,11 @@ def _claim_tree_lemma(c: _Checker, params: dict, inputs, jobs: int) -> None:
                    asymptotics.star_vs_path(3, k))
 
 
-def _claim_edge_add(c: _Checker, params: dict, pairs, jobs: int) -> None:
-    r, b, a = params["r"], params["b"], params["a"]
-    _check_fit(c, f"edge_add({r}, {b}, {a}) constant",
-               asymptotics.fit_pairs(*pairs))
-
-
-def _claim_transfer_shift(c: _Checker, params: dict, pairs, jobs: int) -> None:
-    r, k = params["r"], params["k"]
-    _check_fit(c, f"transfer_shift({r}, {k}) constant",
-               asymptotics.fit_pairs(*pairs))
+def _claim_fit(key: str, c: _Checker, params: dict, pairs, jobs: int) -> None:
+    """Fit experiment ``key``'s prebuilt pairs, labeled with its parameters."""
+    takes = asymptotics.EXPERIMENTS[key].takes
+    args = ", ".join(str(params[p]) for p in takes)
+    _check_fit(c, f"{key}({args}) constant", asymptotics.fit_pairs(*pairs))
 
 
 # ----------------------------------------------------- oracle claims ----
@@ -282,10 +280,12 @@ CLAIM_SPECS = {spec.id: spec for spec in (
               lambda params: cx2_package(params["p"], params["m"])),
     ClaimSpec("table", {}, _claim_table),
     ClaimSpec("tree-lemma", {}, _claim_tree_lemma),
-    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0}, _claim_edge_add,
-              lambda params: asymptotics.experiment_pairs("edge_add", params)),
-    ClaimSpec("transfer-shift", {"r": 3, "k": 6}, _claim_transfer_shift,
-              lambda params: asymptotics.experiment_pairs("transfer_shift", params)),
+    ClaimSpec("edge-add", {"r": 3, "b": 2, "a": 0},
+              partial(_claim_fit, "edge_add"),
+              partial(asymptotics.experiment_pairs, "edge_add")),
+    ClaimSpec("transfer-shift", {"r": 3, "k": 6},
+              partial(_claim_fit, "transfer_shift"),
+              partial(asymptotics.experiment_pairs, "transfer_shift")),
     ClaimSpec("spectral-turan", {}, _claim_spectral_turan),
     ClaimSpec("mantel", {}, _claim_mantel),
 )}

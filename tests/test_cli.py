@@ -1,4 +1,4 @@
-"""Command line driver: JSON output, exit codes, config precedence."""
+"""Command line driver: JSON output, exit codes, the --jobs setting."""
 
 import argparse
 import io
@@ -144,6 +144,12 @@ class TestOracleCommands:
                 canonical_form(pkg.h_prime).decode("ascii")}
         assert set(doc["extremal_set"]) == want
         assert doc["restricted"] is True
+
+    def test_restricted_ex_without_free_graph_prints_null(self, capsys):
+        doc = run_json(capsys, "restricted-ex", "--n", "6", "--family", "K3",
+                       "--r", "3", "--max-tree-order", "2")
+        assert doc["value"] is None
+        assert doc["extremal_set"] == []
 
     @pytest.mark.parametrize("argv, named", [
         (("ex", "--n", "5", "--family", "K3", "--params", "q=9"),
@@ -314,23 +320,6 @@ class TestOutputControls:
 
 
 class TestConfig:
-    def test_jobs_precedence(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.setenv("SPEXLAB_JOBS", "4")
-        config = {"jobs": "3"}
-        assert _resolve_jobs(argparse.Namespace(jobs=2), config) == 2
-        assert _resolve_jobs(argparse.Namespace(jobs=None), config) == 3
-        assert _resolve_jobs(argparse.Namespace(jobs=None), {}) == 4
-
-    def test_unknown_config_key_exit_two(self, capsys, tmp_path):
-        cfg = tmp_path / "stale.conf"
-        cfg.write_text("jobs = 1\ntol = 1e-10  # no longer a setting\n")
-        code, out, err = run_cli(capsys, "lambda", "--graph6", "Bw",
-                                 "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert ":2: unknown key 'tol'; accepted keys: jobs" in err
-
     @pytest.mark.parametrize("argv", [
         ("fit", "--experiment", "edge-add", "--params", "r=3,b=2,a=0"),
         ("lambda", "--graph6", "Bw")])
@@ -342,58 +331,23 @@ class TestConfig:
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 3)
-        monkeypatch.delenv("SPEXLAB_JOBS", raising=False)
+        assert _resolve_jobs(argparse.Namespace(jobs=2)) == 2
         flag = argparse.Namespace(jobs=10 ** 6)
-        unset = argparse.Namespace(jobs=None)
-        assert _resolve_jobs(flag, {}) == 3
-        assert _resolve_jobs(unset, {"jobs": "2"}) == 2
-        assert _resolve_jobs(unset, {"jobs": "99"}) == 3
-        monkeypatch.setenv("SPEXLAB_JOBS", "64")
-        assert _resolve_jobs(unset, {}) == 3
-        assert _resolve_jobs(unset, {"jobs": "1"}) == 1
+        assert _resolve_jobs(flag) == 3
         monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert _resolve_jobs(flag, {}) == 1
+        assert _resolve_jobs(flag) == 1
 
-    @pytest.mark.parametrize("source", ["flag", "config", "env"])
-    def test_jobs_below_one_exit_two(self, capsys, monkeypatch, tmp_path,
-                                     source):
-        argv = ["ex", "--n", "5", "--family", "K3"]
-        if source == "flag":
-            argv += ["--jobs", "0"]
-        elif source == "config":
-            cfg = tmp_path / "jobs.conf"
-            cfg.write_text("jobs = -1\n")
-            argv += ["--config", str(cfg)]
-        else:
-            monkeypatch.setenv("SPEXLAB_JOBS", "0")
-        code, out, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("source", ["flag"])
+    def test_jobs_below_one_exit_two(self, capsys, source):
+        code, out, err = run_cli(capsys, "ex", "--n", "5", "--family", "K3",
+                                 "--jobs", "0")
         assert code == 2
         assert out == ""
         assert "jobs must be at least 1" in err
 
-    @pytest.mark.parametrize("value, message", [
-        ("-1", "jobs must be at least 1, got -1"),
-        ("abc", "jobs must be an integer, got 'abc'")])
-    def test_bad_config_jobs_refused_everywhere(self, capsys, tmp_path, value,
-                                                message):
-        cfg = tmp_path / "jobs.conf"
-        cfg.write_text(f"jobs = {value}\n")
-        for argv in (("lambda", "--graph6", "Bw"),
-                     ("ex", "--n", "4", "--family", "K3")):
-            code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-            assert code == 2, argv
-            assert out == ""
-            assert f"jobs.conf:1: {message}" in err
-
-    def test_env_jobs_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPEXLAB_JOBS", "2")
-        doc = run_json(capsys, "ex", "--n", "6", "--family", "K3")
-        assert doc["value"] == 9
-
-    def test_malformed_config(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.conf"
-        cfg.write_text("jobs\n")
-        code, _, err = run_cli(capsys, "lambda", "--graph6", "Bw",
-                               "--config", str(cfg))
-        assert code == 2
-        assert "expected key = value" in err
+    def test_config_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda", "--graph6", "Bw", "--config", "x.conf"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --config x.conf"
+                in capsys.readouterr().err)

@@ -302,6 +302,14 @@ class TestExOracle:
         rep = ex_oracle(6, [complete(3)])
         assert list(rep.extremal_set) == sorted(set(rep.extremal_set))
 
+    def test_non_maximal_graph_is_named(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_free_graphs",
+                            lambda *args: iter([empty_graph(3)]))
+        with pytest.raises(RuntimeError,
+                           match=r"extremal graph B\? is not edge-maximal: "
+                                 r"adding \(0, 1\) keeps it free"):
+            ex_oracle(3, [complete(3)])
+
     def test_report_dict(self):
         rep = ex_oracle(4, [complete(3)])
         d = rep.as_dict()
@@ -326,6 +334,12 @@ class TestSpexOracle:
         lo, hi = (Fraction(s) for s in rep.certificate["perron_bracket"])
         assert lo <= Fraction(rep.value) <= hi or hi - lo < Fraction(1, 10**6)
         assert lo < hi
+
+    def test_empty_graph_certificate_holds_its_value(self):
+        rep = spex_oracle(0, [complete(3)])
+        lo, hi = (Fraction(s) for s in rep.certificate["perron_bracket"])
+        assert rep.value == 0.0
+        assert lo <= 0 < hi
 
     def test_prefilter_invariance(self, monkeypatch):
         want = None
@@ -395,6 +409,13 @@ class TestRestricted:
                 assert rep.value <= exact.value
                 for g in rep.graphs():
                     assert is_free(g, fam)
+
+    def test_no_free_graph_reports_no_value(self):
+        # every graph of the space holds a triangle
+        rep = restricted_ex(6, [complete(3)], RestrictedSpace(3, 2))
+        assert rep.value is None
+        assert rep.extremal_set == ()
+        assert rep.as_dict()["value"] is None
 
     def test_space_validation(self):
         with pytest.raises(ValueError):

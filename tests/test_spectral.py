@@ -338,6 +338,13 @@ class TestPerronCertificates:
             if perron_less_than(m, q):
                 assert perron_less_than(m, q + Fraction(rng.randrange(1, 9), 3))
 
+    def test_empty_matrix_has_radius_zero(self):
+        empty = RationalMatrix([])
+        assert not perron_less_than(empty, 0)
+        assert perron_less_than(empty, Fraction(1, 10**9))
+        lo, hi = perron_root_interval(empty_graph(0), Fraction(1, 10**12))
+        assert lo <= 0 < hi
+
     def test_interval_brackets_root(self):
         m = RationalMatrix([[0, 3], [3, 0]])
         lo, hi = perron_root_interval(m, Fraction(1, 10**6))
@@ -393,6 +400,9 @@ class TestCompareExact:
     def test_cycle_beats_path(self):
         assert compare_lambda_exact(cycle(4), path(4)) == 1
         assert compare_lambda_exact(path(4), cycle(4)) == -1
+
+    def test_empty_graphs_tie(self):
+        assert compare_lambda_exact(empty_graph(0), empty_graph(1)) == 0
 
     def test_cx2_13_within_halving_budget(self, monkeypatch):
         # 26 vertices; a bisection that only trims the window took 66 and 256

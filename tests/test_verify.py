@@ -106,11 +106,11 @@ def test_first_failure(cx2_raises):
 
 
 def test_cx1_sign_does_not_read_the_float_gaps(monkeypatch):
-    def wrong_sign(name, params, ns):
-        return asymptotics.FitResult(tuple((n, 1e-3) for n in ns),
+    def wrong_sign(pairs, predicted):
+        return asymptotics.FitResult(tuple((n, 1e-3) for n, _, _ in pairs),
                                      -1.0, 0.0, -1.0)
 
-    monkeypatch.setattr(asymptotics, "experiment", wrong_sign)
+    monkeypatch.setattr(asymptotics, "fit_pairs", wrong_sign)
     rep = run_claim("cx1")
     signs = [a for a in rep["assertions"]
              if a["name"].startswith("lambda(H) < lambda(G)")]
@@ -120,6 +120,17 @@ def test_cx1_sign_does_not_read_the_float_gaps(monkeypatch):
         assert a["detail"].startswith("gap 1.000e-03; lambda(H) in [")
         assert "lambda(G) in [" in a["detail"]
         assert a["detail"].endswith(")")
+
+
+def test_cx1_fit_reuses_the_claim_pairs(monkeypatch):
+    calls = []
+    real = asymptotics.cx1_pair
+    monkeypatch.setattr(asymptotics, "cx1_pair",
+                        lambda *a: calls.append(a) or real(*a))
+    rep = run_claim("cx1")
+    assert calls == []
+    assert any(a["name"].startswith("extrapolated") and a["ok"]
+               for a in rep["assertions"])
 
 
 def test_verify_imports_only_canonical_form_from_canon():
