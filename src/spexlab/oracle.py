@@ -6,7 +6,10 @@ yields each isomorphism class exactly once (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998). A parent tries one non-edge per orbit of
 the automorphisms its own canonization found, and each child is canonized
 once. Freeness pruning is sound because adding edges never removes a
-forbidden subgraph.
+forbidden subgraph. Every graph the walk expands is free, so a child
+g + uv can hold a member only through its new edge uv, and it is tested
+with ``is_free(..., new_edge=(u, v))``, which looks for a connected member
+only within its diameter of both u and v.
 
 Most children fail the parent test, so two exact filters that need no
 canonization reject them first (McKay's cheap invariants):
@@ -232,8 +235,7 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
             if not _last_edge_admits(child.adj, deg, comps, a, b):
                 continue
             perm, rows, sym = _canonical(child)
-            rep = Graph._from_adj(n, rows)
-            form = encode_graph6(rep).encode("ascii")
+            form = encode_graph6(Graph._from_adj(n, rows)).encode("ascii")
             if form in seen:
                 continue
             seen.add(form)
@@ -248,7 +250,7 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
                     continue
                 if canonical_form(parent) != gform:
                     continue
-            if family is not None and not is_free(rep, family):
+            if family is not None and not is_free(child, family, new_edge=(u, v)):
                 continue
             out.append((child, form, sym))
     return out
@@ -301,7 +303,8 @@ def _free_graphs(n: int, family: ForbiddenFamily | None, allow_large: bool,
     if n > _GUARDRAIL and not allow_large:
         raise ValueError(
             f"refusing to enumerate n = {n} > {_GUARDRAIL} isomorphism classes; "
-            "pass allow_large=True to override")
+            "pass allow_large=True (--allow-large on the command line) "
+            "to override")
     # with jobs > 1 the tree is cut at a fixed edge level and the subtrees
     # below it are walked as shards in worker processes
     cut = (n + 1) // 2 if jobs > 1 and n >= 3 else None
@@ -346,7 +349,8 @@ def ex_oracle(n: int, family, allow_large: bool = False,
     for g in attain:
         for u in range(n):
             for v in range(u + 1, n):
-                if not g.has_edge(u, v) and is_free(g.with_edge(u, v), family):
+                if not g.has_edge(u, v) and is_free(g.with_edge(u, v), family,
+                                                    new_edge=(u, v)):
                     raise RuntimeError(
                         f"extremal graph {encode_graph6(g)} is not "
                         f"edge-maximal: adding ({u}, {v}) keeps it free")

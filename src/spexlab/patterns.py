@@ -20,8 +20,11 @@ pattern vertices.
 Verdicts are cached under the exact adjacency of host and pattern. That key
 is finer than isomorphism, so a hit is never wrong, and the subgraphs a
 search asks about are built deterministically, so they recur with the same
-labels; hosts rarely recur except as the canonical representatives that the
-exhaustive walk already passes in. Maximal independent sets are cached per
+labels. A host known to be free but for one new edge uv (is_free's
+new_edge) holds a connected member only through uv, so the member is
+looked for only among the vertices within its diameter of both u and v;
+the exhaustive walk passes every child in that way, so its hosts are these
+ball subhosts and rarely recur. Maximal independent sets are cached per
 pattern and vertex subset. Each host's decomposition (join, packing or
 matcher, and the parts each needs) is worked out once and kept in one LRU
 cache, _plan. Containment canonizes only to break ties among a disconnected
@@ -73,13 +76,59 @@ def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     return _contains(host, pattern)
 
 
-def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]") -> bool:
-    """Whether g contains no member of the family."""
+def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
+            new_edge: tuple[int, int] | None = None) -> bool:
+    """Whether g contains no member of the family.
+
+    With new_edge=(u, v), uv must be an edge of g (else ValueError) and the
+    caller vouches that g - uv is free. Then a copy of a member in g uses
+    uv, or it would be a copy in g - uv. A copy of a connected member of
+    diameter D is connected, contains u and v, and every vertex of it lies
+    within D of both in the copy, so within D of both in g. So g holds the
+    member exactly when g[ball_D(u) & ball_D(v)] does, since that induced
+    subgraph holds the copy's vertices and edges, and is itself a subgraph
+    of g. A disconnected member is tested in the whole of g.
+    """
     members = family.members if isinstance(family, ForbiddenFamily) else tuple(family)
+    if new_edge is not None:
+        u, v = new_edge
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+            raise ValueError(f"new_edge {new_edge} is not an edge of g")
     for m in sorted(members, key=lambda m: (m.n, m.edge_count)):
-        if _contains(g, m):
+        host = g
+        d = None if new_edge is None else _diameter(m)
+        if d is not None:
+            near = _ball(g, u, d) & _ball(g, v, d)
+            if near.bit_count() < m.n:
+                continue
+            host = induced_subgraph(g, near)
+        if _contains(host, m):
             return False
     return True
+
+
+def _ball(g: Graph, v: int, radius: int) -> int:
+    """The vertices within distance radius of v in g, as a bitmask."""
+    ball = frontier = 1 << v
+    for _ in range(radius):
+        reach = 0
+        for w in _iter_bits(frontier):
+            reach |= g.adj[w]
+        frontier = reach & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
+
+
+@lru_cache(maxsize=4096)
+def _diameter(g: Graph) -> int | None:
+    """The largest distance between two vertices of g, or None if g is disconnected."""
+    if len(g.components()) > 1:
+        return None
+    full = (1 << g.n) - 1
+    return next(d for d in range(g.n + 1)
+                if all(_ball(g, v, d) == full for v in range(g.n)))
 
 
 def _contains(host: Graph, pattern: Graph) -> bool:

@@ -23,7 +23,9 @@ from spexlab import (
     cx1_pair,
     cx1_family,
     cx2_package,
+    cycle,
     decode_graph6,
+    disjoint_union,
     empty_graph,
     encode_graph6,
     enumerate_graphs,
@@ -164,11 +166,18 @@ class TestEnumeration:
         assert len(seen) == 156
 
     def test_family_pruning_is_exact(self):
-        fam = ForbiddenFamily([complete(3)])
-        pruned = canon_set(enumerate_graphs(6, family=fam))
-        full = {canonical_form(g) for g in all_graphs_upto_iso(6)
-                if is_free(g, fam)}
-        assert pruned == full
+        # a connected member, a disconnected one (tested in the whole host),
+        # and two members of unequal diameter (one ball subhost each)
+        fams = {"K3": [complete(3)],
+                "K3+K2": [disjoint_union(complete(3), complete(2))],
+                "C4,P5": [cycle(4), path(5)]}
+        for n in range(2, 7):
+            pool = all_graphs_upto_iso(n)
+            for name, members in fams.items():
+                fam = ForbiddenFamily(members)
+                pruned = canon_set(enumerate_graphs(n, family=fam))
+                full = {canonical_form(g) for g in pool if is_free(g, fam)}
+                assert pruned == full, (name, n)
 
     def test_guardrail(self):
         with pytest.raises(ValueError, match="allow_large"):
@@ -285,7 +294,9 @@ class TestExOracle:
 
     def test_matches_labeled_brute(self):
         fams = {"triangle": [complete(3)], "p4": [path(4)],
-                "both": [complete(3), path(4)]}
+                "both": [complete(3), path(4)],
+                "k3+k2": [disjoint_union(complete(3), complete(2))],
+                "c4,p5": [cycle(4), path(5)]}
         for n in range(2, 7):
             pool = all_graphs_upto_iso(n)
             for members in fams.values():

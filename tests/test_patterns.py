@@ -597,6 +597,74 @@ class TestIsFree:
         assert is_free(g, [complete(3)])
 
 
+ANCHOR_FAMILIES = {
+    "K3": [complete(3)], "K4": [complete(4)], "P4": [path(4)], "P5": [path(5)],
+    "C4": [cycle(4)], "C5": [cycle(5)], "K1,3": [star(4)],
+    "K3+K2": [disjoint_union(complete(3), complete(2))],
+    "C4,P5": [cycle(4), path(5)],
+}
+
+
+@st.composite
+def edge_orders(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count n <= 9 and a sequence of distinct pairs of n vertices."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+
+
+def _anchored_mismatches(n: int, order, members) -> list:
+    """The children whose new_edge verdict differs from the whole-host one.
+
+    A free graph on n vertices grows by the pairs in order, keeping an edge
+    when the child stays free. Each child is a free graph plus one edge, and
+    every such pair arises from some order.
+    """
+    g = empty_graph(n)
+    out = []
+    for u, v in order:
+        child = g.with_edge(u, v)
+        whole = is_free(child, members)
+        if is_free(child, members, new_edge=(u, v)) != whole:
+            out.append((child.edges(), (u, v)))
+        if whole:
+            g = child
+    return out
+
+
+class TestNewEdge:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(ANCHOR_FAMILIES)), edge_orders())
+    def test_matches_whole_host(self, name, n_order):
+        n, order = n_order
+        assert _anchored_mismatches(n, order, ANCHOR_FAMILIES[name]) == []
+
+    def test_radius_below_diameter_is_caught(self, monkeypatch):
+        diameter = patterns._diameter
+        monkeypatch.setattr(patterns, "_diameter",
+                            lambda m: None if diameter(m) is None else diameter(m) - 1)
+        # P5 along a 5-vertex path whose new edge is an end edge
+        assert _anchored_mismatches(5, [(1, 2), (2, 3), (3, 4), (0, 1)],
+                                    [path(5)]) == [([(0, 1), (1, 2), (2, 3), (3, 4)],
+                                                    (0, 1))]
+        rng = random.Random(19)
+        caught = set()
+        for name, members in ANCHOR_FAMILIES.items():
+            for _ in range(10):
+                n = rng.randrange(4, 9)
+                order = [(u, v) for u in range(n) for v in range(u + 1, n)]
+                rng.shuffle(order)
+                if _anchored_mismatches(n, order, members):
+                    caught.add(name)
+        # only the disconnected member keeps the whole-host test
+        assert caught == set(ANCHOR_FAMILIES) - {"K3+K2"}
+
+    @pytest.mark.parametrize("edge", [(0, 2), (1, 1), (0, 3), (-1, 0)])
+    def test_new_edge_must_be_an_edge(self, edge):
+        with pytest.raises(ValueError, match="not an edge"):
+            is_free(path(3), [complete(3)], new_edge=edge)
+
+
 class TestChromatic:
     def test_c5(self):
         assert chromatic_number(cycle(5)) == 3
