@@ -191,8 +191,6 @@ def _pair_star_vs_path(params: dict, n: int):
 
 def _pair_edge_add(params: dict, n: int):
     r, b, a = params["r"], params["b"], params["a"]
-    if r < 2:
-        raise ValueError(f"edge_add needs r at least 2, got {r}")
     if b < 0 or a < 0 or b + a < 1:
         raise ValueError(f"need nonnegative b, a with b + a >= 1, "
                          f"got b = {b}, a = {a}")
@@ -214,9 +212,6 @@ def _pair_edge_add(params: dict, n: int):
 
 def _pair_transfer_shift(params: dict, n: int):
     r, k = params["r"], params["k"]
-    if r < 2 or k < 2:
-        raise ValueError(f"transfer_shift needs r, k at least 2, "
-                         f"got r = {r}, k = {k}")
     w, rem = divmod(n, r)
     if rem != 1 or w % k:
         raise ValueError(f"need n = r*w + 1 with k dividing w, "
@@ -243,6 +238,7 @@ def _doubling(unit: int, least: int, lowest: int = 1) -> list:
 
 class _Experiment(NamedTuple):
     takes: tuple
+    least: dict           # key -> its smallest value
     build: Callable       # (params, n) -> (graph a, graph b)
     predicted: Callable   # keyword parameters -> float constant C
     default_ns: Callable  # keyword parameters -> four doubling sizes
@@ -250,19 +246,19 @@ class _Experiment(NamedTuple):
 
 EXPERIMENTS = {
     "star_vs_path": _Experiment(
-        ("r", "k"), _pair_star_vs_path,
+        ("r", "k"), {"r": 2, "k": 4}, _pair_star_vs_path,
         lambda r, k: (k - 5 + 6 / k) / (r - 1),
         lambda r, k: _doubling(r * k, 120)),
     "edge_add": _Experiment(
-        ("r", "b", "a"), _pair_edge_add,
+        ("r", "b", "a"), {"r": 2}, _pair_edge_add,
         lambda r, b, a: 2.0 * (b - a),
         lambda r, b, a: _doubling(r, 120)),
     "transfer_shift": _Experiment(
-        ("r", "k"), _pair_transfer_shift,
+        ("r", "k"), {"r": 2, "k": 2}, _pair_transfer_shift,
         lambda r, k: -4 * (k - 1) / (k * r),
         lambda r, k: [r * w + 1 for w in _doubling(k, 36, 2)]),
     "cx1_gap": _Experiment(
-        ("r", "k"), _pair_cx1_gap,
+        ("r", "k"), {"r": 2, "k": 1}, _pair_cx1_gap,
         lambda r, k: 2 - (k - 5 + 6 / k) / (r - 1) - 4 * (k - 1) / (k * r),
         lambda r, k: [r * w + 1 for w in _doubling(k, 18)]),
 }
@@ -306,6 +302,11 @@ def experiment_pairs(name: str, params: dict,
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     spec = EXPERIMENTS[key]
     check_params("experiment", key, params, spec.takes)
+    # before default_ns and predicted, which divide by r - 1, k or r*k
+    for p, least in spec.least.items():
+        if params[p] < least:
+            raise ValueError(f"experiment {key} needs {p} at least {least}, "
+                             f"got {p} = {params[p]}")
     run_params = dict(params)
     sizes = sorted(int(n) for n in ns) if ns is not None \
         else spec.default_ns(**run_params)

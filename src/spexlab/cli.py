@@ -226,9 +226,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_restricted_ex(args) -> int:
     params = _parse_params(args.params)
     fam = _load_family(args.family, params)
-    space = RestrictedSpace(args.r, args.max_tree_order,
-                            part=args.part, edit_budget=args.edit_budget)
-    rep = restricted_ex(args.n, fam, space)
+    rep = restricted_ex(args.n, fam,
+                        RestrictedSpace(args.r, args.max_tree_order))
     _emit(args, rep.as_dict())
     return 0
 
@@ -332,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="family parameters")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-tree-order", type=int, required=True)
-    p.add_argument("--part", default="any",
-                   choices=("any", "smallest", "largest"))
-    p.add_argument("--edit-budget", type=int, default=0)
     p.set_defaults(func=_cmd_restricted_ex)
 
     p = sub.add_parser("fit", parents=[common],

@@ -9,7 +9,7 @@ once. Freeness pruning is sound because adding edges never removes a
 forbidden subgraph. Every graph the walk expands is free, so a child
 g + uv can hold a member only through its new edge uv, and it is tested
 with ``is_free(..., new_edge=(u, v))``, which looks for a connected member
-only within its diameter of both u and v.
+only within its diameter of both u and v, before the child is canonized.
 
 Most children fail the parent test, so two exact filters that need no
 canonization reject them first (McKay's cheap invariants):
@@ -25,10 +25,9 @@ canonization reject them first (McKay's cheap invariants):
   not isomorphic to the parent.
 
 The restricted search scans complete multipartite graphs with the balanced
-part profile plus a bounded-order forest embedded in one part, optionally
-followed by a few edge edits. It maximizes edges over that space only; its
-reports are flagged as restricted so they are never mistaken for true
-extremal numbers.
+part profile plus a bounded-order forest embedded in one part. It
+maximizes edges over that space only; its reports are flagged as
+restricted so they are never mistaken for true extremal numbers.
 """
 
 from __future__ import annotations
@@ -67,15 +66,16 @@ class ExtremalReport:
 
     ``extremal_set`` holds canonical graph6 strings, deduplicated and sorted.
     ``certificate`` is None for edge counts; spectral reports carry a rational
-    Perron-root bracket of the attaining value. ``restricted`` marks values
-    maximized over a RestrictedSpace rather than all graphs.
+    Perron-root bracket of the attaining value. ``space`` is the
+    RestrictedSpace a restricted value was maximized over, and None for
+    values over all graphs.
     """
 
     __slots__ = ("kind", "n", "family", "value", "extremal_set", "elapsed",
-                 "certificate", "restricted", "space")
+                 "certificate", "space")
 
     def __init__(self, kind, n, family, value, extremal_set, elapsed,
-                 certificate=None, restricted=False, space=None):
+                 certificate=None, space=None):
         self.kind = kind
         self.n = n
         self.family = family
@@ -83,8 +83,11 @@ class ExtremalReport:
         self.extremal_set = tuple(sorted(set(extremal_set)))
         self.elapsed = elapsed
         self.certificate = certificate
-        self.restricted = restricted
         self.space = space
+
+    @property
+    def restricted(self) -> bool:
+        return self.space is not None
 
     def graphs(self) -> list[Graph]:
         return [decode_graph6(s) for s in self.extremal_set]
@@ -102,7 +105,7 @@ class ExtremalReport:
             d["certificate"] = self.certificate
         if self.restricted:
             d["restricted"] = True
-            d["space"] = self.space.as_dict() if self.space else None
+            d["space"] = self.space.as_dict()
         return d
 
     def __repr__(self) -> str:
@@ -193,13 +196,13 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
     Each entry is (child, canonical form, symmetry record), the child being
     g plus its first non-edge in lexicographic order within its class.
 
-    A child is accepted when deleting its canonically last edge e* gives
-    g's class; that is a property of the child's class. Two filters reject
-    children before the canonization that would decide it:
-    ``_last_edge_admits`` before the child is canonized (an added edge
-    whose end degrees no last edge can have), and ``_profile`` before
-    child - e* is. Both are exact, so a rejected child would have been
-    rejected anyway; and since isomorphic children are accepted or
+    A child is accepted when it is free and deleting its canonically last
+    edge e* gives g's class; both are properties of the child's class.
+    Three filters reject children before the canonization that would decide
+    it: ``_last_edge_admits`` (an added edge whose end degrees no last edge
+    can have) and freeness before the child is canonized, and ``_profile``
+    before child - e* is. All are exact, so a rejected child would have
+    been rejected anyway; and since isomorphic children are accepted or
     rejected together, leaving rejected ones out of the sibling dedup
     keeps both the output and its order.
     """
@@ -234,6 +237,8 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
                 comps = [c for c in comps if c.bit_count() == top]
             if not _last_edge_admits(child.adj, deg, comps, a, b):
                 continue
+            if family is not None and not is_free(child, family, new_edge=(u, v)):
+                continue
             perm, rows, sym = _canonical(child)
             form = encode_graph6(Graph._from_adj(n, rows)).encode("ascii")
             if form in seen:
@@ -250,8 +255,6 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
                     continue
                 if canonical_form(parent) != gform:
                     continue
-            if family is not None and not is_free(child, family, new_edge=(u, v)):
-                continue
             out.append((child, form, sym))
     return out
 
@@ -403,38 +406,25 @@ def spex_oracle(n: int, family, allow_large: bool = False,
 
 
 class RestrictedSpace:
-    """Search space: balanced complete r-partite base plus one packed forest.
+    """Search space: balanced complete r-partite base plus one forest packed
+    into one part, over every distinct part size, each forest component on
+    at most ``max_tree_order`` vertices."""
 
-    ``part`` chooses which part receives the forest: "any" tries every
-    distinct part size, "smallest"/"largest" fix it. ``edit_budget`` allows
-    up to that many edge toggles afterwards (capped at 3, and only for
-    n <= 20; the space grows like C(n^2/2, budget)).
-    """
+    __slots__ = ("r", "max_tree_order")
 
-    __slots__ = ("r", "max_tree_order", "part", "edit_budget")
-
-    def __init__(self, r: int, max_tree_order: int, part: str = "any",
-                 edit_budget: int = 0):
+    def __init__(self, r: int, max_tree_order: int):
         if r < 1:
             raise ValueError("r must be at least 1")
         if max_tree_order < 1:
             raise ValueError("max_tree_order must be at least 1")
-        if part not in ("any", "smallest", "largest"):
-            raise ValueError("part policy must be any, smallest, or largest")
-        if not 0 <= edit_budget <= 3:
-            raise ValueError("edit budget must be between 0 and 3")
         self.r = r
         self.max_tree_order = max_tree_order
-        self.part = part
-        self.edit_budget = edit_budget
 
     def as_dict(self) -> dict:
-        return {"r": self.r, "max_tree_order": self.max_tree_order,
-                "part": self.part, "edit_budget": self.edit_budget}
+        return {"r": self.r, "max_tree_order": self.max_tree_order}
 
     def __repr__(self) -> str:
-        return (f"RestrictedSpace(r={self.r}, max_tree_order={self.max_tree_order}, "
-                f"part={self.part!r}, edit_budget={self.edit_budget})")
+        return f"RestrictedSpace(r={self.r}, max_tree_order={self.max_tree_order})"
 
 
 def _partitions_into(w: int, kparts: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -465,25 +455,13 @@ def _forests(w: int, max_order: int) -> Iterator[Graph]:
                 yield reduce(disjoint_union, chain.from_iterable(combo), empty_graph(0))
 
 
-def _part_indices(sizes: tuple[int, ...], policy: str) -> list[int]:
-    if policy == "largest":
-        return [0]
-    if policy == "smallest":
-        return [sizes.index(min(sizes))]
-    out = []
-    seen = set()
-    for i, s in enumerate(sizes):
-        if s not in seen:
-            seen.add(s)
-            out.append(i)
-    return out
-
-
 def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     """Maximum edges over the restricted space; flagged RESTRICTED.
 
-    The value can undercut the true extremal number when the family rewards
-    graphs outside the space; reports carry the space definition so the
+    Every distinct part size of T(n, r) takes every forest of the space in
+    turn, so the space holds one graph per (part size, forest). The value
+    can undercut the true extremal number when the family rewards graphs
+    outside the space; reports carry the space definition so the
     restriction is always visible. When no graph in the space is free, the
     value is None and the extremal set is empty.
     """
@@ -491,46 +469,23 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     t0 = time.perf_counter()
     if space.r > n:
         raise ValueError(f"r = {space.r} exceeds n = {n}")
-    if space.edit_budget and n > 20:
-        raise ValueError("edit budget requires n <= 20")
     base = turan(n, space.r)
-    base_e = base.edge_count
     sizes = base.partition.sizes()
     best = -1
     attain: dict[str, Graph] = {}
-
-    def consider(g: Graph):
-        nonlocal best
-        e = g.edge_count
-        if e < best:
-            return
-        if e > best:
-            best = e
-            attain.clear()
-        attain.setdefault(_canon_string(g), g)
-
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-    def edits(g: Graph, budget: int, start: int):
-        if is_free(g, family):
-            consider(g)
-        if budget == 0:
-            return
-        for idx in range(start, len(pairs)):
-            u, v = pairs[idx]
-            h = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
-            if h.edge_count + budget - 1 >= best:
-                edits(h, budget - 1, idx + 1)
-
-    for part in _part_indices(sizes, space.part):
-        w = sizes[part]
+    for w in dict.fromkeys(sizes):
         for forest in _forests(w, space.max_tree_order):
-            fe = forest.edge_count
-            if base_e + fe + space.edit_budget < best:
+            e = base.edge_count + forest.edge_count
+            if e < best:
                 break  # forests only get sparser from here
-            edits(embed_in_part(base, part, forest), space.edit_budget, 0)
+            g = embed_in_part(base, sizes.index(w), forest)
+            if not is_free(g, family):
+                continue
+            if e > best:
+                best = e
+                attain.clear()
+            attain.setdefault(_canon_string(g), g)
 
     return ExtremalReport(
         "restricted-ex", n, _family_id(family), best if attain else None,
-        list(attain), time.perf_counter() - t0,
-        restricted=True, space=space)
+        list(attain), time.perf_counter() - t0, space=space)

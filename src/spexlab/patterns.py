@@ -646,36 +646,15 @@ def chromatic_number(g: Graph) -> int:
 
 
 def _chromatic_component(g: Graph) -> int:
-    n = g.n
+    """The least k from the greedy clique bound up that ``_k_colorable``
+    accepts; at k = 2 it never branches on a connected graph, and its first
+    descent is the DSATUR greedy coloring."""
     if g.edge_count == 0:
         return 1
-    two = _two_colorable(g)
-    if two:
-        return 2
-    lb = max(3, _greedy_clique(g))
-    ub, _ = _dsatur_greedy(g)
-    for k in range(lb, ub):
-        if _k_colorable(g, k):
-            return k
-    return ub
-
-
-def _two_colorable(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in _iter_bits(g.adj[v]):
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    k = max(2, _greedy_clique(g))
+    while not _k_colorable(g, k):
+        k += 1
+    return k
 
 
 def _greedy_clique(g: Graph) -> int:
@@ -692,51 +671,40 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
-def _dsatur_greedy(g: Graph) -> tuple[int, list[int]]:
-    n = g.n
-    color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max((u for u in range(n) if color[u] == -1),
-                key=lambda u: (len(neighbor_colors[u]), g.degree(u)))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        color[v] = c
-        for w in _iter_bits(g.adj[v]):
-            neighbor_colors[w].add(c)
-    return max(color) + 1, color
-
-
 def _k_colorable(g: Graph, k: int) -> bool:
+    """Backtracking over DSATUR order, on an explicit stack: one frame per
+    colored vertex, so the depth is not bounded by the recursion limit."""
     n = g.n
     color = [-1] * n
     nbr_colors = [0] * n  # bitmask of colors seen among colored neighbors
 
-    def pick() -> int:
-        return max((u for u in range(n) if color[u] == -1),
-                   key=lambda u: (nbr_colors[u].bit_count(), g.degree(u)))
+    def frame(used: int) -> list:
+        # [vertex, colors left to try, colors used before it, neighbors touched]
+        v = max((u for u in range(n) if color[u] == -1),
+                key=lambda u: (nbr_colors[u].bit_count(), g.degree(u)))
+        return [v, ~nbr_colors[v] & ((1 << min(k, used + 1)) - 1), used, []]
 
-    def walk(depth: int, used: int) -> bool:
-        if depth == n:
-            return True
-        v = pick()
-        avail = ~nbr_colors[v] & ((1 << min(k, used + 1)) - 1)
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            c = low.bit_length() - 1
-            color[v] = c
-            touched = []
-            for w in _iter_bits(g.adj[v]):
-                if color[w] == -1 and not nbr_colors[w] >> c & 1:
-                    nbr_colors[w] |= 1 << c
-                    touched.append(w)
-            if walk(depth + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
+    stack = [frame(0)]
+    while stack:
+        top = stack[-1]
+        v, avail, used, touched = top
+        if color[v] != -1:  # back from a failed subtree: undo v's color
             for w in touched:
-                nbr_colors[w] &= ~(1 << c)
-        return False
-
-    return walk(0, 0)
+                nbr_colors[w] &= ~(1 << color[v])
+            touched.clear()
+            color[v] = -1
+        if not avail:
+            stack.pop()
+            continue
+        low = avail & -avail
+        top[1] = avail ^ low
+        c = low.bit_length() - 1
+        color[v] = c
+        for w in _iter_bits(g.adj[v]):
+            if color[w] == -1 and not nbr_colors[w] >> c & 1:
+                nbr_colors[w] |= 1 << c
+                touched.append(w)
+        if len(stack) == n:
+            return True
+        stack.append(frame(max(used, c + 1)))
+    return False

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import spexlab
 from spexlab import canonical_form, cx2_package, cycle, encode_graph6, turan
-from spexlab.cli import _resolve_jobs, main
+from spexlab.cli import _resolve_jobs, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +236,25 @@ class TestFit:
         assert ("experiment edge_add cannot take r='3.5'; "
                 "it takes integer r, b, a") in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("star_vs_path", "--params", "r=1,k=4", "--ns", "4,8,16"),
+         "star_vs_path needs r at least 2, got r = 1"),
+        (("star_vs_path", "--params", "r=0,k=4"),
+         "star_vs_path needs r at least 2, got r = 0"),
+        (("transfer_shift", "--params", "r=3,k=0"),
+         "transfer_shift needs k at least 2, got k = 0"),
+        (("cx1_gap", "--params", "r=3,k=0"),
+         "cx1_gap needs k at least 1, got k = 0"),
+        (("edge_add", "--params", "r=0,b=1,a=0"),
+         "edge_add needs r at least 2, got r = 0"),
+    ])
+    def test_out_of_range_param_exits_two(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "fit", "--experiment", *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"error: experiment {named}" in err
+
 
 class TestVerifyCommand:
     def test_single_claim(self, capsys):
@@ -264,6 +284,8 @@ class TestVerifyCommand:
         ("cx2", "p=6", "need p congruent to 1 mod 3, got p = 6"),
         ("edge-add", "b=-1", "need nonnegative b, a with b + a >= 1"),
         ("cx1", "r=4", "got floor(55/4) = 13"),
+        ("transfer-shift", "k=0",
+         "experiment transfer_shift needs k at least 2, got k = 0"),
     ])
     def test_out_of_range_param_exits_two(self, capsys, claim, params, named):
         code, out, err = run_cli(capsys, "verify", "--claim", claim,
@@ -319,6 +341,20 @@ class TestOutputControls:
         assert json.loads(proc.stdout)["claims"][0]["claim"] == "table"
 
 
+def test_readme_commands_parse():
+    # a flag that leaves the parser cannot linger in the README's examples
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("spexlab ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        line = line.replace("<g6>", encode_graph6(cycle(5)))
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.func is not None, line
+
+
 class TestConfig:
     @pytest.mark.parametrize("argv", [
         ("fit", "--experiment", "edge-add", "--params", "r=3,b=2,a=0"),
@@ -344,6 +380,16 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert "jobs must be at least 1" in err
+
+    @pytest.mark.parametrize("flag", [("--part", "any"), ("--edit-budget", "1")])
+    def test_restricted_space_knobs_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["restricted-ex", "--n", "14", "--family", "cx2",
+                  "--params", "p=7,m=3", "--r", "2", "--max-tree-order", "3",
+                  *flag])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(flag)}"
+                in capsys.readouterr().err)
 
     def test_config_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

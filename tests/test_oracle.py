@@ -40,7 +40,7 @@ from spexlab import (
     turan,
 )
 from spexlab import canon, oracle, patterns
-from oracles import all_graphs_upto_iso
+from oracles import all_graphs_upto_iso, brute_contains
 
 SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
@@ -153,7 +153,7 @@ class TestEnumeration:
             monkeypatch.setattr(oracle, name, counted(name))
         rep = spex_oracle(6, [complete(4)])
         assert rep.extremal_set == ("E]~o",)
-        assert counts == {"_canonical": 204, "canonical_form": 29}
+        assert counts == {"_canonical": 170, "canonical_form": 25}
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):
@@ -178,6 +178,24 @@ class TestEnumeration:
                 pruned = canon_set(enumerate_graphs(n, family=fam))
                 full = {canonical_form(g) for g in pool if is_free(g, fam)}
                 assert pruned == full, (name, n)
+
+    @pytest.mark.parametrize("members", [[complete(3)], [cycle(4), path(5)]],
+                             ids=["K3", "C4,P5"])
+    def test_canonizes_only_free_graphs(self, monkeypatch, members):
+        # a child that is not free is rejected before it is canonized
+        fam = ForbiddenFamily(members)
+        canonized = []
+        real = oracle._canonical
+
+        def recording(h):
+            canonized.append(h)
+            return real(h)
+
+        monkeypatch.setattr(oracle, "_canonical", recording)
+        assert list(enumerate_graphs(6, fam))
+        assert canonized
+        for h in canonized:
+            assert is_free(h, fam), encode_graph6(h)
 
     def test_guardrail(self):
         with pytest.raises(ValueError, match="allow_large"):
@@ -414,8 +432,8 @@ class TestRestricted:
         fam = ForbiddenFamily([complete(3)])
         for n in (6, 7):
             exact = ex_oracle(n, fam)
-            for space in (RestrictedSpace(2, 2), RestrictedSpace(2, 3, "smallest"),
-                          RestrictedSpace(2, 2, edit_budget=1)):
+            for space in (RestrictedSpace(2, 1), RestrictedSpace(2, 2),
+                          RestrictedSpace(2, 3)):
                 rep = restricted_ex(n, fam, space)
                 assert rep.value <= exact.value
                 for g in rep.graphs():
@@ -433,20 +451,57 @@ class TestRestricted:
             RestrictedSpace(0, 3)
         with pytest.raises(ValueError):
             RestrictedSpace(2, 0)
-        with pytest.raises(ValueError):
-            RestrictedSpace(2, 3, part="middle")
-        with pytest.raises(ValueError):
-            RestrictedSpace(2, 3, edit_budget=4)
-
-    def test_edit_budget_size_cap(self):
-        with pytest.raises(ValueError):
-            restricted_ex(30, [complete(3)], RestrictedSpace(2, 2, edit_budget=1))
 
     def test_report_carries_space(self):
-        space = RestrictedSpace(2, 2, "largest")
+        space = RestrictedSpace(3, 2)
         rep = restricted_ex(9, [complete(3)], space)
         assert rep.space is space
         assert rep.as_dict()["space"] == space.as_dict()
+
+
+@lru_cache(maxsize=None)
+def _brute_forests(w: int, max_order: int) -> tuple:
+    """Forests on w vertices, components of order <= max_order, one per class."""
+    return tuple(f for f in all_graphs_upto_iso(w)
+                 if f.edge_count == w - len(f.components())
+                 and all(c.bit_count() <= max_order for c in f.components()))
+
+
+def _brute_restricted(n: int, members, r: int, max_order: int):
+    """restricted_ex by brute force: every forest in every part size of
+    T(n, r), freeness by injection search; (value or None, canonical set)."""
+    base = turan(n, r)
+    best, attain = None, set()
+    for part in {len(c): c for c in base.partition.classes}.values():
+        for forest in _brute_forests(len(part), max_order):
+            g = base
+            for a, b in forest.edges():
+                g = g.with_edge(part[a], part[b])
+            if any(brute_contains(g, m) for m in members):
+                continue
+            if best is None or g.edge_count > best:
+                best, attain = g.edge_count, set()
+            if g.edge_count == best:
+                attain.add(canonical_form(g).decode("ascii"))
+    return best, attain
+
+
+# K3, C4 and P4 leave few free graphs in the space; in a bowtie-free graph
+# the forest shape decides, and K4 (r = 2) and K5 (r = 3) admit every
+# forest, so each part size competes and ties arise
+@pytest.mark.parametrize("members", [
+    [complete(3)], [cycle(4)], [path(4)],
+    [Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])],
+    [complete(4)], [complete(5)],
+], ids=["K3", "C4", "P4", "bowtie", "K4", "K5"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_restricted_matches_brute_force(members, r):
+    for n in range(r, 11):
+        for max_order in (1, 2, 3):
+            rep = restricted_ex(n, members, RestrictedSpace(r, max_order))
+            value, attain = _brute_restricted(n, members, r, max_order)
+            assert rep.value == value, (n, max_order)
+            assert set(rep.extremal_set) == attain, (n, max_order)
 
 
 class TestReportShape:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -691,6 +692,21 @@ class TestChromatic:
     def test_agreement_order_seven(self):
         for g in enumerate_graphs(7):
             assert chromatic_number(g) == brute_chromatic(g)
+
+    def test_component_longer_than_recursion_limit(self):
+        n = sys.getrecursionlimit() + 10
+        assert chromatic_number(path(n)) == 2
+        assert chromatic_number(cycle(n | 1)) == 3
+
+    def test_agreement_grotzsch(self):
+        # Mycielski's graph of C5: triangle-free, so the clique bound is 2
+        # and chi = 4 takes two failed searches
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+        edges += [(5 + i, 10) for i in range(5)]
+        g = Graph(11, edges)
+        assert not contains_subgraph(g, complete(3))
+        assert chromatic_number(g) == brute_chromatic(g) == 4
 
 
 class TestFamilyChi:
