@@ -11,8 +11,6 @@ from .graphs import (
     adjacency_matrix,
     complete,
     complete_multipartite,
-    copies,
-    count_walks2,
     cycle,
     disjoint_union,
     embed_in_part,
@@ -22,21 +20,18 @@ from .graphs import (
     kelmans,
     matching,
     path,
-    path_power,
     relabel,
     star,
-    total_walks2,
     transfer_vertex,
     turan,
     u_packing,
 )
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
-from .canon import canonical_form, canonical_graph, canonical_labeling
+from .canon import canonical_form
 from .patterns import (
     ForbiddenFamily,
     chromatic_number,
     contains_subgraph,
-    family_chi,
     is_free,
 )
 from .spectral import (
@@ -73,18 +68,11 @@ from .asymptotics import (
     FitResult,
     IntegerBoundaryError,
     Thresholds,
-    c1,
-    c_of_r,
-    cx1_gap,
     e_interval,
-    edge_add,
     experiment,
     fit_first_order,
     k_bound,
-    star_vs_path,
-    threshold_expression,
     thresholds,
-    transfer_shift,
 )
 from .verify import CLAIM_IDS, run_all, run_claim
 

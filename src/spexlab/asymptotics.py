@@ -23,20 +23,13 @@ __all__ = [
     "Thresholds",
     "FitResult",
     "e_interval",
-    "threshold_expression",
     "thresholds",
-    "c1",
-    "c_of_r",
     "k_bound",
     "fit_first_order",
     "EXPERIMENTS",
     "experiment",
     "experiment_pairs",
     "fit_pairs",
-    "star_vs_path",
-    "edge_add",
-    "transfer_shift",
-    "cx1_gap",
 ]
 
 _REFINE_BITS = (64, 128, 256, 512, 1024)
@@ -89,23 +82,12 @@ def _certified_ceiling(r: int) -> tuple[int, tuple[Fraction, Fraction]]:
         f"integer at {_REFINE_BITS[-1]} bits; is E({r}) integral?")
 
 
-def threshold_expression(r: int) -> float:
-    """E(r) as a float, certified to have a well-defined ceiling."""
-    _, (lo, hi) = _certified_ceiling(r)
-    return float((lo + hi) / 2)
-
-
 class Thresholds(NamedTuple):
     r: int
     e: float
     k: int
     c: Fraction
     c1: float
-
-    def as_dict(self) -> dict:
-        return {"r": self.r, "e": self.e, "k": self.k,
-                "c": f"{self.c.numerator}/{self.c.denominator}",
-                "c1": self.c1}
 
 
 def thresholds(r: int) -> Thresholds:
@@ -118,16 +100,6 @@ def thresholds(r: int) -> Thresholds:
                       Fraction(k - 1, k * r), float((c1_lo + c1_hi) / 2))
 
 
-def c1(r: int) -> float:
-    """Density threshold (1/r)(1 - 1/E(r)); tends to 1/r for large r."""
-    return thresholds(r).c1
-
-
-def c_of_r(r: int) -> Fraction:
-    """Exact density (k-1)/(kr) with k the certified ceiling of E(r)."""
-    return thresholds(r).c
-
-
 def k_bound(q, r: int) -> int:
     """Largest packed-tree order compatible with density Q: floor(1/(1-Qr)).
 
@@ -137,6 +109,8 @@ def k_bound(q, r: int) -> int:
     if r < 3:
         raise ValueError(f"r must be at least 3, got {r}")
     q = Fraction(q)
+    if q < 0:
+        raise ValueError(f"Q must be nonnegative, got Q = {q}")
     if q >= Fraction(1, r):
         raise ValueError(f"Q must be below 1/r, got Q = {q} with r = {r}")
     return math.floor(1 / (1 - q * r))
@@ -166,14 +140,7 @@ def fit_first_order(samples: Sequence[tuple], predicted: Optional[float] = None,
     least 1.8x so the tableau stays well conditioned.
     """
     pts = sorted((int(n), float(d)) for n, d in samples)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 samples, got {len(pts)}")
-    if pts[0][0] < 1:
-        raise ValueError("sample sizes must be positive")
-    for (n0, _), (n1, _) in zip(pts, pts[1:]):
-        if n1 < 1.8 * n0:
-            raise ValueError(
-                f"sample sizes must grow by at least 1.8x, got {n0} then {n1}")
+    _check_sizes([n for n, _ in pts])
     xs = [1.0 / n for n, _ in pts]
     cur = [n * d for n, d in pts]
     corner = [cur[0]]
@@ -183,6 +150,20 @@ def fit_first_order(samples: Sequence[tuple], predicted: Optional[float] = None,
         corner.append(cur[0])
     return FitResult(tuple(pts), corner[-1], abs(corner[-1] - corner[-2]),
                      predicted)
+
+
+def _check_sizes(sizes: Sequence[int]) -> None:
+    """Refuse an increasing size schedule the fit cannot use: fewer than
+    three sizes, a size below 1, or a step of less than 1.8x."""
+    if len(sizes) < 3:
+        raise ValueError(f"need at least 3 sizes to extrapolate, "
+                         f"got {len(sizes)}")
+    if sizes[0] < 1:
+        raise ValueError("sample sizes must be positive")
+    for n0, n1 in zip(sizes, sizes[1:]):
+        if n1 < 1.8 * n0:
+            raise ValueError(
+                f"sample sizes must grow by at least 1.8x, got {n0} then {n1}")
 
 
 def _pair_star_vs_path(params: dict, n: int):
@@ -310,9 +291,7 @@ def experiment_pairs(name: str, params: dict,
     run_params = dict(params)
     sizes = sorted(int(n) for n in ns) if ns is not None \
         else spec.default_ns(**run_params)
-    if len(sizes) < 3:
-        raise ValueError(f"need at least 3 sizes to extrapolate, "
-                         f"got {len(sizes)}")
+    _check_sizes(sizes)
     pairs = [(n, *_BUILDERS[key](run_params, n)) for n in sizes]
     return pairs, spec.predicted(**run_params)
 
@@ -323,22 +302,3 @@ def fit_pairs(pairs: Sequence[tuple], predicted: Optional[float] = None) -> FitR
         [(n, spectral_radius(a).value - spectral_radius(b).value)
          for n, a, b in pairs], predicted=predicted)
 
-
-def star_vs_path(r: int, k: int, ns=None) -> FitResult:
-    """Tree-shape comparison; predicted C = (k - 5 + 6/k)/(r - 1)."""
-    return experiment("star_vs_path", {"r": r, "k": k}, ns=ns)
-
-
-def edge_add(r: int, b: int, a: int, ns=None) -> FitResult:
-    """Bounded-edit shift on the Turan graph; predicted C = 2(b - a)."""
-    return experiment("edge_add", {"r": r, "b": b, "a": a}, ns=ns)
-
-
-def transfer_shift(r: int, k: int, ns=None) -> FitResult:
-    """Part-rebalancing shift; predicted C = -4(k - 1)/(kr)."""
-    return experiment("transfer_shift", {"r": r, "k": k}, ns=ns)
-
-
-def cx1_gap(r: int, k: int, ns=None) -> FitResult:
-    """One extra edge versus packing shape; negative exactly when k > E(r)."""
-    return experiment("cx1_gap", {"r": r, "k": k}, ns=ns)

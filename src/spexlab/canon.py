@@ -22,7 +22,7 @@ from __future__ import annotations
 from .graph6 import encode_graph6
 from .graphs import Graph, _iter_bits
 
-__all__ = ["canonical_labeling", "canonical_graph", "canonical_form"]
+__all__ = ["canonical_form"]
 
 _MAX_STORED_LEAVES = 2000
 
@@ -273,15 +273,7 @@ def _generators(sym: list[tuple]) -> list[list[int]]:
     return gens
 
 
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """Permutation old -> new producing the canonical copy of g."""
-    return _canonical(g)[0]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph._from_adj(g.n, _canonical(g)[1])
-
-
 def canonical_form(g: Graph) -> bytes:
     """Canonical representative of g's isomorphism class, graph6-encoded."""
-    return encode_graph6(canonical_graph(g)).encode("ascii")
+    rows = _canonical(g)[1]
+    return encode_graph6(Graph._from_adj(g.n, rows)).encode("ascii")

@@ -20,18 +20,14 @@ __all__ = [
     "cycle",
     "star",
     "matching",
-    "path_power",
     "complete_multipartite",
     "turan",
     "disjoint_union",
     "join",
-    "copies",
     "u_packing",
     "embed_in_part",
     "transfer_vertex",
     "kelmans",
-    "count_walks2",
-    "total_walks2",
     "induced_subgraph",
     "relabel",
     "adjacency_matrix",
@@ -251,17 +247,6 @@ def matching(n: int) -> Graph:
     return Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
-def path_power(length: int, p: int) -> Graph:
-    """Path on ``length`` vertices with all pairs at distance <= p joined."""
-    if length < 1:
-        raise ValueError("path needs at least one vertex")
-    if p < 1:
-        raise ValueError("power must be positive")
-    edges = [(i, j) for i in range(length)
-             for j in range(i + 1, min(i + p, length - 1) + 1)]
-    return Graph(length, edges)
-
-
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts in the given order, with Partition."""
     if len(sizes) == 0:
@@ -310,17 +295,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph._from_adj(g.n + h.n, adj)
 
 
-def copies(k: int, g: Graph) -> Graph:
-    """Disjoint union of k copies of g."""
-    if k < 0:
-        raise ValueError("copy count must be nonnegative")
-    adj = []
-    for i in range(k):
-        shift = i * g.n
-        adj.extend(row << shift for row in g.adj)
-    return Graph._from_adj(k * g.n, adj)
-
-
 def u_packing(g: Graph, n: int) -> Graph:
     """As many disjoint copies of g as fit in n vertices; remainder isolated."""
     if g.n < 1:
@@ -328,8 +302,8 @@ def u_packing(g: Graph, n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex budget must be nonnegative")
     k = n // g.n
-    packed = copies(k, g)
-    return Graph._from_adj(n, list(packed.adj) + [0] * (n - packed.n))
+    adj = [row << (i * g.n) for i in range(k) for row in g.adj]
+    return Graph._from_adj(n, adj + [0] * (n - k * g.n))
 
 
 def embed_in_part(base: Graph, part: int, inner: Graph) -> Graph:
@@ -421,18 +395,6 @@ def kelmans(g: Graph, u: int, v: int) -> Graph:
     return Graph._from_adj(g.n, adj)
 
 
-# -- walk counts -----------------------------------------------------------
-
-def count_walks2(g: Graph, v: int) -> int:
-    """Number of walks of length two starting at v (sum of neighbor degrees)."""
-    return sum(g.adj[u].bit_count() for u in _iter_bits(g.adj[v]))
-
-
-def total_walks2(g: Graph) -> int:
-    """Walks of length two over all start vertices: sum of squared degrees."""
-    return sum(row.bit_count() ** 2 for row in g.adj)
-
-
 # -- misc ------------------------------------------------------------------
 
 def induced_subgraph(g: Graph, vertices: Iterable[int] | int) -> Graph:
@@ -473,6 +435,6 @@ def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
                          bitorder="little")[:, :n]
 
 
-def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
-    """Dense adjacency matrix of g."""
-    return _unpack_rows(g.adj, g.n).astype(dtype, order="C")
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense float64 adjacency matrix of g, in C order."""
+    return _unpack_rows(g.adj, g.n).astype(np.float64, order="C")

@@ -47,7 +47,6 @@ __all__ = [
     "contains_subgraph",
     "is_free",
     "chromatic_number",
-    "family_chi",
 ]
 
 _cform = lru_cache(maxsize=4096)(canonical_form)
@@ -590,7 +589,7 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
 class ForbiddenFamily:
     """Nonempty collection of forbidden subgraphs, each with at least one edge."""
 
-    __slots__ = ("members", "name", "_chi")
+    __slots__ = ("members", "name")
 
     def __init__(self, members: Iterable[Graph], name: str | None = None):
         members = tuple(members)
@@ -601,7 +600,6 @@ class ForbiddenFamily:
                 raise ValueError(f"family member {i} has no edge")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_chi", None)
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError("ForbiddenFamily is immutable")
@@ -612,24 +610,9 @@ class ForbiddenFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def chi_min(self) -> int:
-        """Smallest chromatic number over the members."""
-        if self._chi is None:
-            object.__setattr__(self, "_chi",
-                               min(chromatic_number(g) for g in self.members))
-        return self._chi
-
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"ForbiddenFamily({len(self.members)} members{tag})"
-
-
-def family_chi(family: ForbiddenFamily | Iterable[Graph]) -> int:
-    """Minimum chromatic number over the family's members."""
-    if isinstance(family, ForbiddenFamily):
-        return family.chi_min
-    return ForbiddenFamily(tuple(family)).chi_min
 
 
 # -- chromatic number --------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "quotient_matrix",
     "RationalMatrix",
     "RationalPoly",
-    "char_poly",
     "perron_less_than",
     "perron_root_interval",
     "compare_lambda_exact",
@@ -341,28 +340,20 @@ def _roots_in(chain: list[RationalPoly], lo: Fraction, hi: Fraction) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def char_poly(matrix) -> RationalPoly:
-    """Monic characteristic polynomial of a square exact matrix (or a Graph)."""
-    return _coerce_matrix(matrix).char_poly()
-
-
-def _coerce_matrix(m) -> RationalMatrix:
-    if isinstance(m, RationalMatrix):
-        return m
-    if isinstance(m, Graph):
-        return RationalMatrix.from_graph(m)
-    return RationalMatrix(m)
-
-
 def _perron_matrix(m) -> RationalMatrix:
-    """A graph's coarsest equitable quotient B; other input as _coerce_matrix.
+    """A graph's coarsest equitable quotient B; a RationalMatrix as it is;
+    anything else read as rows of a RationalMatrix.
 
     With P the cells' characteristic matrix, AP = PB: B's eigenvalues are A's,
     and P^T takes a Perron vector of A to one of B^T, so rho(B) = rho(A).
     """
-    if isinstance(m, Graph) and m.n:
+    if isinstance(m, RationalMatrix):
+        return m
+    if isinstance(m, Graph):
+        if not m.n:
+            return RationalMatrix.from_graph(m)
         return quotient_matrix(m, Partition(_refine(m.adj, [list(range(m.n))])))
-    return _coerce_matrix(m)
+    return RationalMatrix(m)
 
 
 def perron_less_than(matrix, q) -> bool:

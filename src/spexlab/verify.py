@@ -214,7 +214,7 @@ _TABLE = {3: Fraction(5, 18), 4: Fraction(7, 32), 5: Fraction(9, 50),
 
 def _claim_table(c: _Checker, params: dict, inputs, jobs: int) -> None:
     for r, want in _TABLE.items():
-        got = asymptotics.c_of_r(r)
+        got = asymptotics.thresholds(r).c
         c.check(f"c({r}) = {want.numerator}/{want.denominator}", got == want,
                 detail=f"got {got}")
     for r in _TABLE:
@@ -238,7 +238,7 @@ def _check_fit(c: _Checker, label: str, fit, rel: float = 0.05) -> None:
 def _claim_tree_lemma(c: _Checker, params: dict, inputs, jobs: int) -> None:
     for k in (4, 5):
         _check_fit(c, f"star_vs_path(3, {k}) constant",
-                   asymptotics.star_vs_path(3, k))
+                   asymptotics.experiment("star_vs_path", {"r": 3, "k": k}))
 
 
 def _claim_fit(key: str, c: _Checker, params: dict, pairs, jobs: int) -> None:

@@ -8,15 +8,10 @@ import pytest
 
 from spexlab import (
     IntegerBoundaryError,
-    c1,
-    c_of_r,
     e_interval,
-    edge_add,
     experiment,
     fit_first_order,
     k_bound,
-    star_vs_path,
-    threshold_expression,
     thresholds,
 )
 from spexlab import asymptotics
@@ -84,20 +79,12 @@ class TestThresholds:
         for r in range(3, 11):
             t = thresholds(r)
             assert t.c == Fraction(t.k - 1, t.k * r)
-            assert c_of_r(r) == t.c
             assert t.c < Fraction(1, r)
 
     def test_threshold_expression_inside_interval(self):
         for r in (3, 4, 7):
             lo, hi = e_interval(r)
-            x = threshold_expression(r)
-            assert float(lo) <= x <= float(hi)
-
-    def test_as_dict(self):
-        d = thresholds(4).as_dict()
-        assert d["r"] == 4
-        assert d["k"] == 8
-        assert d["c"] == "7/32"
+            assert float(lo) <= thresholds(r).e <= float(hi)
 
     def test_boundary_error_importable(self):
         assert issubclass(IntegerBoundaryError, ArithmeticError)
@@ -127,6 +114,11 @@ class TestKBound:
         with pytest.raises(ValueError):
             k_bound(Fraction(1, 2), 3)
 
+    def test_rejects_negative_q(self):
+        for q in (-1, "-1/3", Fraction(-1, 100)):
+            with pytest.raises(ValueError, match="Q must be nonnegative"):
+                k_bound(q, 3)
+
     def test_rejects_small_r(self):
         with pytest.raises(ValueError):
             k_bound(Fraction(1, 9), 2)
@@ -134,15 +126,15 @@ class TestKBound:
 
 class TestC1:
     def test_tends_to_one_over_r(self):
-        assert abs(c1(1000) * 1000 - 1) <= 0.05
+        assert abs(thresholds(1000).c1 * 1000 - 1) <= 0.05
 
     def test_decreasing(self):
-        vals = [c1(r) for r in range(3, 30)]
+        vals = [thresholds(r).c1 for r in range(3, 30)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_positive(self):
         for r in range(3, 50, 7):
-            assert 0 < c1(r) < 1
+            assert 0 < thresholds(r).c1 < 1
 
 
 class TestFit:
@@ -184,12 +176,12 @@ class TestFit:
 
 class TestExperiments:
     def test_star_vs_path_small(self):
-        res = star_vs_path(3, 4, ns=(48, 96, 192))
+        res = experiment("star_vs_path", {"r": 3, "k": 4}, ns=(48, 96, 192))
         assert abs(res.first_order - 0.25) <= 0.01
         assert res.predicted == pytest.approx(0.25)
 
     def test_edge_add_cancels(self):
-        res = edge_add(3, 1, 1)
+        res = experiment("edge_add", {"r": 3, "b": 1, "a": 1})
         assert abs(res.first_order) <= 0.02
         assert res.predicted == 0.0
 
@@ -198,17 +190,11 @@ class TestExperiments:
         for r in (3, 4):
             for k in range(4, 10):
                 want = (k - 5 + 6 / k) / (r - 1)
-                res = star_vs_path(r, k, ns=tuple(r * k * m for m in (2, 4, 8)))
+                res = experiment("star_vs_path", {"r": r, "k": k},
+                                 ns=tuple(r * k * m for m in (2, 4, 8)))
                 assert res.predicted == pytest.approx(want)
                 assert res.first_order > 0
                 assert abs(res.first_order - want) <= 0.02 * want, (r, k)
-
-    def test_dispatcher_matches_wrapper(self):
-        ns = (48, 96, 192)
-        a = experiment("star-vs-path", {"r": 3, "k": 4}, ns=ns)
-        b = experiment("star_vs_path", {"r": 3, "k": 4}, ns=ns)
-        c = star_vs_path(3, 4, ns=ns)
-        assert a.first_order == b.first_order == c.first_order
 
     def test_dispatcher_validation(self):
         with pytest.raises(ValueError):
@@ -231,7 +217,21 @@ class TestExperiments:
 
     def test_builders_check_congruences(self):
         with pytest.raises(ValueError):
-            star_vs_path(3, 4, ns=(49, 98, 196))
+            experiment("star_vs_path", {"r": 3, "k": 4}, ns=(49, 98, 196))
+
+    @pytest.mark.parametrize("ns, message", [
+        ((0, 30, 60), "sample sizes must be positive"),
+        ((60, 100, 200), "sample sizes must grow by at least 1.8x, "
+                         "got 60 then 100"),
+    ])
+    def test_size_schedule_refused_before_any_pair(self, monkeypatch, ns,
+                                                   message):
+        built = []
+        monkeypatch.setitem(asymptotics._BUILDERS, "star_vs_path",
+                            lambda params, n: built.append(n))
+        with pytest.raises(ValueError, match=message):
+            experiment("star_vs_path", {"r": 3, "k": 5}, ns=ns)
+        assert built == []
 
 
 # Default sizes and predicted constants, pinned exactly: ``verify --all``

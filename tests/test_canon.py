@@ -5,10 +5,7 @@ import random
 
 from spexlab import (
     canonical_form,
-    canonical_graph,
-    canonical_labeling,
     complete_multipartite,
-    copies,
     cycle,
     disjoint_union,
     empty_graph,
@@ -17,6 +14,7 @@ from spexlab import (
     relabel,
     star,
     turan,
+    u_packing,
 )
 from spexlab.canon import _canonical, _generators
 from conftest import random_graph
@@ -38,10 +36,10 @@ def test_form_is_graph6_of_canonical_graph():
     rng = random.Random(5150)
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 9))
-        cg = canonical_graph(g)
+        perm, rows, _ = _canonical(g)
+        cg = relabel(g, perm)
+        assert cg.adj == rows
         assert canonical_form(g) == encode_graph6(cg).encode("ascii")
-        perm = canonical_labeling(g)
-        assert relabel(g, perm).adj == cg.adj
 
 
 def test_invariant_under_relabeling():
@@ -98,9 +96,9 @@ def test_generators_are_automorphisms():
     rng = random.Random(1998)
     graphs = [random_graph(rng, rng.randrange(0, 11), rng.choice((0.2, 0.5, 0.8)))
               for _ in range(150)]
-    graphs += [copies(3, path(3)), copies(4, cycle(3)),
-               disjoint_union(copies(2, star(4)), copies(3, path(2))),
-               disjoint_union(cycle(5), copies(2, cycle(5)))]
+    graphs += [u_packing(path(3), 9), u_packing(cycle(3), 12),
+               disjoint_union(u_packing(star(4), 8), u_packing(path(2), 6)),
+               disjoint_union(cycle(5), u_packing(cycle(5), 10))]
     graphs += [turan(n, r) for n in (6, 9, 10) for r in (2, 3, 4)]
     graphs += [complete_multipartite(s) for s in ((1, 1, 4), (2, 3, 3), (5, 5))]
     graphs += [star(k) for k in (2, 3, 6, 10)] + [empty_graph(n) for n in range(6)]

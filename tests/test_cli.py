@@ -1,12 +1,16 @@
 """Command line driver: JSON output, exit codes, the --jobs setting."""
 
 import argparse
+import importlib
 import io
 import json
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -353,6 +357,34 @@ def test_readme_commands_parse():
         line = line.replace("<g6>", encode_graph6(cycle(5)))
         args = parser.parse_args(shlex.split(line)[1:])
         assert args.func is not None, line
+
+
+def test_readme_python_names_resolve():
+    # a name deleted from the package cannot linger in the README's examples
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        re.S)
+    names = {m for block in blocks for m in re.findall(r"\bsx\.(\w+)", block)}
+    assert len(names) >= 8
+    assert sorted(n for n in names if not hasattr(spexlab, n)) == []
+
+
+def test_exports_resolve():
+    # every __all__ entry exists, and spexlab re-exports only names that a
+    # module's __all__ declares
+    modules = [importlib.import_module(f"spexlab.{info.name}")
+               for info in pkgutil.iter_modules(spexlab.__path__)
+               if info.name != "__main__"]
+    modules = [m for m in modules if hasattr(m, "__all__")]
+    assert len(modules) >= 9
+    for m in modules:
+        assert [n for n in m.__all__ if not hasattr(m, n)] == [], m.__name__
+    undeclared = [
+        name for name, obj in vars(spexlab).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+        and not any(name in m.__all__ and getattr(m, name) is obj
+                    for m in modules)]
+    assert undeclared == []
 
 
 class TestConfig:

@@ -13,7 +13,6 @@ from spexlab import (
     canonical_form,
     complete,
     complete_multipartite,
-    copies,
     cycle,
     disjoint_union,
     embed_in_part,
@@ -22,11 +21,9 @@ from spexlab import (
     kelmans,
     matching,
     path,
-    path_power,
     relabel,
     spectral_radius,
     star,
-    total_walks2,
     transfer_vertex,
     turan,
     u_packing,
@@ -98,11 +95,6 @@ class TestSmallBuilders:
     def test_path(self):
         assert set(path(3).edges()) == {(0, 1), (1, 2)}
 
-    def test_path_power(self):
-        g = path_power(7, 3)
-        assert sorted(g.neighbors(0)) == [1, 2, 3]
-        assert sorted(g.neighbors(3)) == [0, 1, 2, 4, 5, 6]
-
     def test_matching_odd(self):
         g = matching(5)
         assert g.n == 5
@@ -131,7 +123,7 @@ class TestJoinUnionCopies:
         assert g.edge_count == 5
 
     def test_copies(self):
-        g = copies(2, path(3))
+        g = u_packing(path(3), 2 * 3)
         assert g.n == 6
         assert g.edge_count == 4
 
@@ -301,23 +293,6 @@ class TestKelmans:
             assert after >= before - 1e-9
 
 
-class TestWalks:
-    def test_path4(self):
-        assert total_walks2(path(4)) == 10
-
-    def test_star4(self):
-        assert total_walks2(star(4)) == 12
-
-    def test_matching4(self):
-        assert total_walks2(matching(4)) == 4
-
-    def test_equals_degree_square_sum(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            g = random_graph(rng, rng.randrange(1, 11))
-            assert total_walks2(g) == sum(g.degree(v) ** 2 for v in range(g.n))
-
-
 class TestRelabelAndViews:
     def test_relabel_roundtrip(self):
         rng = random.Random(17)
@@ -340,7 +315,6 @@ class TestRelabelAndViews:
             assert got.shape == (g.n, g.n) and got.dtype == np.float64
             assert got.flags["C_CONTIGUOUS"]
             assert got.tolist() == want
-        assert adjacency_matrix(complete(3), dtype=np.longdouble).dtype == np.longdouble
 
     def test_partition_validates(self):
         with pytest.raises(ValueError):
