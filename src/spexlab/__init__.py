@@ -36,9 +36,11 @@ from .patterns import (
 )
 from .spectral import (
     RationalMatrix,
+    Fold,
     RationalPoly,
     SpectralResult,
     compare_lambda_exact,
+    fold_radius,
     is_equitable,
     perron_less_than,
     perron_root_interval,
@@ -48,6 +50,7 @@ from .spectral import (
 from .constructions import (
     Cx2Package,
     NamedConstruction,
+    TuranPacking,
     build_named,
     cx1_family,
     cx1_pair,

@@ -3,9 +3,10 @@
 The threshold half evaluates E(r), certifies its ceiling k with rational
 interval arithmetic (no float comparison ever decides a ceiling), and
 derives the densities c(r) = (k-1)/(kr) and c1(r).  The experiment half
-builds matched graph pairs over a doubling schedule of sizes, measures the
-spectral-radius gap, and extrapolates n*dlam to its limit, which should
-land on the predicted first-order constant.
+describes matched graph pairs over a doubling schedule of sizes as
+``TuranPacking`` records, measures the spectral-radius gap on each record's
+fold (no n-vertex graph is built), and extrapolates n*dlam to its limit,
+which should land on the predicted first-order constant.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .constructions import check_params, cx1_pair, star_path_pair
-from .graphs import embed_in_part, star, transfer_vertex, turan, u_packing
-from .spectral import spectral_radius
+from .constructions import TuranPacking, check_params, cx1_records, \
+    star_path_records
+from .graphs import _turan_sizes, path, star
+from .spectral import fold_radius
+# Unused here; kept as module attributes perfbench/spans.py patches.
+from .constructions import cx1_pair, star_path_pair  # noqa: F401
+from .spectral import spectral_radius  # noqa: F401
 
 __all__ = [
     "IntegerBoundaryError",
@@ -167,7 +172,7 @@ def _check_sizes(sizes: Sequence[int]) -> None:
 
 
 def _pair_star_vs_path(params: dict, n: int):
-    return star_path_pair(n, params["r"], params["k"])
+    return star_path_records(n, params["r"], params["k"])
 
 
 def _pair_edge_add(params: dict, n: int):
@@ -175,20 +180,16 @@ def _pair_edge_add(params: dict, n: int):
     if b < 0 or a < 0 or b + a < 1:
         raise ValueError(f"need nonnegative b, a with b + a >= 1, "
                          f"got b = {b}, a = {a}")
-    t = turan(n, r)
-    cls = t.partition.classes
+    sizes = _turan_sizes(n, r)
     # Matching goes inside part 0; deletions hit the tails of the last two
     # parts so they never touch a matched vertex even when r = 2.
-    slack = 2 * b if len(cls) == 2 else 0
-    if 2 * b > len(cls[0]) or a + slack > len(cls[-2]) or a > len(cls[-1]):
+    slack = 2 * b if r == 2 else 0
+    if 2 * b > sizes[0] or a + slack > sizes[-2] or a > sizes[-1]:
         raise ValueError(f"n = {n} too small for b = {b} added and "
                          f"a = {a} deleted edges over {r} parts")
-    g = t
-    for i in range(b):
-        g = g.with_edge(cls[0][2 * i], cls[0][2 * i + 1])
-    for i in range(a):
-        g = g.without_edge(cls[-2][-1 - i], cls[-1][-1 - i])
-    return g, t
+    removed = tuple((n - sizes[-1] - 1 - i, n - 1 - i) for i in range(a))
+    return (TuranPacking(sizes, ((0, path(2), b),), removed),
+            TuranPacking(sizes, ()))
 
 
 def _pair_transfer_shift(params: dict, n: int):
@@ -197,16 +198,17 @@ def _pair_transfer_shift(params: dict, n: int):
     if rem != 1 or w % k:
         raise ValueError(f"need n = r*w + 1 with k dividing w, "
                          f"got n = {n}, r = {r}, k = {k}")
-    t = turan(n, r)
     # Stars fill part 1 (a smallest part, size w); part 0 is one larger and
-    # stays clean, so its first vertex is ordinary and eligible to move.
-    g = embed_in_part(t, 1, u_packing(star(k), w))
-    moved = transfer_vertex(g, g.partition, 0, 1, t.partition.classes[0][0])
-    return moved, g
+    # stays clean, so one of its vertices is ordinary. Moved into part 1, it
+    # is that part's one leftover, isolated vertex.
+    stars = ((1, star(k), w // k),)
+    sizes = _turan_sizes(n, r)
+    return (TuranPacking((w, w + 1) + sizes[2:], stars),
+            TuranPacking(sizes, stars))
 
 
 def _pair_cx1_gap(params: dict, n: int):
-    g, h = cx1_pair(params["r"], params["k"], n)
+    g, h = cx1_records(params["r"], params["k"], n)
     return h, g
 
 
@@ -220,7 +222,7 @@ def _doubling(unit: int, least: int, lowest: int = 1) -> list:
 class _Experiment(NamedTuple):
     takes: tuple
     least: dict           # key -> its smallest value
-    build: Callable       # (params, n) -> (graph a, graph b)
+    build: Callable       # (params, n) -> (record a, record b)
     predicted: Callable   # keyword parameters -> float constant C
     default_ns: Callable  # keyword parameters -> four doubling sizes
 
@@ -239,7 +241,7 @@ EXPERIMENTS = {
         lambda r, k: -4 * (k - 1) / (k * r),
         lambda r, k: [r * w + 1 for w in _doubling(k, 36, 2)]),
     "cx1_gap": _Experiment(
-        ("r", "k"), {"r": 2, "k": 1}, _pair_cx1_gap,
+        ("r", "k"), {"r": 2, "k": 2}, _pair_cx1_gap,
         lambda r, k: 2 - (k - 5 + 6 / k) / (r - 1) - 4 * (k - 1) / (k * r),
         lambda r, k: [r * w + 1 for w in _doubling(k, 18)]),
 }
@@ -253,7 +255,7 @@ def experiment(name: str, params: dict,
                ns: Optional[Sequence[int]] = None) -> FitResult:
     """Run a named first-order experiment and extrapolate its constant.
 
-    Each experiment builds a pair of graphs per size n whose spectral radii
+    Each experiment describes a pair of graphs per size n whose spectral radii
     differ by C/n + O(n^-2) and reports the extrapolated C next to the
     predicted value:
 
@@ -275,8 +277,9 @@ def experiment(name: str, params: dict,
 
 def experiment_pairs(name: str, params: dict,
                      ns: Optional[Sequence[int]] = None) -> tuple[list, float]:
-    """The experiment's pairs [(n, a, b), ...] in increasing n (default:
-    the record's sizes) and its predicted constant; no spectral radius."""
+    """The experiment's pairs [(n, a, b), ...] of ``TuranPacking`` records
+    in increasing n (default: the experiment's sizes) and its predicted
+    constant; no spectral radius."""
     key = name.replace("-", "_")
     if key not in EXPERIMENTS:
         raise ValueError(
@@ -297,8 +300,9 @@ def experiment_pairs(name: str, params: dict,
 
 
 def fit_pairs(pairs: Sequence[tuple], predicted: Optional[float] = None) -> FitResult:
-    """Extrapolate n*(lambda(a) - lambda(b)) over pairs (n, a, b)."""
+    """Extrapolate n*(lambda(a) - lambda(b)) over pairs (n, a, b) of
+    ``TuranPacking`` records, each lambda read off the record's fold."""
     return fit_first_order(
-        [(n, spectral_radius(a).value - spectral_radius(b).value)
+        [(n, fold_radius(a.fold()) - fold_radius(b.fold()))
          for n, a, b in pairs], predicted=predicted)
 

@@ -27,36 +27,50 @@ __all__ = ["canonical_form"]
 _MAX_STORED_LEAVES = 2000
 
 
+def _mask(cell) -> int:
+    mask = 0
+    for v in cell:
+        mask |= 1 << v
+    return mask
+
+
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     """Split cells by neighbor counts into every cell until equitable.
 
-    Deterministic given the incoming cell order, which makes the result usable
-    as a canonical refinement step.
+    The order rule: each step takes the first cell, in order, whose vertices
+    split some cell (that cell's vertices have differing neighbor counts in
+    it), replaces every cell it splits by the pieces in ascending count, and
+    starts over; the result is the partition where no cell splits any. A
+    vertex set that split nothing splits nothing under any finer partition,
+    so it is never scanned again, which leaves the result unchanged. Every
+    choice reads counts only, so the result is deterministic given the
+    incoming cell order and follows the vertices under relabeling, which
+    makes it usable as a canonical refinement step.
     """
+    stable: set[int] = set()
     while True:
-        changed = False
-        for s in range(len(cells)):
-            smask = 0
-            for v in cells[s]:
+        for splitter in cells:
+            smask = 0  # _mask inlined: this loop dominates small-graph canonization
+            for v in splitter:
                 smask |= 1 << v
+            if smask in stable:
+                continue
             newcells: list[list[int]] = []
             for c in cells:
-                if len(c) == 1:
-                    newcells.append(c)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in c:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    newcells.append(c)
-                else:
-                    for k in sorted(groups):
-                        newcells.append(groups[k])
-                    changed = True
-            if changed:
+                if len(c) > 1:
+                    groups: dict[int, list[int]] = {}
+                    for v in c:
+                        groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                    if len(groups) > 1:
+                        for k in sorted(groups):
+                            newcells.append(groups[k])
+                        continue
+                newcells.append(c)
+            if len(newcells) > len(cells):
                 cells = newcells
                 break
-        if not changed:
+            stable.add(smask)
+        else:
             return cells
 
 
@@ -76,9 +90,7 @@ def _split_twin_cells(adj: tuple[int, ...], cells: list[list[int]],
         if len(c) == 1:
             out.append(c)
             continue
-        cmask = 0
-        for v in c:
-            cmask |= 1 << v
+        cmask = _mask(c)
         outside = {adj[v] & ~cmask for v in c}
         if len(outside) == 1:
             inner = [adj[v] & cmask for v in c]

@@ -3,7 +3,10 @@
 Everything here is a pure constructor: Turán graphs with tree packings
 embedded in one part, the two counterexample packages built around them, and
 the nine-vertex pattern graph f1. Graphs that come with a distinguished
-equitable partition carry it in their ``partition`` attribute.
+equitable partition carry it in their ``partition`` attribute. A
+``TuranPacking`` record describes a Turán-plus-packing graph in O(1) space
+and yields both the graph and an equitable partition read off the
+description.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from .canon import canonical_form
 from .graphs import (
     Graph,
     Partition,
+    _turan_sizes,
     complete,
     complete_multipartite,
     cycle,
@@ -27,15 +31,19 @@ from .graphs import (
     u_packing,
 )
 from .patterns import ForbiddenFamily
+from .spectral import Fold
 
 __all__ = [
     "f1",
     "free_trees",
     "cx1_family",
     "cx1_pair",
+    "cx1_records",
     "Cx2Package",
     "cx2_package",
     "star_path_pair",
+    "star_path_records",
+    "TuranPacking",
     "NamedConstruction",
     "CONSTRUCTIONS",
     "check_params",
@@ -111,11 +119,110 @@ def cx1_family(r: int, k: int, m: int) -> ForbiddenFamily:
     return ForbiddenFamily(members, name=f"cx1(r={r},k={k},m={m})")
 
 
-def _first_part_of_size(p: Partition, size: int) -> int:
-    for i, cls in enumerate(p.classes):
-        if len(cls) == size:
-            return i
-    raise ValueError(f"no part of size {size}")
+class TuranPacking(NamedTuple):
+    """The complete multipartite graph with parts of ``sizes``, with copies
+    of small graphs packed into parts and some cross edges removed.
+
+    ``packs`` holds (part, component type, copies) entries. Vertices are laid
+    out part by part and, inside a part, copy by copy in the order of its
+    entries; a part's leftover vertices are isolated in it. ``removed`` holds
+    cross edges (u, v) taken out; their endpoints must be leftover vertices.
+    """
+    sizes: tuple
+    packs: tuple
+    removed: tuple = ()
+
+    def _layout(self) -> tuple[list, list, list]:
+        """Each pack entry's first vertex, each part's first vertex (and n
+        last), and each part's first leftover vertex."""
+        starts = [0]
+        for size in self.sizes:
+            starts.append(starts[-1] + size)
+        free = starts[:-1]
+        firsts = []
+        for part, kind, copies in self.packs:
+            firsts.append(free[part])
+            free[part] += copies * kind.n
+            if free[part] > starts[part + 1]:
+                raise ValueError(f"packing overflows part {part} of "
+                                 f"{self.sizes[part]} vertices")
+        return firsts, starts, free
+
+    def graph(self) -> Graph:
+        """The graph itself, carrying its parts as its partition."""
+        firsts, starts, _ = self._layout()
+        base = complete_multipartite(self.sizes)
+        adj = list(base.adj)
+        for start, (_, kind, copies) in zip(firsts, self.packs):
+            for first in range(start, start + copies * kind.n, kind.n):
+                for a, b in kind.edges():
+                    adj[first + a] |= 1 << (first + b)
+                    adj[first + b] |= 1 << (first + a)
+        for u, v in self.removed:
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+        return Graph._from_adj(starts[-1], adj, base.partition)
+
+    def fold(self) -> Fold:
+        """An equitable partition of ``graph()`` with its count matrix, read
+        off the description with no n-vertex data.
+
+        One cell per (pack entry, vertex position in the type): same-position
+        vertices of identical disjoint copies see the same counts in every
+        such cell. Each part's leftover vertices form runs between the
+        endpoints of removed edges, and each endpoint is a cell of its own.
+        Across parts a vertex sees all of a cell but its removed edges;
+        inside a part it sees its type's own adjacency.
+        """
+        firsts, starts, free = self._layout()
+        cells, tags = [], []  # tags: (part, pack entry or None, position)
+        for j, (start, (part, kind, copies)) in enumerate(zip(firsts, self.packs)):
+            for pos in range(kind.n):
+                cells.append(range(start + pos, start + copies * kind.n, kind.n))
+                tags.append((part, j, pos))
+        ends = sorted({u for edge in self.removed for u in edge})
+        for part in range(len(self.sizes)):
+            lo, hi = free[part], starts[part + 1]
+            for u in (u for u in ends if starts[part] <= u < hi):
+                if u < lo:
+                    raise ValueError(f"removed edge endpoint {u} is not a "
+                                     f"leftover vertex of part {part}")
+                cells += [range(lo, u), range(u, u + 1)]
+                tags += [(part, None, 0)] * 2
+                lo = u + 1
+            cells.append(range(lo, hi))
+            tags.append((part, None, 0))
+        kept = [(c, tag) for c, tag in zip(cells, tags) if c]
+        counts = []
+        for cp, (ip, jp, xp) in kept:
+            u = cp[0]
+            row = []
+            for cq, (iq, jq, xq) in kept:
+                if ip != iq:
+                    row.append(len(cq) - sum(1 for a, b in self.removed
+                                             if a == u and b in cq
+                                             or b == u and a in cq))
+                elif jp is not None and jp == jq:
+                    row.append(self.packs[jp][1].adj[xp] >> xq & 1)
+                else:
+                    row.append(0)
+            counts.append(tuple(row))
+        return Fold(tuple(c for c, _ in kept), tuple(counts))
+
+
+def cx1_records(r: int, k: int, n: int) -> tuple[TuranPacking, TuranPacking]:
+    """``cx1_pair`` as records. H's path extended by the leftover vertex
+    is laid out as its own component type, so H's labels differ from
+    ``cx1_pair``'s; the graphs are isomorphic."""
+    if n % r == 0:
+        raise ValueError(f"need n not divisible by r, got n = {n}, r = {r}")
+    q, rem = divmod(n, r)
+    if q % k:
+        raise ValueError(f"need floor(n/r) divisible by k, got floor({n}/{r}) = {q}")
+    sizes = _turan_sizes(n, r)
+    g = TuranPacking(sizes, ((rem, star(k), q // k),))
+    h = TuranPacking(sizes, ((0, path(k + 1), 1), (0, path(k), q // k - 1)))
+    return g, h
 
 
 def cx1_pair(r: int, k: int, n: int) -> tuple[Graph, Graph]:
@@ -125,19 +232,11 @@ def cx1_pair(r: int, k: int, n: int) -> tuple[Graph, Graph]:
     paths on k vertices into the first large part and extends the first path
     by the one leftover vertex.
     """
-    if n % r == 0:
-        raise ValueError(f"need n not divisible by r, got n = {n}, r = {r}")
-    q, rem = divmod(n, r)
-    if q % k:
-        raise ValueError(f"need floor(n/r) divisible by k, got floor({n}/{r}) = {q}")
-    t = turan(n, r)
-    small = _first_part_of_size(t.partition, q)
-    g = embed_in_part(t, small, u_packing(star(k), q))
+    g, _ = cx1_records(r, k, n)
+    q = n // r
     inner = u_packing(path(k), q + 1)
     inner = inner.with_edge(k - 1, k * (q // k))  # leftover vertex extends path 0
-    h = embed_in_part(t, 0, inner)
-    assert h.edge_count == g.edge_count + 1
-    return g, h
+    return g.graph(), embed_in_part(turan(n, r), 0, inner)
 
 
 class Cx2Package(NamedTuple):
@@ -202,12 +301,8 @@ def cx2_package(p: int, m: int) -> Cx2Package:
     return Cx2Package(family, g, h, h_prime, partitions)
 
 
-def star_path_pair(n: int, r: int, k: int) -> tuple[Graph, Graph]:
-    """Equal-size, equal-edge pair: stars versus paths packed into one part.
-
-    Both graphs cover the first part of T(n,r) with n/(rk) trees on k
-    vertices each, so the edge counts agree and only the tree shape differs.
-    """
+def star_path_records(n: int, r: int, k: int) -> tuple[TuranPacking, TuranPacking]:
+    """``star_path_pair`` as records."""
     if r < 1 or n % r:
         raise ValueError(f"need r dividing n, got n = {n}, r = {r}")
     w = n // r
@@ -215,11 +310,19 @@ def star_path_pair(n: int, r: int, k: int) -> tuple[Graph, Graph]:
         raise ValueError(f"need k at least 4, got k = {k}")
     if w % k:
         raise ValueError(f"need k dividing n/r, got n/r = {w}, k = {k}")
-    t = turan(n, r)
-    g_star = embed_in_part(t, 0, u_packing(star(k), w))
-    g_path = embed_in_part(t, 0, u_packing(path(k), w))
-    assert g_star.edge_count == g_path.edge_count
-    return g_star, g_path
+    sizes = _turan_sizes(n, r)
+    return (TuranPacking(sizes, ((0, star(k), w // k),)),
+            TuranPacking(sizes, ((0, path(k), w // k),)))
+
+
+def star_path_pair(n: int, r: int, k: int) -> tuple[Graph, Graph]:
+    """Equal-size, equal-edge pair: stars versus paths packed into one part.
+
+    Both graphs cover the first part of T(n,r) with n/(rk) trees on k
+    vertices each, so the edge counts agree and only the tree shape differs.
+    """
+    g_star, g_path = star_path_records(n, r, k)
+    return g_star.graph(), g_path.graph()
 
 
 class NamedConstruction(NamedTuple):

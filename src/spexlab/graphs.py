@@ -272,11 +272,15 @@ def turan(n: int, r: int) -> Graph:
     Larger parts come first, so part 0 is always a largest part and part r-1
     a smallest one.
     """
+    return complete_multipartite(_turan_sizes(n, r))
+
+
+def _turan_sizes(n: int, r: int) -> tuple[int, ...]:
+    """The part sizes of T_{n,r}, larger parts first."""
     if r < 1 or r > n:
         raise ValueError(f"turan requires 1 <= r <= n, got r={r}, n={n}")
     q, rem = divmod(n, r)
-    sizes = [q + 1] * rem + [q] * (r - rem)
-    return complete_multipartite(sizes)
+    return (q + 1,) * rem + (q,) * (r - rem)
 
 
 # -- combining operations --------------------------------------------------
@@ -416,13 +420,20 @@ def induced_subgraph(g: Graph, vertices: Iterable[int] | int) -> Graph:
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the vertex permutation old -> perm[old]."""
+    """Image of g under the vertex permutation old -> perm[old].
+
+    Twins share a row, so each distinct row is relabeled once.
+    """
     adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for w in _iter_bits(g.adj[v]):
-            row |= 1 << perm[w]
-        adj[perm[v]] = row
+    images: dict[int, int] = {}
+    for v, row in enumerate(g.adj):
+        image = images.get(row)
+        if image is None:
+            image = 0
+            for w in _iter_bits(row):
+                image |= 1 << perm[w]
+            images[row] = image
+        adj[perm[v]] = image
     return Graph._from_adj(g.n, adj)
 
 

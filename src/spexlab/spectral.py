@@ -7,6 +7,9 @@ the quotient B as S = D^1/2 B D^-1/2 (D the cell sizes; |C_i| B_ij =
 |C_j| B_ji, so S_ij = sqrt(B_ij B_ji)), takes S's top eigenpair with a dense
 symmetric eigensolver, and lifts it back onto the cells. No n x n matrix is
 built; by equitability the quotient residual is the whole graph's.
+``fold_radius`` runs the same refinement rule on the cells of a given
+equitable partition (a ``Fold``) instead of on vertices, so it reaches the
+same quotient without the graph.
 
 The exact side takes Fraction matrices (a graph's Perron root is certified
 on its coarsest equitable quotient) and decides in integers: quotient
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .canon import _refine
+from .canon import _mask, _refine
 from .graphs import Graph, Partition, _iter_bits
 # Unused here; kept as module attributes perfbench/spans.py patches.
 from .graphs import adjacency_matrix, induced_subgraph  # noqa: F401
@@ -33,6 +36,8 @@ from .graphs import adjacency_matrix, induced_subgraph  # noqa: F401
 __all__ = [
     "SpectralResult",
     "spectral_radius",
+    "Fold",
+    "fold_radius",
     "is_equitable",
     "quotient_matrix",
     "RationalMatrix",
@@ -65,27 +70,30 @@ class SpectralResult:
                 f"iterations={self.iterations})")
 
 
-def _quotient_eigenpair(adj: tuple[int, ...],
-                        comp: int) -> tuple[float, list, np.ndarray, float]:
-    """(lambda, cells, x, residual) for the component comp of adj.
+def _quotient_perron(b: Sequence[Sequence[int]],
+                     sizes: Sequence[int]) -> tuple[float, np.ndarray, float]:
+    """(lambda, x, residual) for the integer quotient b of a connected
+    graph's equitable partition with cell sizes ``sizes``.
 
     x holds one Perron-vector entry per cell, infinity norm 1.
     """
-    cells = _refine(adj, [list(_iter_bits(comp))])
-    masks = []
-    for cell in cells:
-        mask = 0
-        for v in cell:
-            mask |= 1 << v
-        masks.append(mask)
-    b = np.array([[(adj[cell[0]] & mask).bit_count() for mask in masks]
-                  for cell in cells], dtype=np.float64)
+    b = np.array(b, dtype=np.float64)
     vals, vecs = np.linalg.eigh(np.sqrt(b * b.T))
-    sizes = np.array([len(cell) for cell in cells], dtype=np.float64)
-    x = np.abs(vecs[:, -1]) / np.sqrt(sizes)
+    x = np.abs(vecs[:, -1]) / np.sqrt(np.array(sizes, dtype=np.float64))
     x /= x.max()
     lam = float(vals[-1])
-    return lam, cells, x, float(np.abs(b @ x - lam * x).max())
+    return lam, x, float(np.abs(b @ x - lam * x).max())
+
+
+def _quotient_eigenpair(adj: tuple[int, ...],
+                        comp: int) -> tuple[float, list, np.ndarray, float]:
+    """(lambda, cells, x, residual) for the component comp of adj."""
+    cells = _refine(adj, [list(_iter_bits(comp))])
+    masks = [_mask(cell) for cell in cells]
+    b = [[(adj[cell[0]] & mask).bit_count() for mask in masks]
+         for cell in cells]
+    lam, x, res = _quotient_perron(b, [len(cell) for cell in cells])
+    return lam, cells, x, res
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
@@ -115,6 +123,67 @@ def spectral_radius(g: Graph) -> SpectralResult:
 
 # -- equitable partitions ----------------------------------------------------
 
+class Fold(NamedTuple):
+    """An equitable partition of a graph, given without the graph.
+
+    ``cells`` are disjoint nonempty vertex sequences covering the graph (a
+    ``range`` each, for the constructions, so nothing grows with n), and
+    ``counts[p][q]`` is the number of neighbors every vertex of cells[p]
+    has in cells[q].
+    """
+    cells: tuple
+    counts: tuple
+
+
+def _refine_fold(counts: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``canon._refine``'s order rule run on fold cells: the coarsest
+    equitable partition of the folded graph, each cell a list of fold-cell
+    indices, starting from one cell of everything.
+
+    The vertices of one fold cell have equal counts into any union of fold
+    cells, so they never part: every cell ``_refine`` holds is a union of
+    fold cells, and a vertex of fold cell p has sum(counts[p][q] for q in S)
+    neighbors in the union S. The same rule on these counts, with the same
+    skip of splitters known to be stable, therefore makes the same choices
+    and yields the same cells in the same order.
+    """
+    cells = [list(range(len(counts)))]
+    stable: set[int] = set()
+    while True:
+        for s in cells:
+            key = sum(1 << q for q in s)
+            if key in stable:
+                continue
+            newcells: list[list[int]] = []
+            for c in cells:
+                groups: dict[int, list[int]] = {}
+                for p in c:
+                    groups.setdefault(sum(counts[p][q] for q in s), []).append(p)
+                newcells.extend(groups[k] for k in sorted(groups))
+            if len(newcells) > len(cells):
+                cells = newcells
+                break
+            stable.add(key)
+        else:
+            return cells
+
+
+def fold_radius(fold: Fold) -> float:
+    """Spectral radius of a connected graph from an equitable partition of it.
+
+    Refines the fold to the graph's coarsest equitable partition, in
+    ``_refine``'s cell order, and solves that integer quotient with
+    ``spectral_radius``'s eigensolver step: the input to the solver is the
+    one ``spectral_radius`` builds from the graph, so the value is equal to
+    ``spectral_radius(g).value``, bit for bit, at a cost that does not grow
+    with the number of vertices.
+    """
+    cells = _refine_fold(fold.counts)
+    b = [[sum(fold.counts[c[0]][q] for q in d) for d in cells] for c in cells]
+    sizes = [sum(len(fold.cells[p]) for p in c) for c in cells]
+    return _quotient_perron(b, sizes)[0]
+
+
 def quotient_matrix(g: Graph, partition: Partition | None = None) -> "RationalMatrix":
     """Quotient matrix of an equitable partition (entry i,j: neighbors in class j).
 
@@ -126,12 +195,7 @@ def quotient_matrix(g: Graph, partition: Partition | None = None) -> "RationalMa
         raise ValueError("graph carries no partition and none was given")
     if partition.n != g.n:
         raise ValueError("partition does not match graph order")
-    masks = []
-    for cls in partition.classes:
-        mask = 0
-        for v in cls:
-            mask |= 1 << v
-        masks.append(mask)
+    masks = [_mask(cls) for cls in partition.classes]
     rows = []
     for i, cls in enumerate(partition.classes):
         row = []

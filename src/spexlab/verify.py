@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 from . import asymptotics
 from .canon import canonical_form
 from .constructions import check_params, cx1_family, cx1_pair, \
-    cx2_package, f1
+    cx1_records, cx2_package, f1
 from .graphs import Graph, complete, embed_in_part, \
     induced_subgraph, path, turan, u_packing
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
@@ -117,19 +117,21 @@ def _bracket(lo: Fraction, hi: Fraction) -> str:
 
 
 def _cx1_inputs(params: dict) -> tuple:
-    """The family and the (G, H) pair at each of _CX1_NS."""
+    """The family and, at each of _CX1_NS, the (G, H) pair as records and
+    as graphs."""
     r, k, m = params["r"], params["k"], params["m"]
-    return cx1_family(r, k, m), [(n, *cx1_pair(r, k, n)) for n in _CX1_NS]
+    return cx1_family(r, k, m), [(n, *cx1_records(r, k, n), *cx1_pair(r, k, n))
+                                 for n in _CX1_NS]
 
 
 def _claim_cx1(c: _Checker, params: dict, inputs, jobs: int) -> None:
     r, k = params["r"], params["k"]
     fam, pairs = inputs
     fit = asymptotics.fit_pairs(
-        [(n, h, g) for n, g, h in pairs],
+        [(n, h_rec, g_rec) for n, g_rec, h_rec, _, _ in pairs],
         asymptotics.EXPERIMENTS["cx1_gap"].predicted(r=r, k=k))
     gaps = dict(fit.samples)
-    for n, g, h in pairs:
+    for n, _, _, g, h in pairs:
         c.check(f"e(H) = e(G) + 1 at n = {n}",
                 h.edge_count == g.edge_count + 1,
                 detail=f"e(H) = {h.edge_count}, e(G) = {g.edge_count}")

@@ -12,7 +12,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from spexlab import Graph, SpectralResult, adjacency_matrix, induced_subgraph
+from spexlab import (
+    Graph,
+    SpectralResult,
+    adjacency_matrix,
+    embed_in_part,
+    induced_subgraph,
+    star,
+    transfer_vertex,
+    turan,
+    u_packing,
+)
 from spexlab.graphs import _iter_bits
 
 
@@ -152,3 +162,55 @@ def componentwise_radius(g: Graph) -> SpectralResult:
     for i, v in enumerate(_iter_bits(comp)):
         vector[v] = float(x[i])
     return SpectralResult(lam, tuple(vector), res)
+
+
+def refine_rescan(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """canon._refine without its skip of stable splitters: after every
+    split, every cell is scanned again from the first."""
+    while True:
+        changed = False
+        for s in range(len(cells)):
+            smask = 0
+            for v in cells[s]:
+                smask |= 1 << v
+            newcells: list[list[int]] = []
+            for c in cells:
+                if len(c) == 1:
+                    newcells.append(c)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in c:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    newcells.append(c)
+                else:
+                    for k in sorted(groups):
+                        newcells.append(groups[k])
+                    changed = True
+            if changed:
+                cells = newcells
+                break
+        if not changed:
+            return cells
+
+
+def edge_add_graphs(r: int, b: int, a: int, n: int) -> tuple[Graph, Graph]:
+    """T(n, r) plus b edges matched inside part 0 and minus a cross edges
+    between the tails of the last two parts, against T(n, r) itself."""
+    t = turan(n, r)
+    cls = t.partition.classes
+    g = t
+    for i in range(b):
+        g = g.with_edge(cls[0][2 * i], cls[0][2 * i + 1])
+    for i in range(a):
+        g = g.without_edge(cls[-2][-1 - i], cls[-1][-1 - i])
+    return g, t
+
+
+def transfer_shift_graphs(r: int, k: int, n: int) -> tuple[Graph, Graph]:
+    """T(n, r), n = r*w + 1, with k-vertex stars packed into part 1, after
+    and before an ordinary vertex of part 0 moves into part 1."""
+    t = turan(n, r)
+    g = embed_in_part(t, 1, u_packing(star(k), n // r))
+    moved = transfer_vertex(g, g.partition, 0, 1, t.partition.classes[0][0])
+    return moved, g

@@ -1,6 +1,7 @@
 """Threshold table, certified ceilings, and 1/n extrapolation fits."""
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -8,14 +9,21 @@ import pytest
 
 from spexlab import (
     IntegerBoundaryError,
+    Partition,
+    TuranPacking,
     e_interval,
     experiment,
     fit_first_order,
+    fold_radius,
+    is_equitable,
     k_bound,
+    spectral_radius,
     thresholds,
 )
-from spexlab import asymptotics
+from spexlab import asymptotics, canon, spectral
 from spexlab.asymptotics import _sqrt_enclosure
+
+SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
 
 def e_reference(r: float) -> float:
@@ -319,14 +327,93 @@ PINNED_DEFAULTS = [
 ]
 
 
-class _UnitRadius:
-    value = 1.0
-
-
 @pytest.mark.parametrize("name, params, sizes, predicted", PINNED_DEFAULTS)
-def test_default_sizes_and_predicted_constants(monkeypatch, name, params,
-                                               sizes, predicted):
-    monkeypatch.setattr(asymptotics, "spectral_radius", lambda g: _UnitRadius)
+def test_default_sizes_and_predicted_constants(name, params, sizes, predicted):
     fit = experiment(name, params)
     assert tuple(n for n, _ in fit.samples) == sizes
     assert fit.predicted == predicted
+
+
+# -- each record's fold against its graph ------------------------------------
+
+def _fold_cells(fold) -> list[set]:
+    """The fold rule's ordered cells, expanded to vertex sets."""
+    return [{v for p in cell for v in fold.cells[p]}
+            for cell in spectral._refine_fold(fold.counts)]
+
+
+# the verify claims' and the spectra benchmark's parameters at their sizes
+# (None: the experiment's defaults), and removed edges at r = 2 and 3
+FOLD_CASES = [
+    ("star_vs_path", {"r": 3, "k": 4}, None),
+    ("star_vs_path", {"r": 3, "k": 5}, (120, 240, 480, 960)),
+    ("edge_add", {"r": 3, "b": 2, "a": 0}, (120, 240, 480, 960)),
+    ("edge_add", {"r": 3, "b": 1, "a": 1}, None),
+    ("edge_add", {"r": 2, "b": 2, "a": 3}, None),
+    ("transfer_shift", {"r": 3, "k": 6}, (109, 217, 433, 865)),
+    ("cx1_gap", {"r": 3, "k": 6}, (55, 109, 217, 433)),
+]
+
+
+@pytest.mark.parametrize("name, params, ns", FOLD_CASES)
+def test_fold_is_the_graph_path_bit_for_bit(name, params, ns):
+    pairs, _ = asymptotics.experiment_pairs(name, params, ns)
+    for n, *records in pairs:
+        for rec in records:
+            fold, g = rec.fold(), rec.graph()
+            assert fold_radius(fold) == spectral_radius(g).value, (name, n)
+            assert _fold_cells(fold) == [
+                set(c) for c in canon._refine(g.adj, [list(range(g.n))])]
+            if n <= 200:
+                assert is_equitable(g, Partition(fold.cells)), (name, n)
+
+
+def _admissible(name: str, params: dict, top: int) -> list:
+    sizes = []
+    for n in range(1, top + 1):
+        try:
+            asymptotics._BUILDERS[name](params, n)
+        except ValueError:
+            continue
+        sizes.append(n)
+    return sizes
+
+
+SWEEP_TOP = 1000 if SLOW else 2000
+SWEEP = [(name, {"r": r, "k": k}, SWEEP_TOP)
+         for name in ("star_vs_path", "transfer_shift", "cx1_gap")
+         for r in (2, 3, 4) for k in (4, 5, 6)]
+# edge_add's fold depends on n only through the part sizes, and every n is
+# admissible; n <= 300 meets every residue mod r many times over
+SWEEP += [("edge_add", {"r": r, "b": 2, "a": 1}, 300 if SLOW else 2000)
+          for r in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("name, params, top", SWEEP)
+def test_fold_agrees_at_every_admissible_size(name, params, top):
+    wrong = []
+    for n in _admissible(name, params, top):
+        for rec in asymptotics._BUILDERS[name](params, n):
+            fold, g = rec.fold(), rec.graph()
+            assert len(g.components()) == 1
+            # spectral_radius's solve of a connected graph's one component
+            lam, cells, _, _ = spectral._quotient_eigenpair(g.adj, (1 << g.n) - 1)
+            if fold_radius(fold) != lam or _fold_cells(fold) != [set(c) for c in cells]:
+                wrong.append(n)
+            elif n <= 200 and not is_equitable(g, Partition(fold.cells)):
+                wrong.append(n)
+    assert wrong == []
+
+
+def _refuse(*args):
+    raise AssertionError("built or refined an n-vertex graph")
+
+
+@pytest.mark.parametrize("name", list(asymptotics.EXPERIMENTS))
+def test_experiment_refines_no_graph(monkeypatch, name):
+    monkeypatch.setattr(canon, "_refine", _refuse)
+    monkeypatch.setattr(spectral, "_refine", _refuse)
+    monkeypatch.setattr(TuranPacking, "graph", _refuse)
+    params = {"r": 3, "k": 5, "b": 2, "a": 1}
+    fit = experiment(name, {p: params[p] for p in asymptotics.EXPERIMENTS[name].takes})
+    assert len(fit.samples) == 4

@@ -8,6 +8,7 @@ from spexlab import (
     complete_multipartite,
     cycle,
     disjoint_union,
+    embed_in_part,
     empty_graph,
     encode_graph6,
     path,
@@ -16,9 +17,9 @@ from spexlab import (
     turan,
     u_packing,
 )
-from spexlab.canon import _canonical, _generators
+from spexlab.canon import _canonical, _generators, _refine
 from conftest import random_graph
-from oracles import all_graphs_upto_iso
+from oracles import all_graphs_upto_iso, refine_rescan
 
 
 def test_cycle_relabelings_agree():
@@ -119,3 +120,28 @@ def test_generators_generate_the_whole_group_up_to_6():
         brute = {p for p in itertools.permutations(range(g.n))
                  if relabel(g, p).adj == g.adj}
         assert _group(g.n, _generators_of(g)) == brute, encode_graph6(g)
+
+
+def test_refine_skips_stable_splitters_without_changing_cells():
+    # against the rescan-after-every-split reference, cell order included:
+    # from the unit partition, from individualized children of the result,
+    # and from random initial colourings
+    rng = random.Random(29)
+    graphs = [random_graph(rng, rng.randrange(1, 16), rng.random())
+              for _ in range(150)]
+    graphs += [turan(13, 3), embed_in_part(turan(24, 3), 0, u_packing(star(4), 8)),
+               disjoint_union(cycle(6), path(5))]
+    for g in graphs:
+        unit = [list(range(g.n))]
+        cells = _refine(g.adj, unit)
+        assert cells == refine_rescan(g.adj, unit)
+        target = next((c for c in cells if len(c) > 1), None)
+        for v in target or ():
+            child = []
+            for c in cells:
+                child += [[v], [w for w in c if w != v]] if c is target else [c]
+            assert _refine(g.adj, child) == refine_rescan(g.adj, child)
+        colour = [rng.randrange(3) for _ in range(g.n)]
+        initial = [[v for v in range(g.n) if colour[v] == k] for k in range(3)]
+        initial = [c for c in initial if c]
+        assert _refine(g.adj, initial) == refine_rescan(g.adj, initial)

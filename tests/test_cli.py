@@ -247,8 +247,10 @@ class TestFit:
          "star_vs_path needs r at least 2, got r = 0"),
         (("transfer_shift", "--params", "r=3,k=0"),
          "transfer_shift needs k at least 2, got k = 0"),
-        (("cx1_gap", "--params", "r=3,k=0"),
-         "cx1_gap needs k at least 1, got k = 0"),
+        # at k = 1 stars and paths are both K1: G is T(n, r), H is T(n, r)
+        # plus an edge, and the closed form's tree term is not 0
+        (("cx1_gap", "--params", "r=3,k=1"),
+         "cx1_gap needs k at least 2, got k = 1"),
         (("edge_add", "--params", "r=0,b=1,a=0"),
          "edge_add needs r at least 2, got r = 0"),
     ])

@@ -6,12 +6,14 @@ import pytest
 
 from spexlab import (
     Graph,
+    TuranPacking,
     build_named,
     canonical_form,
     chromatic_number,
     cx1_family,
     cx1_pair,
     cx2_package,
+    embed_in_part,
     f1,
     free_trees,
     is_equitable,
@@ -22,8 +24,13 @@ from spexlab import (
     spectral_radius,
     star,
     star_path_pair,
+    relabel,
     turan,
+    u_packing,
 )
+from spexlab import asymptotics
+from spexlab.constructions import cx1_records, star_path_records
+from oracles import edge_add_graphs, transfer_shift_graphs
 
 CHAIR = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
 
@@ -218,6 +225,65 @@ class TestStarPathPair:
             star_path_pair(63, 3, 4)
         with pytest.raises(ValueError):
             star_path_pair(54, 3, 3)
+
+
+class TestTuranPacking:
+    """Records give the graphs of the builders they replace."""
+
+    def test_star_path_rows(self):
+        for k in (4, 5):
+            for n in (120, 240, 480, 960):
+                old = [embed_in_part(turan(n, 3), 0, u_packing(kind, n // 3))
+                       for kind in (star(k), path(k))]
+                new = [rec.graph() for rec in star_path_records(n, 3, k)]
+                assert [g.adj for g in new] == [g.adj for g in old]
+                assert [g.partition for g in new] == [g.partition for g in old]
+
+    def test_cx1_rows(self):
+        for n in (55, 109, 217, 433):
+            g, h = cx1_pair(3, 6, n)
+            g_rec, h_rec = cx1_records(3, 6, n)
+            q, rem = divmod(n, 3)
+            old_g = embed_in_part(turan(n, 3), rem, u_packing(star(6), q))
+            assert g.adj == g_rec.graph().adj == old_g.adj
+            # the record lays out the extended path 0..k-1, q as 0..k
+            perm = list(range(n))
+            perm[q] = 6
+            perm[6:q] = range(7, q + 1)
+            assert relabel(h, perm).adj == h_rec.graph().adj
+            if n == 55:
+                assert canonical_form(h_rec.graph()) == canonical_form(h)
+
+    def test_edge_add_rows(self):
+        for params in ({"r": 3, "b": 2, "a": 0}, {"r": 2, "b": 2, "a": 3}):
+            pairs, _ = asymptotics.experiment_pairs("edge_add", params)
+            for n, a, b in pairs:
+                old = edge_add_graphs(params["r"], params["b"], params["a"], n)
+                assert (a.graph().adj, b.graph().adj) == tuple(g.adj for g in old)
+
+    def test_transfer_shift_graphs(self):
+        pairs, _ = asymptotics.experiment_pairs("transfer_shift", {"r": 3, "k": 6})
+        for n, moved, g in pairs:
+            old_moved, old_g = transfer_shift_graphs(3, 6, n)
+            assert g.graph().adj == old_g.adj
+            # the record's moved vertex is the last of part 1, not vertex 0
+            w = n // 3
+            perm = [v - 1 for v in range(n)]
+            perm[0] = 2 * w
+            perm[2 * w + 1:] = range(2 * w + 1, n)
+            assert relabel(old_moved, perm).adj == moved.graph().adj
+            if n == pairs[0][0]:
+                assert canonical_form(moved.graph()) == canonical_form(old_moved)
+
+    def test_fold_refuses_a_removed_edge_inside_a_copy(self):
+        rec = TuranPacking((4, 4), ((0, path(2), 2),), ((1, 7),))
+        with pytest.raises(ValueError, match="endpoint 1 is not a leftover"):
+            rec.fold()
+
+    def test_packing_must_fit_its_part(self):
+        rec = TuranPacking((4, 3), ((1, star(4), 1),))
+        with pytest.raises(ValueError, match="overflows part 1"):
+            rec.graph()
 
 
 class TestBuildNamed:

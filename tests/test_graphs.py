@@ -305,6 +305,17 @@ class TestRelabelAndViews:
                 inverse[new] = old
             assert relabel(relabel(g, perm), inverse).adj == g.adj
 
+    def test_relabel_moves_every_edge(self):
+        # twins share a row, and relabel works on each distinct row once
+        rng = random.Random(23)
+        graphs = [turan(30, 3), embed_in_part(turan(24, 2), 0, u_packing(star(4), 12))]
+        graphs += [random_graph(rng, rng.randrange(1, 12)) for _ in range(30)]
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            want = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert relabel(g, perm).adj == want.adj
+
     def test_adjacency_matrix_bit_by_bit(self):
         rng = random.Random(19)
         graphs = [empty_graph(0), empty_graph(1), complete(8), complete(9)]

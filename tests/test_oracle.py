@@ -12,14 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spexlab import (
-    ExtremalReport,
     ForbiddenFamily,
     Graph,
     RestrictedSpace,
     canonical_form,
     complete,
     complete_multipartite,
-    contains_subgraph,
     cx1_pair,
     cx1_family,
     cx2_package,

@@ -6,8 +6,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spexlab import (
+    Fold,
+    Graph,
     Partition,
     RationalMatrix,
     compare_lambda_exact,
@@ -17,6 +20,7 @@ from spexlab import (
     cycle,
     disjoint_union,
     empty_graph,
+    fold_radius,
     is_equitable,
     path,
     perron_less_than,
@@ -466,3 +470,40 @@ class TestCompareExact:
             a, b = spectral_radius(g).value, spectral_radius(h).value
             if abs(a - b) > 1e-6:
                 assert compare_lambda_exact(g, h) == (1 if a > b else -1)
+
+
+@st.composite
+def blown_up_graphs(draw):
+    """A random graph on at most 6 vertices with each vertex blown up into
+    up to 4 open twins, shuffled so that the twins are not contiguous."""
+    base_n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(base_n) for v in range(u + 1, base_n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    sizes = [draw(st.integers(1, 4)) for _ in range(base_n)]
+    first = [sum(sizes[:i]) for i in range(base_n)]
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    blown = [(perm[first[u] + i], perm[first[v] + j]) for u, v in edges
+             for i in range(sizes[u]) for j in range(sizes[v])]
+    return Graph(n, blown)
+
+
+def _open_twin_fold(g: Graph) -> Fold:
+    by_row = {}
+    for v, row in enumerate(g.adj):
+        by_row.setdefault(row, []).append(v)
+    cells = tuple(by_row.values())
+    return Fold(cells, tuple(
+        tuple((g.adj[c[0]] & sum(1 << v for v in d)).bit_count() for d in cells)
+        for c in cells))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blown_up_graphs())
+def test_fold_rule_expands_to_refine(g):
+    fold = _open_twin_fold(g)
+    cells = [sorted(v for p in cell for v in fold.cells[p])
+             for cell in spectral._refine_fold(fold.counts)]
+    assert cells == [sorted(c) for c in spectral._refine(g.adj, [list(range(g.n))])]
+    if len(g.components()) == 1:
+        assert fold_radius(fold) == spectral_radius(g).value
