@@ -135,8 +135,12 @@ class _Search:
         self.twins: list[list[int]] = []
         self.leaves: dict[tuple[int, ...], list[int]] = {}
 
-    def run(self) -> tuple[list[int], tuple[int, ...]]:
-        cells = _refine(self.adj, [list(range(self.n))])
+    def run(self, cells: list[list[int]] | None = None
+            ) -> tuple[list[int], tuple[int, ...]]:
+        """Search from cells, the refined unit partition, refining it here
+        when None is given."""
+        if cells is None:
+            cells = _refine(self.adj, [list(range(self.n))])
         self._node(_split_twin_cells(self.adj, cells, self.twins), [])
         assert self.best_perm is not None and self.best_key is not None
         return self.best_perm, self.best_key
@@ -206,12 +210,14 @@ class _Search:
             self.best_perm = list(perm)
 
 
-def _canon_component(g: Graph, comp: int) -> tuple:
+def _canon_component(g: Graph, comp: int,
+                     cells: list[list[int]] | None = None) -> tuple:
     """Canonical data for the subgraph induced on bitmask comp.
 
     Returns (size, canonical local rows, vertices, their new local
     positions, leaf-collision automorphisms, twin cells), the last two in
-    local indices.
+    local indices. cells, if given, is ``_refine(g.adj, [comp's vertices
+    in ascending order])``, and the search starts from it.
     """
     verts = list(_iter_bits(comp))
     index = {v: i for i, v in enumerate(verts)}
@@ -221,22 +227,34 @@ def _canon_component(g: Graph, comp: int) -> tuple:
         for w in _iter_bits(g.adj[v] & comp):
             row |= 1 << index[w]
         adj.append(row)
+    if cells is not None:
+        cells = [[index[v] for v in cell] for cell in cells]
     search = _Search(tuple(adj), len(verts))
-    perm, key = search.run()
+    perm, key = search.run(cells)
     return len(verts), key, verts, perm, search.gens, search.twins
 
 
-def _canonical(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple]]:
+def _canonical(g: Graph, seed: tuple[int, list[list[int]]] | None = None
+               ) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple]]:
     """(labeling old -> new, canonical adjacency rows, symmetry record).
 
     The symmetry record is the sorted list of component records; pass it to
     ``_generators`` for automorphisms of g. It is kept unexpanded so that
     callers needing only the labeling pay nothing for it.
+
+    seed, if given, is (comp, cells): a component of g and the refinement
+    ``_refine(g.adj, [comp's vertices in ascending order])`` the caller
+    already holds, so comp is not refined again. The result is the same.
+    Refinement reads neighbour counts into cells inside comp only, and
+    numbering comp's vertices in ascending order keeps their order, so
+    these cells are the ones the unseeded search computes, renumbered.
     """
     n = g.n
     if n == 0:
         return (), (), []
-    comps = [_canon_component(g, comp) for comp in g.components()]
+    seeded, cells = seed if seed is not None else (0, None)
+    comps = [_canon_component(g, comp, cells if comp == seeded else None)
+             for comp in g.components()]
     # deterministic component order; ties are exact-duplicate keys, so order
     # between them cannot change the assembled rows
     comps.sort(key=lambda t: (t[0], t[1]))

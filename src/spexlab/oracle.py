@@ -1,28 +1,33 @@
 """Exhaustive and structure-restricted extremal oracles.
 
-Exhaustive enumeration is canonical augmentation by edge addition: a child is
-kept only when deleting its canonically-last edge reproduces the parent, which
-yields each isomorphism class exactly once (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998). A parent tries one non-edge per orbit of
-the automorphisms its own canonization found, and each child is canonized
-once. Freeness pruning is sound because adding edges never removes a
-forbidden subgraph. Every graph the walk expands is free, so a child
-g + uv can hold a member only through its new edge uv, and it is tested
-with ``is_free(..., new_edge=(u, v))``, which looks for a connected member
-only within its diameter of both u and v, before the child is canonized.
+Exhaustive enumeration is canonical augmentation by edge addition (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). A parent
+tries one non-edge uv per orbit of the automorphisms its own canonization
+found. The child g + uv is kept when it is free, uv joins the two cells of
+its component's equitable partition that the canonically last edge e*
+joins, and deleting e* gives the parent's class; each class is kept
+exactly once (proof in ``_accepted_children``). Every graph the walk
+expands is free, so a child can hold a member only through uv, and it is
+tested with ``is_free(..., new_edge=(u, v))``. Freeness pruning is sound
+because adding edges never removes a forbidden subgraph.
 
-Most children fail the parent test, so two exact filters that need no
-canonization reject them first (McKay's cheap invariants):
+Each child takes, in order, the steps below; the first three reject most
+children before any canonization:
 
-* The last-edge filter, before the child is canonized. ``canon`` lays out
-  components by size, and inside a component label order refines degree
-  order, so the canonically last edge lies in a component of maximum size
-  and its end degrees form one of the pairs ``_last_edge_admits`` derives
-  from degrees alone. An added edge whose end degrees form none of them
-  cannot be that edge, nor share its end degrees, so the child fails.
-* The profile filter, before the deletion of the canonically last edge is
-  canonized. Unequal degree profiles (``_profile``) mean the deletion is
-  not isomorphic to the parent.
+* The degree filter (``_last_edge_admits``). uv's component must be a
+  largest one, and uv's end degrees one of the pairs the last edge of
+  that component can have, derived from degrees alone.
+* Freeness.
+* The cell filter (``_last_cells``). uv's component is refined once, and
+  uv must join the cells of e*. Every child that McKay's orbit rule keeps
+  passes it.
+* One canonization, seeded with that refinement so that the component is
+  not refined again, then the sibling dedup by canonical form.
+* The parent test, unless uv is e*. Unequal degree profiles
+  (``_profile``) reject the deletion of e* before it is canonized.
+
+The walk also reports each class that a free child strictly dominates in
+spectral radius, which ``spex_oracle`` then leaves unscored.
 
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest embedded in one part. It
@@ -39,7 +44,7 @@ from functools import reduce
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterator
 
-from .canon import _canonical, _generators, canonical_form
+from .canon import _canonical, _generators, _mask, _refine, canonical_form
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import (Graph, _iter_bits, disjoint_union, embed_in_part,
                      empty_graph, turan)
@@ -154,7 +159,9 @@ def _last_edge_admits(adj: tuple[int, ...], deg: list[int],
     a = d exactly when (A) no edge of C joins two vertices of degree
     above a, and (B) some x in C of degree a has a neighbour of degree b
     and none above b. Which maximum-size component comes last is not
-    known before canonizing, so any of them may supply the pair.
+    known before canonizing, so any of them may supply the pair. The walk
+    passes uv's component alone, since it must hold an automorphic image
+    of the last edge for the child to be kept (``_accepted_children``).
     """
     hi = eq_a = eq_b = gt_b = 0
     for x, d in enumerate(deg):
@@ -189,22 +196,81 @@ def _profile(adj: tuple[int, ...]) -> list:
                   for x, row in enumerate(adj))
 
 
+def _last_cells(adj: tuple[int, ...], comp: int, u: int, v: int) -> list | None:
+    """comp's refinement when uv joins the cells of its last edge, else None.
+
+    The refinement starts from one cell of comp's vertices in ascending
+    order. comp's canonically last edge joins P, the last cell with a
+    neighbour in a cell at or after P, to Q, the last cell P sees (proof
+    in ``_accepted_children``).
+    """
+    cells = _refine(adj, [list(_iter_bits(comp))])
+    later = 0
+    for cell in reversed(cells):
+        pmask = _mask(cell)
+        later |= pmask
+        row = adj[cell[0]] & later
+        if row:
+            break
+    qmask = next(m for m in map(_mask, reversed(cells)) if row & m)
+    ends = 1 << u | 1 << v
+    if ends & pmask and ends & qmask and not ends & ~(pmask | qmask):
+        return cells
+    return None
+
+
 def _accepted_children(g: Graph, gform: bytes, gsym: list,
-                       family: ForbiddenFamily | None) -> list[tuple]:
+                       family: ForbiddenFamily | None) -> tuple[list[tuple], bool]:
     """Canonical-augmentation children of g, one per isomorphism class.
 
-    Each entry is (child, canonical form, symmetry record), the child being
-    g plus its first non-edge in lexicographic order within its class.
+    Returns (children, dominated). Each child is (child, canonical form,
+    symmetry record), the child being g plus its first non-edge uv, in
+    lexicographic order, that passes every step below. dominated says
+    that a free child g + uv met here has a uv-component holding every
+    component of g with an edge, which puts g outside SPEX (``spex_oracle``).
 
-    A child is accepted when it is free and deleting its canonically last
-    edge e* gives g's class; both are properties of the child's class.
-    Three filters reject children before the canonization that would decide
-    it: ``_last_edge_admits`` (an added edge whose end degrees no last edge
-    can have) and freeness before the child is canonized, and ``_profile``
-    before child - e* is. All are exact, so a rejected child would have
-    been rejected anyway; and since isomorphic children are accepted or
-    rejected together, leaving rejected ones out of the sibling dedup
-    keeps both the output and its order.
+    g tries one non-edge uv per orbit of the automorphisms its
+    canonization found. Let X = g + uv, C its uv-component and e* its
+    canonically last edge. X goes through, in order: the degree filter (C
+    is a largest component, and ``_last_edge_admits``), freeness (the
+    new-edge form, as g is free), the cell filter (``_last_cells``: uv
+    joins the cells P and Q of C's refinement), one canonization seeded
+    with that refinement, the sibling dedup by canonical form, and the
+    parent test (X - e* is isomorphic to g).
+
+    The filters reject only children whose uv is outside Aut(X)·e*, the
+    children McKay's orbit rule rejects (J. Algorithms 26, 1998):
+      * ``canon`` orders components by size, so e* lies in a largest
+        component D, and an automorphism taking e* to uv maps D onto C.
+        The refinement order rule reads counts only, so it maps D's cells
+        onto C's, index by index, and C is a largest component too.
+      * Refinement, individualization and twin splits each replace a cell
+        by its pieces in place, so D's canonical labels keep its root
+        cell order: each cell is a range of labels, in cell order.
+      * e* = (i, j) has i the last vertex with a later neighbour and j
+        i's last neighbour. No vertex after P has a later neighbour, and
+        P's first vertex has one, so i is in P. The partition is
+        equitable, so i sees Q and nothing after it, and j is in Q. So
+        uv joins P and Q too.
+      * Every vertex of P or Q has the degree of an end of e*, so the
+        end degrees pass ``_last_edge_admits`` whenever uv joins P and Q.
+
+    Each free class with an edge is kept exactly once. Let X be one, and
+    g' = X - e*. At most once: X is kept only as a child of g''s class
+    (the parent test), which the walk expands once, and there once (the
+    dedup). At least once: g' is free, so by induction on edges the walk
+    expands its class, as some g. An isomorphism from g' onto g takes e*
+    to a non-edge f of g, and g tries f' = t(f) for some automorphism t
+    of g. An isomorphism from g + f' onto X then takes f' to e*, so f'
+    lies in the orbit of the last edge of g + f', and that child passes
+    both filters; it is free and passes the parent test, as X does. The
+    dedup skips a child only after a child of its class passed the cell
+    filter, and freeness and the parent test are properties of the class,
+    so the first child of X's class to pass the cell filter is kept.
+
+    The cell filter reads a labeled child, not its class: it decides
+    which labeled child of a class is kept, and the parent test decides
+    which classes are.
     """
     n = g.n
     gens = _generators(gsym)
@@ -214,32 +280,38 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
     for comp in gcomps:
         for x in _iter_bits(comp):
             comp_of[x] = comp
+    # the components of g with an edge, and the largest size among them
+    edged = sum(c for c in gcomps if c & (c - 1))
+    gtop = max((c.bit_count() for c in gcomps), default=0)
     gprofile = None
     covered: set[tuple[int, int]] = set()
     out = []
     seen = set()
+    dominated = False
     for u in range(n):
         for v in range(u + 1, n):
             if g.has_edge(u, v) or (u, v) in covered:
                 continue
             # non-edges in the orbit of uv give isomorphic children
             _edge_orbit(u, v, gens, covered)
+            comp = comp_of[u] | comp_of[v]
+            if comp.bit_count() < gtop:
+                continue  # C is not a largest component of the child
             child = g.with_edge(u, v)
             deg = gdeg[:]
             deg[u] += 1
             deg[v] += 1
             a, b = sorted((deg[u], deg[v]))
-            # the child's components of maximum size
-            cu, cv = comp_of[u], comp_of[v]
-            comps = [c for c in gcomps if c != cu and c != cv] + [cu | cv]
-            if len(comps) > 1:
-                top = max(c.bit_count() for c in comps)
-                comps = [c for c in comps if c.bit_count() == top]
-            if not _last_edge_admits(child.adj, deg, comps, a, b):
+            if not _last_edge_admits(child.adj, deg, [comp], a, b):
                 continue
             if family is not None and not is_free(child, family, new_edge=(u, v)):
                 continue
-            perm, rows, sym = _canonical(child)
+            if not edged & ~comp:
+                dominated = True
+            cells = _last_cells(child.adj, comp, u, v)
+            if cells is None:
+                continue
+            perm, rows, sym = _canonical(child, (comp, cells))
             form = encode_graph6(Graph._from_adj(n, rows)).encode("ascii")
             if form in seen:
                 continue
@@ -256,16 +328,17 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
                 if canonical_form(parent) != gform:
                     continue
             out.append((child, form, sym))
-    return out
+    return out, dominated
 
 
 def _walk(root: Graph, family: ForbiddenFamily | None, cut: int | None = None,
-          frontier: list | None = None) -> Iterator[Graph]:
+          frontier: list | None = None) -> Iterator[tuple[Graph, bool]]:
     """Depth-first canonical augmentation from root, root included.
 
-    Graphs with ``cut`` edges are appended to ``frontier`` instead of being
-    yielded or expanded; each is the root of an independent subtree because
-    the parent-acceptance test is local.
+    Yields (graph, dominated), dominated as ``_accepted_children`` reports
+    it. Graphs with ``cut`` edges are appended to ``frontier`` instead of
+    being yielded or expanded; each is the root of an independent subtree
+    because the parent-acceptance test is local.
     """
     _, rows, sym = _canonical(root)
     form = encode_graph6(Graph._from_adj(root.n, rows)).encode("ascii")
@@ -275,8 +348,9 @@ def _walk(root: Graph, family: ForbiddenFamily | None, cut: int | None = None,
         if g.edge_count == cut:
             frontier.append(g)
             continue
-        yield g
-        stack.extend(_accepted_children(g, form, sym, family))
+        children, dominated = _accepted_children(g, form, sym, family)
+        yield g, dominated
+        stack.extend(children)
 
 
 def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
@@ -291,16 +365,23 @@ def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
     yield from _free_graphs(n, family, allow_large, jobs=1)
 
 
-def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[str]:
+def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[tuple[str, bool]]:
     seed_g6, family_g6 = args
     family = None
     if family_g6 is not None:
         family = ForbiddenFamily([decode_graph6(s) for s in family_g6])
-    return [encode_graph6(g) for g in _walk(decode_graph6(seed_g6), family)]
+    return [(encode_graph6(g), dominated)
+            for g, dominated in _walk(decode_graph6(seed_g6), family)]
 
 
 def _free_graphs(n: int, family: ForbiddenFamily | None, allow_large: bool,
                  jobs: int) -> Iterator[Graph]:
+    return (g for g, _ in _free_classes(n, family, allow_large, jobs))
+
+
+def _free_classes(n: int, family: ForbiddenFamily | None, allow_large: bool,
+                  jobs: int) -> Iterator[tuple[Graph, bool]]:
+    """(graph, dominated) for every free class on n vertices (see _walk)."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > _GUARDRAIL and not allow_large:
@@ -320,9 +401,9 @@ def _free_graphs(n: int, family: ForbiddenFamily | None, allow_large: bool,
         fam_tokens = tuple(encode_graph6(m) for m in family.members)
     tasks = [(encode_graph6(s), fam_tokens) for s in seeds]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for forms in pool.map(_shard_worker, tasks):
-            for f in forms:
-                yield decode_graph6(f)
+        for shard in pool.map(_shard_worker, tasks):
+            for f, dominated in shard:
+                yield decode_graph6(f), dominated
 
 
 def _family_id(family: ForbiddenFamily) -> str:
@@ -369,12 +450,24 @@ def spex_oracle(n: int, family, allow_large: bool = False,
     A float pre-filter keeps every graph within _PREFILTER_TOL of the largest
     observed radius; exact comparison then decides the champion and its ties,
     so the reported set carries no floating-point equality anywhere.
+
+    A dominated class (``_accepted_children``) is not scored. Its free
+    child g + uv has a connected uv-component W holding every component
+    of g with an edge. Each such component is a proper subgraph of W, so
+    its radius is below W's (Perron-Frobenius: A(W) is irreducible), and
+    lambda(g) < lambda(W) <= lambda(g + uv); with no such component,
+    lambda(g) = 0 < 1. So g is strictly below a free class the walk
+    yields, and is not in SPEX. A class tied with the maximum is never
+    strictly below a free graph, so no tie is skipped, and the champion,
+    the first maximum in walk order, is the same.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
     scored: list[tuple[float, Graph]] = []
     top = float("-inf")
-    for g in _free_graphs(n, family, allow_large, jobs):
+    for g, dominated in _free_classes(n, family, allow_large, jobs):
+        if dominated:
+            continue
         lam = spectral_radius(g).value
         if lam > top:
             top = lam

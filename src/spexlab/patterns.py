@@ -22,7 +22,8 @@ is finer than isomorphism, so a hit is never wrong, and the subgraphs a
 search asks about are built deterministically, so they recur with the same
 labels. A host known to be free but for one new edge uv (is_free's
 new_edge) holds a connected member only through uv, so the member is
-looked for only among the vertices within its diameter of both u and v;
+looked for only among the vertices within its diameter of both u and v,
+a complete member by a clique search on bitsets that builds no subhost;
 the exhaustive walk passes every child in that way, so its hosts are these
 ball subhosts and rarely recur. Maximal independent sets are cached per
 pattern and vertex subset. Each host's decomposition (join, packing or
@@ -87,6 +88,10 @@ def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
     member exactly when g[ball_D(u) & ball_D(v)] does, since that induced
     subgraph holds the copy's vertices and edges, and is itself a subgraph
     of g. A disconnected member is tested in the whole of g.
+
+    A complete member K_r is looked for as a bitset clique search instead:
+    a copy through uv is u, v and r - 2 pairwise adjacent common
+    neighbours of u and v, all of them near.
     """
     members = family.members if isinstance(family, ForbiddenFamily) else tuple(family)
     if new_edge is not None:
@@ -100,10 +105,26 @@ def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
             near = _ball(g, u, d) & _ball(g, v, d)
             if near.bit_count() < m.n:
                 continue
+            if 2 * m.edge_count == m.n * (m.n - 1):
+                if _has_clique(g.adj, near & g.adj[u] & g.adj[v], m.n - 2):
+                    return False
+                continue
             host = induced_subgraph(g, near)
         if _contains(host, m):
             return False
     return True
+
+
+def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
+    """Whether k vertices of the bitmask cand are pairwise adjacent."""
+    if k <= 0:
+        return True
+    while cand.bit_count() >= k:
+        low = cand & -cand
+        cand ^= low
+        if _has_clique(adj, cand & adj[low.bit_length() - 1], k - 1):
+            return True
+    return False
 
 
 def _ball(g: Graph, v: int, radius: int) -> int:

@@ -38,7 +38,8 @@ from spexlab import (
     turan,
 )
 from spexlab import canon, oracle, patterns
-from oracles import all_graphs_upto_iso, brute_contains
+from spexlab.spectral import compare_lambda_exact
+from oracles import all_graphs_upto_iso, brute_contains, eig_radius
 
 SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
@@ -105,6 +106,15 @@ class TestEnumeration:
         assert digest(k4_free) == (
             "22b9cf139dd6dbf4b08bcc7d55698d2ee890f96308ee7c16d05f21b7a0a76e83")
 
+    def test_k4_free_class_set_at_eight_is_pinned(self):
+        # sha256 of the sorted canonical graph6 lines; the visit order at
+        # n = 8 may change with the cell filter, the classes may not
+        forms = sorted(canonical_form(g) for g in
+                       enumerate_graphs(8, ForbiddenFamily([complete(4)])))
+        assert len(forms) == 6431
+        assert hashlib.sha256(b"".join(f + b"\n" for f in forms)).hexdigest() == (
+            "8781fa143e9a3a6a83eb3aa153ca5374f5654cad69c1b319c608cde71a63099f")
+
     def test_asymmetric_witness(self):
         g = ASYMMETRIC
         assert sum(1 for p in itertools.permutations(range(g.n))
@@ -123,9 +133,9 @@ class TestEnumeration:
         # the pinned counts are what the rejection filters leave
         calls = []
 
-        def counting(h):
+        def counting(h, seed=None):
             calls.append(h)
-            return canonical(h)
+            return canonical(h, seed)
 
         canonical = oracle._canonical
         _, rows, sym = canonical(g)
@@ -142,16 +152,16 @@ class TestEnumeration:
         def counted(name):
             real = getattr(oracle, name)
 
-            def wrapper(h):
+            def wrapper(h, *seed):
                 counts[name] += 1
-                return real(h)
+                return real(h, *seed)
             return wrapper
 
         for name in counts:
             monkeypatch.setattr(oracle, name, counted(name))
         rep = spex_oracle(6, [complete(4)])
         assert rep.extremal_set == ("E]~o",)
-        assert counts == {"_canonical": 170, "canonical_form": 25}
+        assert counts == {"_canonical": 123, "canonical_form": 25}
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):
@@ -185,9 +195,9 @@ class TestEnumeration:
         canonized = []
         real = oracle._canonical
 
-        def recording(h):
+        def recording(h, seed=None):
             canonized.append(h)
-            return real(h)
+            return real(h, seed)
 
         monkeypatch.setattr(oracle, "_canonical", recording)
         assert list(enumerate_graphs(6, fam))
@@ -206,12 +216,31 @@ class TestEnumeration:
         assert out[0].edge_count == 0
 
 
-def _last_edge_pair(h: Graph) -> tuple[int, int]:
-    """Sorted end degrees of h's canonically last edge."""
+def _last_edge(h: Graph) -> tuple[int, int]:
+    """h's canonically last edge, in h's labels."""
     perm, rows, _ = canon._canonical(h)
     i = max(i for i in range(h.n) if rows[i] >> (i + 1))
-    ea, eb = perm.index(i), perm.index(rows[i].bit_length() - 1)
-    return tuple(sorted((h.degree(ea), h.degree(eb))))
+    return perm.index(i), perm.index(rows[i].bit_length() - 1)
+
+
+def _last_edge_pair(h: Graph) -> tuple[int, int]:
+    """Sorted end degrees of h's canonically last edge."""
+    return tuple(sorted(h.degree(x) for x in _last_edge(h)))
+
+
+def _maps_edge(h: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
+    """Whether an automorphism of h takes the edge e to the edge f."""
+    rest = [x for x in range(h.n) if x not in e]
+    free = [x for x in range(h.n) if x not in f]
+    for a, b in (f, f[::-1]):
+        for image in itertools.permutations(free):
+            perm = [0] * h.n
+            perm[e[0]], perm[e[1]] = a, b
+            for x, y in zip(rest, image):
+                perm[x] = y
+            if relabel(h, perm).adj == h.adj:
+                return True
+    return False
 
 
 def _largest_components(h: Graph) -> list[int]:
@@ -262,14 +291,54 @@ class TestRejectBeforeCanonizing:
         def children(g):
             _, rows, sym = canon._canonical(g)
             form = encode_graph6(Graph._from_adj(g.n, rows)).encode("ascii")
-            return [(c.adj, f) for c, f, _ in
-                    oracle._accepted_children(g, form, sym, None)]
+            kept, _ = oracle._accepted_children(g, form, sym, None)
+            return [(c.adj, f) for c, f, _ in kept]
 
         parents = [g for n in range(2, 7) for g in enumerate_graphs(n)]
         filtered = [children(g) for g in parents]
         monkeypatch.setattr(oracle, "_last_edge_admits", lambda *args: True)
         monkeypatch.setattr(oracle, "_profile", lambda adj: None)
         assert [children(g) for g in parents] == filtered
+
+    def test_cell_filter_rejects_only_outside_the_orbit(self):
+        # every child g + uv of every graph on 2..6 vertices that the cell
+        # filter (with the largest-component test) rejects has uv outside
+        # Aut(g + uv)·e*, so McKay's orbit rule rejects it too
+        rejected = passed = 0
+        for n in range(2, 7):
+            for g in all_graphs_upto_iso(n):
+                for u, v in itertools.combinations(range(n), 2):
+                    if g.has_edge(u, v):
+                        continue
+                    child = g.with_edge(u, v)
+                    comp = next(c for c in child.components() if c >> u & 1)
+                    largest = comp.bit_count() == max(
+                        c.bit_count() for c in child.components())
+                    if largest and oracle._last_cells(child.adj, comp, u, v):
+                        passed += 1
+                        continue
+                    rejected += 1
+                    assert not _maps_edge(child, _last_edge(child), (u, v)), \
+                        (encode_graph6(child), (u, v))
+        assert rejected and passed
+
+    def test_seeded_canonization_equals_unseeded(self, monkeypatch):
+        # every child the walk canonizes on up to 7 vertices
+        real = oracle._canonical
+        seeded = []
+
+        def checked(h, seed=None):
+            got = real(h, seed)
+            if seed is not None:
+                seeded.append(h)
+                assert got == real(h), encode_graph6(h)
+            return got
+
+        monkeypatch.setattr(oracle, "_canonical", checked)
+        for n in range(1, 8):
+            assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_COUNTS[n]
+        # each class with an edge is canonized, seeded, at least once
+        assert len(seeded) >= sum(KNOWN_COUNTS[n] - 1 for n in range(1, 8))
 
     @settings(max_examples=300, deadline=None)
     @given(labeled_graphs())
@@ -383,6 +452,46 @@ class TestSpexOracle:
         best = max(spectral_radius(g).value for g in all_graphs_upto_iso(5)
                    if is_free(g, fam))
         assert abs(rep.value - best) <= 1e-9
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple:
+    """Every class on n vertices: the labeled dedup up to 6 vertices, and
+    the unpruned walk at 7."""
+    return tuple(all_graphs_upto_iso(n) if n <= 6 else enumerate_graphs(n))
+
+
+def _brute_spex(n: int, members) -> tuple[Graph, set]:
+    """(a champion, the canonical forms of every class tied with it) over
+    every free class on n vertices, each compared exactly: no float
+    prefilter, no dominance skip."""
+    best, ties = None, []
+    for g in _classes(n):
+        if not is_free(g, members):
+            continue
+        c = 1 if best is None else compare_lambda_exact(g, best)
+        if c > 0:
+            best, ties = g, [g]
+        elif c == 0:
+            ties.append(g)
+    return best, {canonical_form(g).decode("ascii") for g in ties}
+
+
+# K1,3-free graphs have maximum degree 2, so every one holding a cycle
+# attains lambda = 2: at n = 7, 14 tied classes, most of them disconnected
+@pytest.mark.parametrize("members, ties_at_seven", [
+    ([complete(3)], 1), ([complete(4)], 1), ([path(5)], None),
+    ([star(4)], 14), ([path(4), star(4)], None), ([cycle(4)], 1),
+], ids=["K3", "K4", "P5", "K1,3", "P4,K1,3", "C4"])
+def test_spex_matches_exact_brute_force(members, ties_at_seven):
+    for n in range(1, 8):
+        best, ties = _brute_spex(n, members)
+        rep = spex_oracle(n, members)
+        assert set(rep.extremal_set) == ties, n
+        assert compare_lambda_exact(rep.graphs()[0], best) == 0, n
+        assert abs(rep.value - eig_radius(best)) <= 1e-9, n
+    if ties_at_seven is not None:
+        assert len(ties) == ties_at_seven
 
 
 class TestRestricted:
