@@ -13,7 +13,6 @@ from .graphs import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    embed_in_part,
     empty_graph,
     induced_subgraph,
     join,

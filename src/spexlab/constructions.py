@@ -1,12 +1,12 @@
 """Named graphs, forbidden families, and matched experiment pairs.
 
-Everything here is a pure constructor: Turán graphs with tree packings
-embedded in one part, the two counterexample packages built around them, and
-the nine-vertex pattern graph f1. Graphs that come with a distinguished
-equitable partition carry it in their ``partition`` attribute. A
-``TuranPacking`` record describes a Turán-plus-packing graph in O(1) space
-and yields both the graph and an equitable partition read off the
-description.
+Everything here is a pure constructor: Turán graphs with tree packings in
+one part, the two counterexample packages built around them, and the
+nine-vertex pattern graph f1. Graphs that come with a distinguished
+equitable partition carry it in their ``partition`` attribute. Every
+Turán-plus-packing graph is laid out by a ``TuranPacking`` record, which
+describes it in O(1) space and yields both the graph and an equitable
+partition read off the description.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from .graphs import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    embed_in_part,
     empty_graph,
     join,
     path,
     star,
     turan,
-    u_packing,
 )
 from .patterns import ForbiddenFamily
 from .spectral import Fold
@@ -134,18 +132,34 @@ class TuranPacking(NamedTuple):
 
     def _layout(self) -> tuple[list, list, list]:
         """Each pack entry's first vertex, each part's first vertex (and n
-        last), and each part's first leftover vertex."""
+        last), and each part's first leftover vertex.
+
+        The one check of a record: every part has a vertex, every pack
+        entry names a part and a copy count of at least 0 and fits it, and
+        every removed edge's endpoints are leftover vertices.
+        """
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(f"part sizes must be positive, got {self.sizes}")
         starts = [0]
         for size in self.sizes:
             starts.append(starts[-1] + size)
         free = starts[:-1]
         firsts = []
         for part, kind, copies in self.packs:
+            if not 0 <= part < len(self.sizes):
+                raise ValueError(f"no part {part} among {len(self.sizes)} parts")
+            if copies < 0:
+                raise ValueError(f"negative copy count {copies} in part {part}")
             firsts.append(free[part])
             free[part] += copies * kind.n
             if free[part] > starts[part + 1]:
                 raise ValueError(f"packing overflows part {part} of "
                                  f"{self.sizes[part]} vertices")
+        leftover = [range(lo, hi) for lo, hi in zip(free, starts[1:])]
+        for u in sorted({u for edge in self.removed for u in edge}):
+            if not any(u in run for run in leftover):
+                raise ValueError(f"removed edge endpoint {u} is not a "
+                                 f"leftover vertex")
         return firsts, starts, free
 
     def graph(self) -> Graph:
@@ -155,9 +169,8 @@ class TuranPacking(NamedTuple):
         adj = list(base.adj)
         for start, (_, kind, copies) in zip(firsts, self.packs):
             for first in range(start, start + copies * kind.n, kind.n):
-                for a, b in kind.edges():
-                    adj[first + a] |= 1 << (first + b)
-                    adj[first + b] |= 1 << (first + a)
+                for a, row in enumerate(kind.adj, first):
+                    adj[a] |= row << first
         for u, v in self.removed:
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
@@ -184,9 +197,6 @@ class TuranPacking(NamedTuple):
         for part in range(len(self.sizes)):
             lo, hi = free[part], starts[part + 1]
             for u in (u for u in ends if starts[part] <= u < hi):
-                if u < lo:
-                    raise ValueError(f"removed edge endpoint {u} is not a "
-                                     f"leftover vertex of part {part}")
                 cells += [range(lo, u), range(u, u + 1)]
                 tags += [(part, None, 0)] * 2
                 lo = u + 1
@@ -211,9 +221,7 @@ class TuranPacking(NamedTuple):
 
 
 def cx1_records(r: int, k: int, n: int) -> tuple[TuranPacking, TuranPacking]:
-    """``cx1_pair`` as records. H's path extended by the leftover vertex
-    is laid out as its own component type, so H's labels differ from
-    ``cx1_pair``'s; the graphs are isomorphic."""
+    """``cx1_pair`` as records."""
     if n % r == 0:
         raise ValueError(f"need n not divisible by r, got n = {n}, r = {r}")
     q, rem = divmod(n, r)
@@ -229,14 +237,11 @@ def cx1_pair(r: int, k: int, n: int) -> tuple[Graph, Graph]:
     """Star-packed G and path-packed H on the same Turán base, e(H) = e(G)+1.
 
     G packs stars on k vertices into the first small part of T(n,r); H packs
-    paths on k vertices into the first large part and extends the first path
-    by the one leftover vertex.
+    paths on k vertices into the first large part, the first of them
+    extended by the one leftover vertex.
     """
-    g, _ = cx1_records(r, k, n)
-    q = n // r
-    inner = u_packing(path(k), q + 1)
-    inner = inner.with_edge(k - 1, k * (q // k))  # leftover vertex extends path 0
-    return g.graph(), embed_in_part(turan(n, r), 0, inner)
+    g, h = cx1_records(r, k, n)
+    return g.graph(), h.graph()
 
 
 class Cx2Package(NamedTuple):
@@ -244,7 +249,6 @@ class Cx2Package(NamedTuple):
     g: Graph
     h: Graph
     h_prime: Graph
-    partitions: dict
 
 
 def _packed_path3_partition(n_part: int, opposite: tuple[int, ...],
@@ -282,23 +286,16 @@ def cx2_package(p: int, m: int) -> Cx2Package:
     family = ForbiddenFamily(
         [complete(4), join(path(4), empty_graph(m)), join(star(4), empty_graph(m))],
         name=f"cx2(m={m})")
-
-    base_g = complete_multipartite([p - 1, p + 1])
-    g = embed_in_part(base_g, 0, u_packing(path(3), p - 1))
-    opp_g = tuple(range(p - 1, 2 * p))
-    g = g.with_partition(_packed_path3_partition(p - 1, opp_g, "none"))
-
-    base = complete_multipartite([p, p])
+    c = (p - 1) // 3
+    g = TuranPacking((p - 1, p + 1), ((0, path(3), c),)).graph()
+    g = g.with_partition(
+        _packed_path3_partition(p - 1, tuple(range(p - 1, 2 * p)), "none"))
     opp = tuple(range(p, 2 * p))
-    h = embed_in_part(base, 0, u_packing(path(3), p))
+    h = TuranPacking((p, p), ((0, path(3), c),)).graph()
     h = h.with_partition(_packed_path3_partition(p, opp, "isolated"))
-
-    inner = disjoint_union(u_packing(path(3), p - 4), disjoint_union(path(2), path(2)))
-    h_prime = embed_in_part(base, 0, inner)
+    h_prime = TuranPacking((p, p), ((0, path(3), c - 1), (0, path(2), 2))).graph()
     h_prime = h_prime.with_partition(_packed_path3_partition(p, opp, "p2"))
-
-    partitions = {"G": g.partition, "H": h.partition, "H_prime": h_prime.partition}
-    return Cx2Package(family, g, h, h_prime, partitions)
+    return Cx2Package(family, g, h, h_prime)
 
 
 def star_path_records(n: int, r: int, k: int) -> tuple[TuranPacking, TuranPacking]:

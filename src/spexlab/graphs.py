@@ -25,7 +25,6 @@ __all__ = [
     "disjoint_union",
     "join",
     "u_packing",
-    "embed_in_part",
     "transfer_vertex",
     "kelmans",
     "induced_subgraph",
@@ -308,30 +307,6 @@ def u_packing(g: Graph, n: int) -> Graph:
     k = n // g.n
     adj = [row << (i * g.n) for i in range(k) for row in g.adj]
     return Graph._from_adj(n, adj + [0] * (n - k * g.n))
-
-
-def embed_in_part(base: Graph, part: int, inner: Graph) -> Graph:
-    """Add ``inner``'s edges onto one partition class of ``base``.
-
-    The class's vertices in ascending order serve as the identity embedding,
-    so ``inner`` must have exactly as many vertices as the chosen part.
-    Cross-part edges are untouched and the partition is kept.
-    """
-    if base.partition is None:
-        raise ValueError("base graph carries no partition")
-    if not (0 <= part < len(base.partition)):
-        raise ValueError(f"no part {part} in a {len(base.partition)}-part partition")
-    cls = base.partition.classes[part]
-    if len(cls) != inner.n:
-        raise ValueError(
-            f"size mismatch: part {part} has {len(cls)} vertices, "
-            f"inner graph has {inner.n}")
-    adj = list(base.adj)
-    for a, b in inner.edges():
-        u, v = cls[a], cls[b]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph._from_adj(base.n, adj, base.partition)
 
 
 def transfer_vertex(g: Graph, partition: Partition, i: int, j: int, u: int) -> Graph:

@@ -30,7 +30,7 @@ The walk also reports each class that a free child strictly dominates in
 spectral radius, which ``spex_oracle`` then leaves unscored.
 
 The restricted search scans complete multipartite graphs with the balanced
-part profile plus a bounded-order forest embedded in one part. It
+part profile plus a bounded-order forest packed into one part. It
 maximizes edges over that space only; its reports are flagged as
 restricted so they are never mistaken for true extremal numbers.
 """
@@ -40,17 +40,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator
 
 from .canon import _canonical, _generators, _mask, _refine, canonical_form
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import (Graph, _iter_bits, disjoint_union, embed_in_part,
-                     empty_graph, turan)
+from .graphs import Graph, _iter_bits, _turan_sizes, empty_graph
 from .patterns import ForbiddenFamily, is_free
 from .spectral import compare_lambda_exact, perron_root_interval, spectral_radius
-from .constructions import free_trees
+from .constructions import TuranPacking, free_trees
 
 __all__ = [
     "ExtremalReport",
@@ -362,7 +360,8 @@ def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
     every yielded graph is family-free and the search tree is pruned at the
     first forbidden subgraph.
     """
-    yield from _free_graphs(n, family, allow_large, jobs=1)
+    for g, _ in _free_classes(n, family, allow_large, jobs=1):
+        yield g
 
 
 def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[tuple[str, bool]]:
@@ -372,11 +371,6 @@ def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[tuple[str, b
         family = ForbiddenFamily([decode_graph6(s) for s in family_g6])
     return [(encode_graph6(g), dominated)
             for g, dominated in _walk(decode_graph6(seed_g6), family)]
-
-
-def _free_graphs(n: int, family: ForbiddenFamily | None, allow_large: bool,
-                 jobs: int) -> Iterator[Graph]:
-    return (g for g, _ in _free_classes(n, family, allow_large, jobs))
 
 
 def _free_classes(n: int, family: ForbiddenFamily | None, allow_large: bool,
@@ -423,7 +417,7 @@ def ex_oracle(n: int, family, allow_large: bool = False,
     t0 = time.perf_counter()
     best = -1
     attain: list[Graph] = []
-    for g in _free_graphs(n, family, allow_large, jobs):
+    for g, _ in _free_classes(n, family, allow_large, jobs):
         e = g.edge_count
         if e > best:
             best = e
@@ -534,26 +528,37 @@ def _partitions_into(w: int, kparts: int, cap: int) -> Iterator[tuple[int, ...]]
     yield from rec(w, kparts, cap)
 
 
-def _forests(w: int, max_order: int) -> Iterator[Graph]:
-    """Forests on w vertices with components of order <= max_order.
+def _tree_multisets(order: int, count: int) -> list[tuple]:
+    """Each multiset of ``count`` trees on ``order`` vertices as
+    ((tree, copies), ...); K1s give the empty multiset."""
+    if order == 1:
+        return [()]
+    return [tuple((t, len(list(run))) for t, run in groupby(trees))
+            for trees in combinations_with_replacement(free_trees(order), count)]
+
+
+def _forests(w: int, max_order: int) -> Iterator[tuple]:
+    """Forests on w vertices with components of order <= max_order, each as
+    its packs ((tree, copies), ...) with the K1s left out: a part's leftover
+    vertices are isolated.
 
     Yielded in non-increasing edge-count order (edges = w - #components),
     one per isomorphism class.
     """
     for kparts in range((w + max_order - 1) // max_order, w + 1):
         for shape in _partitions_into(w, kparts, max_order):
-            pools = [combinations_with_replacement(free_trees(s), len(list(run)))
-                     for s, run in groupby(shape)]
+            pools = [_tree_multisets(s, len(list(run))) for s, run in groupby(shape)]
             for combo in product(*pools):
-                yield reduce(disjoint_union, chain.from_iterable(combo), empty_graph(0))
+                yield tuple(pack for packs in combo for pack in packs)
 
 
 def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     """Maximum edges over the restricted space; flagged RESTRICTED.
 
     Every distinct part size of T(n, r) takes every forest of the space in
-    turn, so the space holds one graph per (part size, forest). The value
-    can undercut the true extremal number when the family rewards graphs
+    turn, so the space holds one graph per (part size, forest); a host is
+    built, as a ``TuranPacking``, only when it is tested. The value can
+    undercut the true extremal number when the family rewards graphs
     outside the space; reports carry the space definition so the
     restriction is always visible. When no graph in the space is free, the
     value is None and the extremal set is empty.
@@ -562,16 +567,17 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     t0 = time.perf_counter()
     if space.r > n:
         raise ValueError(f"r = {space.r} exceeds n = {n}")
-    base = turan(n, space.r)
-    sizes = base.partition.sizes()
+    sizes = _turan_sizes(n, space.r)
+    base_edges = (n * n - sum(w * w for w in sizes)) // 2
     best = -1
     attain: dict[str, Graph] = {}
     for w in dict.fromkeys(sizes):
-        for forest in _forests(w, space.max_tree_order):
-            e = base.edge_count + forest.edge_count
+        part = sizes.index(w)
+        for packs in _forests(w, space.max_tree_order):
+            e = base_edges + sum(t.edge_count * c for t, c in packs)
             if e < best:
                 break  # forests only get sparser from here
-            g = embed_in_part(base, sizes.index(w), forest)
+            g = TuranPacking(sizes, tuple((part, t, c) for t, c in packs)).graph()
             if not is_free(g, family):
                 continue
             if e > best:

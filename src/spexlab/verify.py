@@ -22,10 +22,10 @@ from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics
 from .canon import canonical_form
-from .constructions import check_params, cx1_family, cx1_pair, \
+from .constructions import TuranPacking, check_params, cx1_family, \
     cx1_records, cx2_package, f1
-from .graphs import Graph, complete, embed_in_part, \
-    induced_subgraph, path, turan, u_packing
+from .graphs import Graph, _turan_sizes, complete, induced_subgraph, path, \
+    turan
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
 from .patterns import ForbiddenFamily, chromatic_number, contains_subgraph, \
     is_free
@@ -75,31 +75,27 @@ def _claim_f1(c: _Checker, params: dict, inputs, jobs: int) -> None:
             detail=f"got {chromatic_number(peeled)}")
 
     for n in (12, 15):
-        t = turan(n, 3)
-        cls = t.partition.classes
-        host = t.with_edge(cls[0][0], cls[0][1]).with_edge(cls[1][0], cls[1][1])
+        host = TuranPacking(_turan_sizes(n, 3),
+                            ((0, path(2), 1), (1, path(2), 1))).graph()
         c.check(f"edge in two parts hosts F1 at n = {n}",
                 contains_subgraph(host, base))
 
-    five = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    p3_p2 = ((0, path(3), 1), (0, path(2), 1))
     for n in (13, 15):
-        t = turan(n, 3)
-        w = len(t.partition.classes[0])
-        inner = Graph(w, [(0, 1), (1, 2), (3, 4)])
+        host = TuranPacking(_turan_sizes(n, 3), p3_p2).graph()
         c.check(f"P3 and P2 in one part host F1 at n = {n}",
-                contains_subgraph(embed_in_part(t, 0, inner), base))
+                contains_subgraph(host, base))
     try:
-        embed_in_part(turan(12, 3), 0, five)
+        TuranPacking(_turan_sizes(12, 3), p3_p2).graph()
         c.check("P3 and P2 do not fit a part at n = 12", False,
-                detail="embedding unexpectedly succeeded")
+                detail="packing unexpectedly succeeded")
     except ValueError as e:
         c.check("P3 and P2 do not fit a part at n = 12", True, detail=e)
 
     for n in (12, 15):
-        t = turan(n, 3)
-        for idx in range(3):
-            w = len(t.partition.classes[idx])
-            host = embed_in_part(t, idx, u_packing(path(2), w))
+        sizes = _turan_sizes(n, 3)
+        for idx, w in enumerate(sizes):
+            host = TuranPacking(sizes, ((idx, path(2), w // 2),)).graph()
             c.check(f"matching in part {idx} stays F1-free at n = {n}",
                     not contains_subgraph(host, base))
 
@@ -120,8 +116,11 @@ def _cx1_inputs(params: dict) -> tuple:
     """The family and, at each of _CX1_NS, the (G, H) pair as records and
     as graphs."""
     r, k, m = params["r"], params["k"], params["m"]
-    return cx1_family(r, k, m), [(n, *cx1_records(r, k, n), *cx1_pair(r, k, n))
-                                 for n in _CX1_NS]
+    pairs = []
+    for n in _CX1_NS:
+        g, h = cx1_records(r, k, n)
+        pairs.append((n, g, h, g.graph(), h.graph()))
+    return cx1_family(r, k, m), pairs
 
 
 def _claim_cx1(c: _Checker, params: dict, inputs, jobs: int) -> None:
@@ -172,9 +171,8 @@ def _claim_cx2(c: _Checker, params: dict, pkg, jobs: int) -> None:
     expected = _cx2_expected(p)
     quotients, brackets = {}, {}
     for label, g in graphs.items():
-        part = pkg.partitions[label]
-        c.check(f"partition of {label} is equitable", is_equitable(g, part))
-        q = quotient_matrix(g, part)
+        c.check(f"partition of {label} is equitable", is_equitable(g))
+        q = quotient_matrix(g)
         quotients[label] = q
         brackets[label] = perron_root_interval(q, Fraction(1, 10 ** 12))
         want = tuple(tuple(Fraction(x) for x in row) for row in expected[label])

@@ -16,12 +16,10 @@ from spexlab import (
     Graph,
     SpectralResult,
     adjacency_matrix,
-    embed_in_part,
     induced_subgraph,
     star,
     transfer_vertex,
     turan,
-    u_packing,
 )
 from spexlab.graphs import _iter_bits
 
@@ -194,6 +192,19 @@ def refine_rescan(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int
             return cells
 
 
+def packed_turan(n: int, r: int, part: int, kinds) -> Graph:
+    """T(n, r) with the graphs in ``kinds`` laid side by side from the
+    first vertex of ``part``, their edges added one at a time."""
+    g = turan(n, r)
+    cls = g.partition.classes[part]
+    first = 0
+    for kind in kinds:
+        for a, b in kind.edges():
+            g = g.with_edge(cls[first + a], cls[first + b])
+        first += kind.n
+    return g
+
+
 def edge_add_graphs(r: int, b: int, a: int, n: int) -> tuple[Graph, Graph]:
     """T(n, r) plus b edges matched inside part 0 and minus a cross edges
     between the tails of the last two parts, against T(n, r) itself."""
@@ -210,7 +221,6 @@ def edge_add_graphs(r: int, b: int, a: int, n: int) -> tuple[Graph, Graph]:
 def transfer_shift_graphs(r: int, k: int, n: int) -> tuple[Graph, Graph]:
     """T(n, r), n = r*w + 1, with k-vertex stars packed into part 1, after
     and before an ordinary vertex of part 0 moves into part 1."""
-    t = turan(n, r)
-    g = embed_in_part(t, 1, u_packing(star(k), n // r))
-    moved = transfer_vertex(g, g.partition, 0, 1, t.partition.classes[0][0])
+    g = packed_turan(n, r, 1, [star(k)] * (n // r // k))
+    moved = transfer_vertex(g, g.partition, 0, 1, g.partition.classes[0][0])
     return moved, g

@@ -4,11 +4,11 @@ import itertools
 import random
 
 from spexlab import (
+    TuranPacking,
     canonical_form,
     complete_multipartite,
     cycle,
     disjoint_union,
-    embed_in_part,
     empty_graph,
     encode_graph6,
     path,
@@ -129,7 +129,7 @@ def test_refine_skips_stable_splitters_without_changing_cells():
     rng = random.Random(29)
     graphs = [random_graph(rng, rng.randrange(1, 16), rng.random())
               for _ in range(150)]
-    graphs += [turan(13, 3), embed_in_part(turan(24, 3), 0, u_packing(star(4), 8)),
+    graphs += [turan(13, 3), TuranPacking((8, 8, 8), ((0, star(4), 2),)).graph(),
                disjoint_union(cycle(6), path(5))]
     for g in graphs:
         unit = [list(range(g.n))]

@@ -13,7 +13,6 @@ from spexlab import (
     cx1_family,
     cx1_pair,
     cx2_package,
-    embed_in_part,
     f1,
     free_trees,
     is_equitable,
@@ -26,11 +25,11 @@ from spexlab import (
     star_path_pair,
     relabel,
     turan,
-    u_packing,
 )
 from spexlab import asymptotics
 from spexlab.constructions import cx1_records, star_path_records
-from oracles import edge_add_graphs, transfer_shift_graphs
+from conftest import random_graph
+from oracles import edge_add_graphs, packed_turan, transfer_shift_graphs
 
 CHAIR = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
 
@@ -147,10 +146,10 @@ class TestCx1Pair:
 class TestCx2Package:
     def test_quotients_at_seven(self):
         pkg = cx2_package(7, 3)
-        b = quotient_matrix(pkg.g, pkg.partitions["G"])
+        b = quotient_matrix(pkg.g)
         assert [[int(x) for x in row] for row in b.entries] == [
             [0, 2, 8], [1, 0, 8], [2, 4, 0]]
-        cp = quotient_matrix(pkg.h_prime, pkg.partitions["H_prime"])
+        cp = quotient_matrix(pkg.h_prime)
         assert [[int(x) for x in row] for row in cp.entries] == [
             [0, 2, 0, 7], [1, 0, 0, 7], [0, 0, 1, 7], [1, 2, 4, 0]]
 
@@ -169,7 +168,7 @@ class TestCx2Package:
         for p in (7, 13, 19, 25):
             pkg = cx2_package(p, 3)
             for key, g in (("G", pkg.g), ("H", pkg.h), ("H_prime", pkg.h_prime)):
-                assert is_equitable(g, pkg.partitions[key]), (p, key)
+                assert is_equitable(g), (p, key)
 
     def test_family_members(self):
         pkg = cx2_package(7, 3)
@@ -227,32 +226,36 @@ class TestStarPathPair:
             star_path_pair(54, 3, 3)
 
 
+def assert_refused(rec: TuranPacking, match: str) -> None:
+    """Both the graph and the fold of ``rec`` refuse it."""
+    for build in (rec.graph, rec.fold):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 class TestTuranPacking:
     """Records give the graphs of the builders they replace."""
 
     def test_star_path_rows(self):
         for k in (4, 5):
             for n in (120, 240, 480, 960):
-                old = [embed_in_part(turan(n, 3), 0, u_packing(kind, n // 3))
-                       for kind in (star(k), path(k))]
+                want = [packed_turan(n, 3, 0, [kind] * (n // 3 // k))
+                        for kind in (star(k), path(k))]
                 new = [rec.graph() for rec in star_path_records(n, 3, k)]
-                assert [g.adj for g in new] == [g.adj for g in old]
-                assert [g.partition for g in new] == [g.partition for g in old]
+                assert [g.adj for g in new] == [g.adj for g in want]
+                assert [g.partition for g in new] == [g.partition for g in want]
 
     def test_cx1_rows(self):
         for n in (55, 109, 217, 433):
             g, h = cx1_pair(3, 6, n)
             g_rec, h_rec = cx1_records(3, 6, n)
             q, rem = divmod(n, 3)
-            old_g = embed_in_part(turan(n, 3), rem, u_packing(star(6), q))
-            assert g.adj == g_rec.graph().adj == old_g.adj
-            # the record lays out the extended path 0..k-1, q as 0..k
-            perm = list(range(n))
-            perm[q] = 6
-            perm[6:q] = range(7, q + 1)
-            assert relabel(h, perm).adj == h_rec.graph().adj
-            if n == 55:
-                assert canonical_form(h_rec.graph()) == canonical_form(h)
+            want_g = packed_turan(n, 3, rem, [star(6)] * (q // 6))
+            # the leftover vertex of the large part extends the first path
+            want_h = packed_turan(n, 3, 0, [path(7)] + [path(6)] * (q // 6 - 1))
+            assert g.adj == g_rec.graph().adj == want_g.adj
+            assert h.adj == h_rec.graph().adj == want_h.adj
+            assert g.partition == h.partition == want_h.partition
 
     def test_edge_add_rows(self):
         for params in ({"r": 3, "b": 2, "a": 0}, {"r": 2, "b": 2, "a": 3}):
@@ -275,15 +278,60 @@ class TestTuranPacking:
             if n == pairs[0][0]:
                 assert canonical_form(moved.graph()) == canonical_form(old_moved)
 
+    def test_bipartite_plus_path(self):
+        assert TuranPacking((3, 3), ((0, path(3), 1),)).graph().edge_count == 11
+
+    def test_turan_plus_matching(self):
+        g = TuranPacking((2, 2, 2), ((0, path(2), 1),)).graph()
+        assert g.edge_count == turan(6, 3).edge_count + 1
+
+    def test_graph_carries_its_parts(self):
+        g = TuranPacking((3, 3, 2), ((1, path(3), 1),)).graph()
+        assert g.partition == turan(8, 3).partition
+
+    def test_packs_add_edges_only_inside_their_part(self):
+        rng = random.Random(310)
+        for _ in range(100):
+            n, r = rng.randrange(4, 12), rng.randrange(2, 4)
+            base = turan(n, r)
+            part = rng.randrange(r)
+            w = len(base.partition.classes[part])
+            kind = random_graph(rng, rng.randrange(1, w + 1), 0.5)
+            copies = rng.randrange(w // kind.n + 1)
+            g = TuranPacking(base.partition.sizes(), ((part, kind, copies),)).graph()
+            assert g.edge_count == base.edge_count + copies * kind.edge_count
+            cls = set(base.partition.classes[part])
+            for u, v in g.edges():
+                if base.has_edge(u, v):
+                    continue
+                assert u in cls and v in cls
+
+    def test_zero_copies_add_nothing(self):
+        rec = TuranPacking((4, 4), ((0, path(2), 0),), ((0, 4),))
+        assert rec.graph() == turan(8, 2).without_edge(0, 4)
+        assert len(rec.fold().cells) == 4
+
     def test_fold_refuses_a_removed_edge_inside_a_copy(self):
-        rec = TuranPacking((4, 4), ((0, path(2), 2),), ((1, 7),))
-        with pytest.raises(ValueError, match="endpoint 1 is not a leftover"):
-            rec.fold()
+        assert_refused(TuranPacking((4, 4), ((0, path(2), 2),), ((1, 7),)),
+                       "endpoint 1 is not a leftover")
 
     def test_packing_must_fit_its_part(self):
-        rec = TuranPacking((4, 3), ((1, star(4), 1),))
-        with pytest.raises(ValueError, match="overflows part 1"):
-            rec.graph()
+        assert_refused(TuranPacking((4, 3), ((1, star(4), 1),)),
+                       "overflows part 1")
+        assert_refused(TuranPacking((3, 3), ((0, path(4), 1),)),
+                       "overflows part 0")
+
+    def test_refuses_a_part_index_outside_the_parts(self):
+        for part in (2, -1):
+            assert_refused(TuranPacking((2, 2), ((part, path(2), 1),)),
+                           f"no part {part} among 2 parts")
+
+    def test_refuses_a_negative_copy_count(self):
+        assert_refused(TuranPacking((4,), ((0, path(2), -1), (0, path(2), 3))),
+                       "negative copy count -1 in part 0")
+
+    def test_refuses_a_part_without_vertices(self):
+        assert_refused(TuranPacking((4, 0), ()), "part sizes must be positive")
 
 
 class TestBuildNamed:

@@ -1,4 +1,4 @@
-"""Core graph type: constructors, join/union, packing, embedding, transfer."""
+"""Core graph type: constructors, join/union, packing, transfer."""
 
 import random
 
@@ -9,13 +9,13 @@ import numpy as np
 from spexlab import (
     Graph,
     Partition,
+    TuranPacking,
     adjacency_matrix,
     canonical_form,
     complete,
     complete_multipartite,
     cycle,
     disjoint_union,
-    embed_in_part,
     empty_graph,
     join,
     kelmans,
@@ -172,41 +172,6 @@ class TestUPacking:
             assert g.edge_count == (n // k) * inner.edge_count
 
 
-class TestEmbedInPart:
-    def test_bipartite_plus_path(self):
-        g = embed_in_part(turan(6, 2), 0, path(3))
-        assert g.edge_count == 11
-
-    def test_turan_plus_matching(self):
-        g = embed_in_part(turan(6, 3), 0, matching(2))
-        assert g.edge_count == turan(6, 3).edge_count + 1
-
-    def test_size_must_match(self):
-        with pytest.raises(ValueError):
-            embed_in_part(turan(6, 2), 0, path(4))
-
-    def test_keeps_base_partition(self):
-        base = turan(8, 3)
-        g = embed_in_part(base, 1, path(3))
-        assert g.partition.classes == base.partition.classes
-
-    def test_only_adds_inside_the_part(self):
-        rng = random.Random(310)
-        for _ in range(100):
-            n, r = rng.randrange(4, 12), rng.randrange(2, 4)
-            base = turan(n, r)
-            part = rng.randrange(r)
-            w = len(base.partition.classes[part])
-            inner = random_graph(rng, w, 0.5)
-            g = embed_in_part(base, part, inner)
-            assert g.edge_count == base.edge_count + inner.edge_count
-            cls = set(base.partition.classes[part])
-            for u, v in g.edges():
-                if base.has_edge(u, v):
-                    continue
-                assert u in cls and v in cls
-
-
 class TestTransferVertex:
     def test_turan7(self):
         g = turan(7, 3)
@@ -243,9 +208,8 @@ class TestTransferVertex:
         for _ in range(100):
             r = rng.randrange(2, 5)
             w = rng.randrange(2, 6)
-            base = turan(r * w, r)
-            g = embed_in_part(base, 0, star(w))
-            leaf = base.partition.classes[0][-1]
+            g = TuranPacking((w,) * r, ((0, star(w), 1),)).graph()
+            leaf = g.partition.classes[0][-1]
             j = rng.randrange(1, r)
             out = transfer_vertex(g, g.partition, 0, j, leaf)
             wi = len(g.partition.classes[0])
@@ -253,9 +217,8 @@ class TestTransferVertex:
             assert out.edge_count - g.edge_count >= wi - wj - 2
 
     def test_rejects_busy_vertex(self):
-        base = turan(6, 2)
-        g = embed_in_part(base, 0, path(3))
-        center = base.partition.classes[0][1]
+        g = TuranPacking((3, 3), ((0, path(3), 1),)).graph()
+        center = g.partition.classes[0][1]
         with pytest.raises(ValueError):
             transfer_vertex(g, g.partition, 0, 1, center)
 
@@ -308,7 +271,7 @@ class TestRelabelAndViews:
     def test_relabel_moves_every_edge(self):
         # twins share a row, and relabel works on each distinct row once
         rng = random.Random(23)
-        graphs = [turan(30, 3), embed_in_part(turan(24, 2), 0, u_packing(star(4), 12))]
+        graphs = [turan(30, 3), TuranPacking((12, 12), ((0, star(4), 3),)).graph()]
         graphs += [random_graph(rng, rng.randrange(1, 12)) for _ in range(30)]
         for g in graphs:
             perm = list(range(g.n))

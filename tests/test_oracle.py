@@ -15,6 +15,7 @@ from spexlab import (
     ForbiddenFamily,
     Graph,
     RestrictedSpace,
+    TuranPacking,
     canonical_form,
     complete,
     complete_multipartite,
@@ -61,7 +62,8 @@ _TREES = (1, 1, 1, 1, 2, 3)
 @pytest.mark.parametrize("max_order", range(1, 6))
 def test_forests_are_distinct_bounded_and_counted(max_order):
     for w in range(1, 11):
-        forests = list(oracle._forests(w, max_order))
+        forests = [TuranPacking((w,), tuple((0, t, c) for t, c in packs)).graph()
+                   for packs in oracle._forests(w, max_order)]
         # multisets of trees on <= max_order vertices, w vertices in all
         count = [1] + [0] * w
         for order in range(1, max_order + 1):
@@ -399,8 +401,8 @@ class TestExOracle:
         assert list(rep.extremal_set) == sorted(set(rep.extremal_set))
 
     def test_non_maximal_graph_is_named(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_free_graphs",
-                            lambda *args: iter([empty_graph(3)]))
+        monkeypatch.setattr(oracle, "_free_classes",
+                            lambda *args: iter([(empty_graph(3), False)]))
         with pytest.raises(RuntimeError,
                            match=r"extremal graph B\? is not edge-maximal: "
                                  r"adding \(0, 1\) keeps it free"):

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from spexlab import (
     ForbiddenFamily,
     Graph,
+    TuranPacking,
     canonical_form,
     chromatic_number,
     complete,
@@ -21,7 +22,6 @@ from spexlab import (
     cx2_package,
     cycle,
     disjoint_union,
-    embed_in_part,
     empty_graph,
     enumerate_graphs,
     f1,
@@ -51,7 +51,7 @@ class TestContains:
         assert contains_subgraph(host, f1())
 
     def test_packed_edges_do_not(self):
-        host = embed_in_part(turan(12, 3), 0, u_packing(path(2), 4))
+        host = TuranPacking((4, 4, 4), ((0, path(2), 2),)).graph()
         assert not contains_subgraph(host, f1())
 
     def test_self_and_single_vertex(self):
@@ -559,7 +559,7 @@ class TestNoHostCanonization:
         assert contains_subgraph(k557, complete(3))
         assert not contains_subgraph(k557, complete(4))
         assert not contains_subgraph(
-            embed_in_part(turan(12, 3), 0, u_packing(path(2), 4)), f1())
+            TuranPacking((4, 4, 4), ((0, path(2), 2),)).graph(), f1())
         assert canonized == []  # nor the patterns: verdicts use exact keys
 
     def test_parts_tied_on_the_invariant_are_told_apart(self):

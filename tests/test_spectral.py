@@ -191,9 +191,9 @@ class TestEquitable:
 
     def test_cx2_partitions(self):
         pkg = cx2_package(7, 3)
-        assert is_equitable(pkg.g, pkg.partitions["G"])
-        assert is_equitable(pkg.h, pkg.partitions["H"])
-        assert is_equitable(pkg.h_prime, pkg.partitions["H_prime"])
+        assert is_equitable(pkg.g)
+        assert is_equitable(pkg.h)
+        assert is_equitable(pkg.h_prime)
 
     def test_uneven_split_is_not(self):
         assert not is_equitable(path(3), Partition([[0, 1], [2]]))
@@ -213,7 +213,7 @@ class TestQuotient:
 
     def test_cx2_g(self):
         pkg = cx2_package(7, 3)
-        m = quotient_matrix(pkg.g, pkg.partitions["G"])
+        m = quotient_matrix(pkg.g)
         assert [[int(x) for x in row] for row in m.entries] == [
             [0, 2, 8],
             [1, 0, 8],
@@ -222,7 +222,7 @@ class TestQuotient:
 
     def test_cx2_h(self):
         pkg = cx2_package(7, 3)
-        m = quotient_matrix(pkg.h, pkg.partitions["H"])
+        m = quotient_matrix(pkg.h)
         assert [[int(x) for x in row] for row in m.entries] == [
             [0, 2, 0, 7],
             [1, 0, 0, 7],
@@ -234,8 +234,7 @@ class TestQuotient:
         # quotient of an equitable partition carries the exact radius
         cases = [turan(6, 2), turan(12, 3), turan(9, 4)]
         pkg = cx2_package(7, 3)
-        cases += [pkg.g.with_partition(pkg.partitions["G"]),
-                  pkg.h.with_partition(pkg.partitions["H"])]
+        cases += [pkg.g, pkg.h]
         for g in cases:
             m = quotient_matrix(g)
             lo, hi = perron_root_interval(m, Fraction(1, 10**9))
@@ -285,7 +284,7 @@ class TestRationalMatrix:
 
     def test_cx2_poly_negative_past_the_bound(self):
         pkg = cx2_package(7, 3)
-        poly = quotient_matrix(pkg.g, pkg.partitions["G"]).char_poly()
+        poly = quotient_matrix(pkg.g).char_poly()
         bound = Fraction(7) + Fraction(2, 3) - Fraction(1, 35)
         assert poly(bound) < 0
 
@@ -305,8 +304,8 @@ class TestPerronCertificates:
     def test_cx2_bound(self):
         pkg = cx2_package(7, 3)
         bound = Fraction(7) + Fraction(2, 3) - Fraction(1, 35)
-        b = quotient_matrix(pkg.g, pkg.partitions["G"])
-        c = quotient_matrix(pkg.h, pkg.partitions["H"])
+        b = quotient_matrix(pkg.g)
+        c = quotient_matrix(pkg.h)
         assert not perron_less_than(b, bound)
         assert perron_less_than(c, bound)
 
@@ -394,7 +393,7 @@ class TestPerronCertificates:
 
     def test_interval_consistent_with_certificate(self):
         pkg = cx2_package(7, 3)
-        b = quotient_matrix(pkg.g, pkg.partitions["G"])
+        b = quotient_matrix(pkg.g)
         lo, hi = perron_root_interval(b, Fraction(1, 10**8))
         assert not perron_less_than(b, lo)
         assert perron_less_than(b, hi + Fraction(1, 10**8))

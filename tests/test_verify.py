@@ -125,10 +125,10 @@ def test_cx1_sign_does_not_read_the_float_gaps(monkeypatch):
 def test_cx1_fit_reuses_the_claim_pairs(monkeypatch):
     # the fit reads the claim's records; each size's graphs are built once
     calls, built = [], []
-    real = asymptotics.cx1_pair
-    monkeypatch.setattr(asymptotics, "cx1_pair",
+    real = asymptotics.cx1_records
+    monkeypatch.setattr(asymptotics, "cx1_records",
                         lambda *a: calls.append(a) or real(*a))
-    monkeypatch.setattr(verify, "cx1_pair",
+    monkeypatch.setattr(verify, "cx1_records",
                         lambda *a: built.append(a[2]) or real(*a))
     rep = run_claim("cx1")
     assert calls == []
