@@ -318,6 +318,8 @@ class TestTuranPacking:
     def test_packing_must_fit_its_part(self):
         assert_refused(TuranPacking((4, 3), ((1, star(4), 1),)),
                        "overflows part 1")
+
+    def test_size_must_match(self):
         assert_refused(TuranPacking((3, 3), ((0, path(4), 1),)),
                        "overflows part 0")
 
