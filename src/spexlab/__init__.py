@@ -34,7 +34,6 @@ from .patterns import (
     is_free,
 )
 from .spectral import (
-    RationalMatrix,
     Fold,
     RationalPoly,
     SpectralResult,

@@ -209,7 +209,7 @@ def _cmd_quotient(args) -> int:
     q = quotient_matrix(g, part)
     poly = q.char_poly()
     _emit(args, {"n": g.n, "classes": [list(c) for c in part.classes],
-                 "matrix": [list(row) for row in q.entries],
+                 "matrix": [list(row) for row in q.counts],
                  "char_poly": list(poly.coeffs)})
     return 0
 

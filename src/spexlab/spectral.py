@@ -1,29 +1,26 @@
-"""Float and exact spectral-radius tools.
+"""Float and exact spectral-radius tools, both on a ``Fold``: the cells of an
+equitable partition and the integer counts B of its quotient, which has the
+graph's spectral radius.
 
-Both sides work on a graph's coarsest equitable quotient. The float side
-solves one connected component at a time: it refines the component's
-vertices to their coarsest equitable partition on g's own rows, symmetrizes
-the quotient B as S = D^1/2 B D^-1/2 (D the cell sizes; |C_i| B_ij =
+The float side solves one connected component at a time: it refines the
+component's vertices to their coarsest equitable partition on g's own rows,
+symmetrizes B as S = D^1/2 B D^-1/2 (D the cell sizes; |C_i| B_ij =
 |C_j| B_ji, so S_ij = sqrt(B_ij B_ji)), takes S's top eigenpair with a dense
 symmetric eigensolver, and lifts it back onto the cells. No n x n matrix is
 built; by equitability the quotient residual is the whole graph's.
-``fold_radius`` runs the same refinement rule on the cells of a given
-equitable partition (a ``Fold``) instead of on vertices, so it reaches the
-same quotient without the graph.
+``fold_radius`` runs the same refinement rule on the cells of a given fold
+instead of on vertices, so it reaches the same quotient without the graph.
 
-The exact side takes Fraction matrices (a graph's Perron root is certified
-on its coarsest equitable quotient) and decides in integers: quotient
-matrices, monic characteristic polynomials (Faddeev-LeVerrier on the integer
-matrix D*A), a leading-principal-minor test certifying q > perron root (the
-M-matrix criterion for qI - A, by fraction-free Bareiss elimination), and an
-exact three-way comparison of Perron roots by joint halving bisection with
-Sturm-sequence equality detection.
+The exact side decides in integers on a fold's counts: monic characteristic
+polynomials (Faddeev-LeVerrier), a leading-principal-minor test certifying
+q > perron root (the M-matrix criterion for qI - B, by fraction-free Bareiss
+elimination), and an exact three-way comparison of Perron roots by joint
+halving bisection with Sturm-sequence equality detection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +37,6 @@ __all__ = [
     "fold_radius",
     "is_equitable",
     "quotient_matrix",
-    "RationalMatrix",
     "RationalPoly",
     "perron_less_than",
     "perron_root_interval",
@@ -85,21 +81,10 @@ def _quotient_perron(b: Sequence[Sequence[int]],
     return lam, x, float(np.abs(b @ x - lam * x).max())
 
 
-def _quotient_eigenpair(adj: tuple[int, ...],
-                        comp: int) -> tuple[float, list, np.ndarray, float]:
-    """(lambda, cells, x, residual) for the component comp of adj."""
-    cells = _refine(adj, [list(_iter_bits(comp))])
-    masks = [_mask(cell) for cell in cells]
-    b = [[(adj[cell[0]] & mask).bit_count() for mask in masks]
-         for cell in cells]
-    lam, x, res = _quotient_perron(b, [len(cell) for cell in cells])
-    return lam, cells, x, res
-
-
 def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue of g with an uncertified float residual.
 
-    Solves each component on its coarsest equitable quotient and returns an
+    Solves each component's coarsest equitable fold and returns an
     eigenvector supported on the first component attaining the radius (zero
     elsewhere). The empty graph has radius 0.
     """
@@ -110,7 +95,9 @@ def spectral_radius(g: Graph) -> SpectralResult:
         if comp & (comp - 1) == 0:  # an isolated vertex
             found = (0.0, [[comp.bit_length() - 1]], np.ones(1), 0.0)
         else:
-            found = _quotient_eigenpair(g.adj, comp)
+            fold = _fold(g.adj, _refine(g.adj, [list(_iter_bits(comp))]))
+            lam, x, res = _quotient_perron(fold.counts, [len(c) for c in fold.cells])
+            found = (lam, fold.cells, x, res)
         if best is None or found[0] > best[0]:
             best = found
     lam, cells, x, res = best
@@ -129,10 +116,68 @@ class Fold(NamedTuple):
     ``cells`` are disjoint nonempty vertex sequences covering the graph (a
     ``range`` each, for the constructions, so nothing grows with n), and
     ``counts[p][q]`` is the number of neighbors every vertex of cells[p]
-    has in cells[q].
+    has in cells[q]. With P the cells' characteristic matrix and B the
+    counts, AP = PB: B's eigenvalues are A's, and P^T takes a Perron vector
+    of A to one of B^T, so rho(B) = rho(A).
     """
     cells: tuple
     counts: tuple
+
+    @classmethod
+    def of(cls, g: Graph) -> "Fold":
+        """g's coarsest equitable partition, in ``_refine``'s cell order."""
+        if not g.n:
+            return cls((), ())
+        return _fold(g.adj, _refine(g.adj, [list(range(g.n))]))
+
+    def char_poly(self) -> "RationalPoly":
+        """Monic characteristic polynomial det(tI - B) of the counts B.
+
+        Faddeev-LeVerrier over Python ints: B is integral, so every
+        coefficient c_k is an integer and -tr(B M_k) / k divides exactly.
+        """
+        _check_fold(self)
+        n = len(self.counts)
+        nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in self.counts]
+        coeffs = [1]  # descending from t^n
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(1, n + 1):
+            prod = []
+            for nz in nonzero:
+                acc = [0] * n
+                for j, x in nz:
+                    acc = [a + x * y for a, y in zip(acc, m[j])]
+                prod.append(acc)
+            ck = -sum(prod[i][i] for i in range(n)) // k
+            coeffs.append(ck)
+            for i in range(n):
+                prod[i][i] += ck
+            m = prod
+        return RationalPoly(reversed(coeffs))
+
+
+def _fold(adj: tuple[int, ...], cells: list[list[int]]) -> Fold:
+    """The fold of the equitable cells ``cells`` of the graph with rows adj."""
+    masks = [_mask(cell) for cell in cells]
+    return Fold(tuple(tuple(cell) for cell in cells),
+                tuple(tuple((adj[cell[0]] & mask).bit_count() for mask in masks)
+                      for cell in cells))
+
+
+def _check_fold(fold: Fold) -> None:
+    """Refuse a fold whose counts are not a square matrix of nonnegative
+    ints, one row per nonempty cell."""
+    k = len(fold.cells)
+    if len(fold.counts) != k:
+        raise ValueError(f"fold has {k} cells but {len(fold.counts)} count rows")
+    for p, row in enumerate(fold.counts):
+        if not len(fold.cells[p]):
+            raise ValueError(f"fold cell {p} is empty")
+        if len(row) != k:
+            raise ValueError(f"count row {p} has {len(row)} entries for {k} cells")
+        for q, x in enumerate(row):
+            if type(x) is not int or x < 0:
+                raise ValueError(f"count ({p}, {q}) is {x!r}, not a nonnegative int")
 
 
 def _refine_fold(counts: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -168,6 +213,12 @@ def _refine_fold(counts: Sequence[Sequence[int]]) -> list[list[int]]:
             return cells
 
 
+def _merged(counts: Sequence[Sequence[int]],
+            cells: list[list[int]]) -> list[list[int]]:
+    """The counts between unions of fold cells, for ``_refine_fold``'s cells."""
+    return [[sum(counts[c[0]][q] for q in d) for d in cells] for c in cells]
+
+
 def fold_radius(fold: Fold) -> float:
     """Spectral radius of a connected graph from an equitable partition of it.
 
@@ -176,16 +227,33 @@ def fold_radius(fold: Fold) -> float:
     ``spectral_radius``'s eigensolver step: the input to the solver is the
     one ``spectral_radius`` builds from the graph, so the value is equal to
     ``spectral_radius(g).value``, bit for bit, at a cost that does not grow
-    with the number of vertices.
+    with the number of vertices. The empty fold has radius 0.
     """
+    _check_fold(fold)
+    if not fold.counts:
+        return 0.0
     cells = _refine_fold(fold.counts)
-    b = [[sum(fold.counts[c[0]][q] for q in d) for d in cells] for c in cells]
     sizes = [sum(len(fold.cells[p]) for p in c) for c in cells]
-    return _quotient_perron(b, sizes)[0]
+    return _quotient_perron(_merged(fold.counts, cells), sizes)[0]
 
 
-def quotient_matrix(g: Graph, partition: Partition | None = None) -> "RationalMatrix":
-    """Quotient matrix of an equitable partition (entry i,j: neighbors in class j).
+def _coarsest(m: Graph | Fold) -> Fold:
+    """The fold the exact bisections run on: a graph folded by ``Fold.of``,
+    or a checked fold coarsened to the folded graph's coarsest equitable
+    partition (returned as it is when it already is one)."""
+    if isinstance(m, Graph):
+        return Fold.of(m)
+    _check_fold(m)
+    cells = _refine_fold(m.counts) if m.counts else []
+    if len(cells) == len(m.counts):
+        return m
+    return Fold(tuple(tuple(v for p in c for v in m.cells[p]) for c in cells),
+                _merged(m.counts, cells))
+
+
+def quotient_matrix(g: Graph, partition: Partition | None = None) -> Fold:
+    """The fold of an equitable partition: its classes and the counts
+    (entry i,j: neighbors in class j).
 
     Inequitable input raises a ValueError naming a violating vertex pair.
     """
@@ -209,9 +277,9 @@ def quotient_matrix(g: Graph, partition: Partition | None = None) -> "RationalMa
                 raise ValueError(
                     f"partition not equitable: vertices {by[a]} and {by[b]} in "
                     f"class {i} have {a} and {b} neighbors in class {j}")
-            row.append(Fraction(counts.pop()))
-        rows.append(row)
-    return RationalMatrix(rows)
+            row.append(counts.pop())
+        rows.append(tuple(row))
+    return Fold(partition.classes, tuple(rows))
 
 
 def is_equitable(g: Graph, partition: Partition | None = None) -> bool:
@@ -222,73 +290,7 @@ def is_equitable(g: Graph, partition: Partition | None = None) -> bool:
     return True
 
 
-# -- exact matrices and polynomials -------------------------------------------
-
-class RationalMatrix:
-    """Immutable square matrix over Fraction."""
-
-    __slots__ = ("entries", "n")
-
-    def __init__(self, rows: Iterable[Iterable]):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "RationalMatrix":
-        return cls([[Fraction(g.adj[i] >> j & 1) for j in range(g.n)]
-                    for i in range(g.n)])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def _scaled(self) -> tuple[int, list[list[int]]]:
-        """(D, D*A) for D the lcm of the entry denominators, so D*A is integral."""
-        d = lcm(*(x.denominator for row in self.entries for x in row))
-        return d, [[x.numerator * (d // x.denominator) for x in row]
-                   for row in self.entries]
-
-    def char_poly(self) -> "RationalPoly":
-        """Monic characteristic polynomial det(tI - A), by Faddeev-LeVerrier.
-
-        Runs over Python ints on B = D*A: B's coefficients c_k are integers,
-        so -tr(B M_k) / k divides exactly, and A's are c_k / D^k.
-        """
-        n = self.n
-        d, b = self._scaled()
-        nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-        coeffs = [Fraction(1)]  # descending from t^n
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            prod = []
-            for nz in nonzero:
-                acc = [0] * n
-                for j, x in nz:
-                    acc = [a + x * y for a, y in zip(acc, m[j])]
-                prod.append(acc)
-            ck = -sum(prod[i][i] for i in range(n)) // k
-            coeffs.append(Fraction(ck, d ** k))
-            for i in range(n):
-                prod[i][i] += ck
-            m = prod
-        return RationalPoly(reversed(coeffs))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({[[str(x) for x in row] for row in self.entries]})"
-
+# -- exact polynomials and Perron certificates -------------------------------
 
 class RationalPoly:
     """Dense polynomial over Fraction; coefficient i multiplies t**i."""
@@ -404,44 +406,28 @@ def _roots_in(chain: list[RationalPoly], lo: Fraction, hi: Fraction) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def _perron_matrix(m) -> RationalMatrix:
-    """A graph's coarsest equitable quotient B; a RationalMatrix as it is;
-    anything else read as rows of a RationalMatrix.
+def perron_less_than(m: Graph | Fold, q) -> bool:
+    """Certify q > spectral radius of a graph or a fold, exactly.
 
-    With P the cells' characteristic matrix, AP = PB: B's eigenvalues are A's,
-    and P^T takes a Perron vector of A to one of B^T, so rho(B) = rho(A).
+    Tests whether qI - B, B the counts, is a nonsingular M-matrix via
+    positivity of all leading principal minors; returns False at q equal to
+    the radius. Bareiss elimination on the integer matrix s(qI - B), s the
+    denominator of q, makes pivot k the (k+1)-th leading principal minor of
+    that matrix, s^(k+1) times the minor of qI - B, so the signs are the ones
+    the criterion needs. A fold is taken as given (every equitable partition
+    has the graph's radius): the bisections below coarsen theirs once and
+    then call this many times. The empty graph has radius 0, as
+    spectral_radius reports.
     """
-    if isinstance(m, RationalMatrix):
-        return m
-    if isinstance(m, Graph):
-        if not m.n:
-            return RationalMatrix.from_graph(m)
-        return quotient_matrix(m, Partition(_refine(m.adj, [list(range(m.n))])))
-    return RationalMatrix(m)
-
-
-def perron_less_than(matrix, q) -> bool:
-    """Certify q > spectral radius of an entrywise-nonnegative matrix, exactly.
-
-    Tests whether qI - A is a nonsingular M-matrix via positivity of all
-    leading principal minors; returns False at q equal to the radius.
-    Bareiss elimination on the integer matrix s*(qI - A) makes pivot k the
-    (k+1)-th leading principal minor of that matrix, s^(k+1) times the
-    minor of qI - A, so the signs are the ones the criterion needs. The
-    0 x 0 matrix has radius 0, as spectral_radius reports for the empty graph.
-    """
-    a = _perron_matrix(matrix)
-    if any(x < 0 for row in a.entries for x in row):
-        raise ValueError("matrix must be entrywise nonnegative")
+    fold = Fold.of(m) if isinstance(m, Graph) else m
+    _check_fold(fold)
+    b = fold.counts
     q = Fraction(q)
-    if a.n == 0:
+    n = len(b)
+    if n == 0:
         return q > 0
-    d, b = a._scaled()
-    s = lcm(d, q.denominator)
-    sq = q.numerator * (s // q.denominator)
-    f = s // d
-    n = a.n
-    rows = [[(sq if i == j else 0) - f * x for j, x in enumerate(row)]
+    s, sq = q.denominator, q.numerator
+    rows = [[(sq if i == j else 0) - s * x for j, x in enumerate(row)]
             for i, row in enumerate(b)]
     prev = 1
     for k in range(n):
@@ -458,27 +444,27 @@ def perron_less_than(matrix, q) -> bool:
     return True
 
 
-def perron_root_interval(matrix, width) -> tuple[Fraction, Fraction]:
+def perron_root_interval(m: Graph | Fold, width) -> tuple[Fraction, Fraction]:
     """Rationals lo <= rho < hi, hi - lo <= width, around the Perron root.
 
     lo is rho itself when a halving point lands on the root.
     """
-    a = _perron_matrix(matrix)
+    fold = _coarsest(m)
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    hi = max((sum(row, Fraction(0)) for row in a.entries), default=Fraction(0)) + 1
+    hi = Fraction(max(map(sum, fold.counts), default=0) + 1)
     lo = Fraction(-1)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if perron_less_than(a, mid):
+        if perron_less_than(fold, mid):
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def compare_lambda_exact(g: Graph, h: Graph) -> int:
+def compare_lambda_exact(g: Graph | Fold, h: Graph | Fold) -> int:
     """Exact sign of lambda(g) - lambda(h): -1, 0, or +1.
 
     Joint halving bisection with the M-matrix certificate separates distinct
@@ -486,24 +472,24 @@ def compare_lambda_exact(g: Graph, h: Graph) -> int:
     of each squarefree characteristic polynomial and their gcd has a root
     there too. The cx2(13, 3) pairs (at most 4 quotient cells) take 3 ms each.
     """
-    ge = g.edge_count
-    he = h.edge_count
-    if ge == 0 or he == 0:
-        if ge == 0 and he == 0:
-            return 0
-        return -1 if ge == 0 else 1
+    fg = _coarsest(g)
+    fh = _coarsest(h)
+    edges_g, edges_h = any(map(any, fg.counts)), any(map(any, fh.counts))
+    if not (edges_g and edges_h):  # an edgeless side has radius 0
+        return edges_g - edges_h
 
-    ag = _perron_matrix(g)
-    ah = _perron_matrix(h)
-    pg = _squarefree(ag.char_poly())
-    ph = _squarefree(ah.char_poly())
+    pg = _squarefree(fg.char_poly())
+    ph = _squarefree(fh.char_poly())
     chain_g = _sturm_chain(pg)
     chain_h = _sturm_chain(ph)
     d = _poly_gcd(pg, ph)
     chain_d = _sturm_chain(d) if d.degree >= 1 else None
 
     lo = Fraction(-1)
-    hi = Fraction(max(g.n, h.n))
+    # above both roots: the larger order, or a row sum plus one for counts
+    # that exceed their cells
+    hi = Fraction(max(max(sum(map(len, f.cells)), max(map(sum, f.counts)) + 1)
+                      for f in (fg, fh)))
     while True:
         # the bisection point must not be a root of either polynomial, so both
         # brackets stay strict; pg and ph are monic over the integers, so only
@@ -514,8 +500,8 @@ def compare_lambda_exact(g: Graph, h: Graph) -> int:
         while mid.denominator == 1 and (pg(mid) == 0 or ph(mid) == 0):
             mid = half + offset
             offset /= 2
-        less_g = perron_less_than(ag, mid)
-        less_h = perron_less_than(ah, mid)
+        less_g = perron_less_than(fg, mid)
+        less_h = perron_less_than(fh, mid)
         if less_g != less_h:
             return -1 if less_g else 1
         if less_g:

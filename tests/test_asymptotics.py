@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from spexlab import (
+    Fold,
     IntegerBoundaryError,
     Partition,
     TuranPacking,
@@ -23,7 +24,7 @@ from spexlab import (
 from spexlab import asymptotics, canon, spectral
 from spexlab.asymptotics import _sqrt_enclosure
 
-SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
+SKIP_SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
 
 def e_reference(r: float) -> float:
@@ -379,13 +380,13 @@ def _admissible(name: str, params: dict, top: int) -> list:
     return sizes
 
 
-SWEEP_TOP = 1000 if SLOW else 2000
+SWEEP_TOP = 1000 if SKIP_SLOW else 2000
 SWEEP = [(name, {"r": r, "k": k}, SWEEP_TOP)
          for name in ("star_vs_path", "transfer_shift", "cx1_gap")
          for r in (2, 3, 4) for k in (4, 5, 6)]
 # edge_add's fold depends on n only through the part sizes, and every n is
 # admissible; n <= 300 meets every residue mod r many times over
-SWEEP += [("edge_add", {"r": r, "b": 2, "a": 1}, 300 if SLOW else 2000)
+SWEEP += [("edge_add", {"r": r, "b": 2, "a": 1}, 300 if SKIP_SLOW else 2000)
           for r in (2, 3, 4)]
 
 
@@ -397,8 +398,9 @@ def test_fold_agrees_at_every_admissible_size(name, params, top):
             fold, g = rec.fold(), rec.graph()
             assert len(g.components()) == 1
             # spectral_radius's solve of a connected graph's one component
-            lam, cells, _, _ = spectral._quotient_eigenpair(g.adj, (1 << g.n) - 1)
-            if fold_radius(fold) != lam or _fold_cells(fold) != [set(c) for c in cells]:
+            ref = Fold.of(g)
+            lam = spectral._quotient_perron(ref.counts, [len(c) for c in ref.cells])[0]
+            if fold_radius(fold) != lam or _fold_cells(fold) != [set(c) for c in ref.cells]:
                 wrong.append(n)
             elif n <= 200 and not is_equitable(g, Partition(fold.cells)):
                 wrong.append(n)

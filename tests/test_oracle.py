@@ -42,7 +42,7 @@ from spexlab import canon, oracle, patterns
 from spexlab.spectral import compare_lambda_exact
 from oracles import all_graphs_upto_iso, brute_contains, eig_radius
 
-SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
+SKIP_SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
 # trivial automorphism group on 6 vertices, the fewest that allow one
 ASYMMETRIC = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
@@ -84,11 +84,11 @@ class TestEnumeration:
         for n in range(1, 8):
             assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_COUNTS[n]
 
-    @pytest.mark.skipif(SLOW, reason="set SPEXLAB_RUN_SLOW=1")
+    @pytest.mark.skipif(SKIP_SLOW, reason="set SPEXLAB_RUN_SLOW=1")
     def test_count_eight(self):
         assert sum(1 for _ in enumerate_graphs(8)) == KNOWN_COUNTS[8]
 
-    @pytest.mark.skipif(SLOW, reason="set SPEXLAB_RUN_SLOW=1")
+    @pytest.mark.skipif(SKIP_SLOW, reason="set SPEXLAB_RUN_SLOW=1")
     def test_count_nine(self):
         assert sum(1 for _ in enumerate_graphs(9)) == KNOWN_COUNTS[9]
 

@@ -1,8 +1,11 @@
 """Spectral radius, equitable quotients, exact Perron certification."""
 
 import math
+import os
 import random
+import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,6 @@ from spexlab import (
     Fold,
     Graph,
     Partition,
-    RationalMatrix,
     compare_lambda_exact,
     complete,
     cx2_package,
@@ -20,6 +22,7 @@ from spexlab import (
     cycle,
     disjoint_union,
     empty_graph,
+    enumerate_graphs,
     fold_radius,
     is_equitable,
     path,
@@ -42,13 +45,37 @@ from oracles import (
 )
 
 
-def _cx2_h_prime(p: int) -> list[list[Fraction]]:
-    """Quotient matrix of cx2's H' (the formula verify checks), (p-4)/3 entries."""
-    return [[Fraction(x) for x in row] for row in (
-        [0, 2, 0, p],
-        [1, 0, 0, p],
-        [0, 0, 1, p],
-        [Fraction(p - 4, 3), Fraction(2 * (p - 4), 3), 4, 0])]
+# every graph up to this order in test_graph_interval_equals_adjacency_interval;
+# order 7 (1,044 graphs) adds about 8 s
+SKIP_SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
+CENSUS_TOP = 6 if SKIP_SLOW else 7
+
+
+def _scaled(rows) -> list[list[int]]:
+    """A rational matrix times the lcm of its denominators: an integer
+    matrix whose Perron root is the rational one's times that lcm."""
+    d = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(Fraction(x) * d) for x in row] for row in rows]
+
+
+def _cx2_h_prime(p: int) -> list[list[int]]:
+    """Quotient matrix of cx2's H' (the formula verify checks), with its
+    (p-4)/3 entries scaled by 3."""
+    return _scaled([[0, 2, 0, p],
+                    [1, 0, 0, p],
+                    [0, 0, 1, p],
+                    [Fraction(p - 4, 3), Fraction(2 * (p - 4), 3), 4, 0]])
+
+
+def _matrix_fold(rows) -> Fold:
+    """An integer matrix as the counts of a fold with one cell per row."""
+    return Fold(tuple((i,) for i in range(len(rows))), tuple(map(tuple, rows)))
+
+
+def _discrete_fold(g: Graph) -> Fold:
+    """One cell per vertex: the counts are g's adjacency rows."""
+    return _matrix_fold([[g.adj[i] >> j & 1 for j in range(g.n)]
+                         for i in range(g.n)])
 
 
 class TestSpectralRadius:
@@ -105,14 +132,14 @@ class TestSpectralRadius:
     def test_disconnected_builds_only_component_matrices(self, monkeypatch):
         # an n x n float matrix here would be 2005^2 * 8 bytes = 32 MB
         g = disjoint_union(complete(5), empty_graph(2000))
-        solved = []
-        solve = spectral._quotient_eigenpair
+        refined = []
+        refine = spectral._refine
 
-        def spy(adj, comp):
-            solved.append(comp)
-            return solve(adj, comp)
+        def spy(adj, cells):
+            refined.append([list(c) for c in cells])
+            return refine(adj, cells)
 
-        monkeypatch.setattr(spectral, "_quotient_eigenpair", spy)
+        monkeypatch.setattr(spectral, "_refine", spy)
 
         def whole_graph(h):
             raise AssertionError(f"built the {h.n}-vertex matrix")
@@ -124,7 +151,7 @@ class TestSpectralRadius:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert solved == [0b11111]
+        assert refined == [[[0, 1, 2, 3, 4]]]
         assert peak < 4 * 2**20
         assert abs(res.value - 4) <= 1e-9
         assert res.vector[5:] == (0.0,) * 2000
@@ -209,26 +236,27 @@ class TestEquitable:
 class TestQuotient:
     def test_balanced_bipartite(self):
         m = quotient_matrix(turan(6, 2))
-        assert m.entries == ((Fraction(0), Fraction(3)), (Fraction(3), Fraction(0)))
+        assert m.cells == ((0, 1, 2), (3, 4, 5))
+        assert m.counts == ((0, 3), (3, 0))
 
     def test_cx2_g(self):
         pkg = cx2_package(7, 3)
         m = quotient_matrix(pkg.g)
-        assert [[int(x) for x in row] for row in m.entries] == [
-            [0, 2, 8],
-            [1, 0, 8],
-            [2, 4, 0],
-        ]
+        assert m.counts == (
+            (0, 2, 8),
+            (1, 0, 8),
+            (2, 4, 0),
+        )
 
     def test_cx2_h(self):
         pkg = cx2_package(7, 3)
         m = quotient_matrix(pkg.h)
-        assert [[int(x) for x in row] for row in m.entries] == [
-            [0, 2, 0, 7],
-            [1, 0, 0, 7],
-            [0, 0, 0, 7],
-            [2, 4, 1, 0],
-        ]
+        assert m.counts == (
+            (0, 2, 0, 7),
+            (1, 0, 0, 7),
+            (0, 0, 0, 7),
+            (2, 4, 1, 0),
+        )
 
     def test_perron_lift(self):
         # quotient of an equitable partition carries the exact radius
@@ -246,22 +274,22 @@ class TestQuotient:
             quotient_matrix(path(3), Partition([[0, 1], [2]]))
 
 
-class TestRationalMatrix:
+class TestCharPoly:
     def test_char_poly_bipartite(self):
-        poly = RationalMatrix([[0, 3], [3, 0]]).char_poly()
+        poly = _matrix_fold([[0, 3], [3, 0]]).char_poly()
         assert poly.coeffs == (Fraction(-9), Fraction(0), Fraction(1))
 
     def test_char_poly_identity(self):
-        poly = RationalMatrix([[1, 0], [0, 1]]).char_poly()
+        poly = _matrix_fold([[1, 0], [0, 1]]).char_poly()
         assert poly.coeffs == (Fraction(1), Fraction(-2), Fraction(1))
 
     def test_char_poly_matches_sympy(self):
         rng = random.Random(33)
         for _ in range(25):
             n = rng.randrange(1, 6)
-            rows = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-                     for _ in range(n)] for _ in range(n)]
-            got = RationalMatrix(rows).char_poly().coeffs
+            rows = _scaled([[Fraction(rng.randrange(0, 7), rng.randrange(1, 4))
+                             for _ in range(n)] for _ in range(n)])
+            got = _matrix_fold(rows).char_poly().coeffs
             assert list(got) == charpoly_reference(rows)
 
     def test_char_poly_mixed_denominators_matches_sympy(self):
@@ -269,18 +297,18 @@ class TestRationalMatrix:
         cases = [_cx2_h_prime(p) for p in (7, 8, 10, 13)]
         for _ in range(15):
             n = rng.randrange(2, 7)
-            cases.append([[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 5, 7, 12)))
-                           for _ in range(n)] for _ in range(n)])
+            cases.append(_scaled([[Fraction(rng.randrange(0, 10), rng.choice((1, 2, 3, 5, 7, 12)))
+                                   for _ in range(n)] for _ in range(n)]))
         for rows in cases:
-            assert list(RationalMatrix(rows).char_poly().coeffs) == charpoly_reference(rows)
+            assert list(_matrix_fold(rows).char_poly().coeffs) == charpoly_reference(rows)
 
     def test_graph_char_poly_matches_sympy(self):
         rng = random.Random(35)
         graphs = [cx2_package(7, 3).h_prime, turan(12, 3)]
         graphs += [random_graph(rng, rng.randrange(1, 15), rng.random()) for _ in range(10)]
         for g in graphs:
-            m = RationalMatrix.from_graph(g)
-            assert list(m.char_poly().coeffs) == charpoly_reference(m.entries)
+            m = _discrete_fold(g)
+            assert list(m.char_poly().coeffs) == charpoly_reference(m.counts)
 
     def test_cx2_poly_negative_past_the_bound(self):
         pkg = cx2_package(7, 3)
@@ -289,15 +317,64 @@ class TestRationalMatrix:
         assert poly(bound) < 0
 
     def test_must_be_square(self):
-        with pytest.raises(ValueError):
-            RationalMatrix([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            RationalMatrix([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="row 1 has 1 entries for 2 cells"):
+            Fold((range(1), range(1)), ((1, 2), (3,))).char_poly()
+        with pytest.raises(ValueError, match="3 entries for 2 cells"):
+            Fold((range(1), range(1)), ((1, 2, 3), (4, 5, 6))).char_poly()
+
+
+def _refused_by_every_entry(fold: Fold, match: str) -> None:
+    """Each public function that takes a fold refuses this one, naming why."""
+    calls = (fold_radius, lambda f: f.char_poly(),
+             lambda f: perron_less_than(f, 1),
+             lambda f: perron_root_interval(f, Fraction(1, 8)),
+             lambda f: compare_lambda_exact(f, complete(2)),
+             lambda f: compare_lambda_exact(complete(2), f))
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call(fold)
+
+
+class TestFoldChecks:
+    def test_refuses_a_negative_count(self):
+        # sqrt(b * b.T) once hid the sign and reported radius 1
+        _refused_by_every_entry(Fold((range(1), range(1)), ((0, -1), (-1, 0))),
+                                r"count \(0, 1\) is -1, not a nonnegative int")
+
+    def test_refuses_ragged_counts(self):
+        _refused_by_every_entry(Fold((range(1), range(1)), ((0, 1), (1,))),
+                                "count row 1 has 1 entries for 2 cells")
+
+    def test_refuses_a_row_count_other_than_the_cells(self):
+        _refused_by_every_entry(Fold((range(2),), ((1,), (1,))),
+                                "fold has 1 cells but 2 count rows")
+
+    def test_refuses_counts_that_are_not_ints(self):
+        for x in (Fraction(1), 1.0):
+            _refused_by_every_entry(Fold((range(2),), ((x,),)),
+                                    re.escape(f"count (0, 0) is {x!r}, not a nonnegative int"))
+
+    def test_refuses_an_empty_cell(self):
+        _refused_by_every_entry(Fold((range(1), ()), ((0, 0), (0, 0))),
+                                "fold cell 1 is empty")
+
+    def test_empty_fold_has_radius_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fold_radius(Fold((), ())) == 0.0
+        assert perron_root_interval(Fold((), ()), Fraction(1, 8)) == \
+            perron_root_interval(empty_graph(0), Fraction(1, 8))
+
+    def test_of_is_the_coarsest_equitable_partition(self):
+        fold = Fold.of(disjoint_union(cycle(5), empty_graph(2)))
+        assert fold.cells == ((5, 6), (0, 1, 2, 3, 4))
+        assert fold.counts == ((0, 0), (0, 2))
+        assert Fold.of(empty_graph(0)) == Fold((), ())
 
 
 class TestPerronCertificates:
     def test_less_than_examples(self):
-        m = RationalMatrix([[0, 3], [3, 0]])
+        m = _matrix_fold([[0, 3], [3, 0]])
         assert perron_less_than(m, 4)
         assert not perron_less_than(m, 3)
 
@@ -322,10 +399,10 @@ class TestPerronCertificates:
         cases = [_cx2_h_prime(p) for p in (7, 8, 10, 13)]
         for _ in range(60):
             n = rng.randrange(1, 6)
-            cases.append([[Fraction(rng.randrange(0, 7), rng.choice((1, 2, 3, 5, 12)))
-                           for _ in range(n)] for _ in range(n)])
+            cases.append(_scaled([[Fraction(rng.randrange(0, 7), rng.choice((1, 2, 3, 5, 12)))
+                                   for _ in range(n)] for _ in range(n)]))
         for rows in cases:
-            m = RationalMatrix(rows)
+            m = _matrix_fold(rows)
             lo, hi = perron_root_interval(m, Fraction(1, 8))
             qs = [lo, hi, (lo + hi) / 2, Fraction(rng.randrange(0, 80), rng.randrange(1, 9))]
             for q in qs:
@@ -335,21 +412,21 @@ class TestPerronCertificates:
         rng = random.Random(650)
         for _ in range(60):
             n = rng.randrange(1, 5)
-            m = RationalMatrix([[Fraction(rng.randrange(0, 5)) for _ in range(n)]
-                                for _ in range(n)])
+            m = _matrix_fold([[rng.randrange(0, 5) for _ in range(n)]
+                              for _ in range(n)])
             q = Fraction(rng.randrange(1, 40), rng.randrange(1, 8))
             if perron_less_than(m, q):
                 assert perron_less_than(m, q + Fraction(rng.randrange(1, 9), 3))
 
     def test_empty_matrix_has_radius_zero(self):
-        empty = RationalMatrix([])
+        empty = Fold((), ())
         assert not perron_less_than(empty, 0)
         assert perron_less_than(empty, Fraction(1, 10**9))
         lo, hi = perron_root_interval(empty_graph(0), Fraction(1, 10**12))
         assert lo <= 0 < hi
 
     def test_interval_brackets_root(self):
-        m = RationalMatrix([[0, 3], [3, 0]])
+        m = _matrix_fold([[0, 3], [3, 0]])
         lo, hi = perron_root_interval(m, Fraction(1, 10**6))
         assert hi - lo <= Fraction(1, 10**6)
         assert lo < 3 <= hi
@@ -373,17 +450,23 @@ class TestPerronCertificates:
             perm = list(range(g.n))
             rng.shuffle(perm)
             graphs += [g, relabel(g, perm)]
+        graphs += [g for n in range(1, CENSUS_TOP + 1) for g in enumerate_graphs(n)]
         for g in graphs:
-            a = RationalMatrix.from_graph(g)
+            fold, discrete = Fold.of(g), _discrete_fold(g)
             for width in (Fraction(1, 8), Fraction(1, 10**12)):
-                assert perron_root_interval(g, width) == perron_root_interval(a, width)
+                want = perron_root_interval(discrete, width)
+                assert perron_root_interval(g, width) == want
+                assert perron_root_interval(fold, width) == want
+            assert compare_lambda_exact(fold, discrete) == 0
+            if len(g.components()) == 1:
+                assert fold_radius(fold) == spectral_radius(g).value
 
     def test_graph_bracketed_on_its_quotient(self, monkeypatch):
         rows = []
         orig = spectral.perron_less_than
 
         def spied(matrix, q):
-            rows.append(matrix.n)
+            rows.append(len(matrix.counts))
             return orig(matrix, q)
 
         monkeypatch.setattr(spectral, "perron_less_than", spied)
@@ -406,6 +489,14 @@ class TestCompareExact:
 
     def test_empty_graphs_tie(self):
         assert compare_lambda_exact(empty_graph(0), empty_graph(1)) == 0
+
+    def test_folds_with_a_radius_above_their_order(self):
+        # one vertex per cell but counts of 3 and 2: the bracket must start
+        # above the radius, not at the order
+        three, two = _matrix_fold([[0, 3], [3, 0]]), _matrix_fold([[0, 2], [2, 0]])
+        assert compare_lambda_exact(three, two) == 1
+        assert compare_lambda_exact(two, _matrix_fold([[1, 1], [3, 1]])) == -1
+        assert compare_lambda_exact(three, _matrix_fold([[3]])) == 0
 
     def test_cx2_13_within_halving_budget(self, monkeypatch):
         # 26 vertices; a bisection that only trims the window took 66 and 256
@@ -431,7 +522,7 @@ class TestCompareExact:
         orig = spectral.perron_less_than
 
         def spied(matrix, q):
-            rows.append(matrix.n)
+            rows.append(len(matrix.counts))
             return orig(matrix, q)
 
         monkeypatch.setattr(spectral, "perron_less_than", spied)
