@@ -220,21 +220,29 @@ def _canon_component(g: Graph, comp: int,
     in ascending order])``, and the search starts from it.
     """
     verts = list(_iter_bits(comp))
-    index = {v: i for i, v in enumerate(verts)}
-    adj = []
-    for v in verts:
-        row = 0
-        for w in _iter_bits(g.adj[v] & comp):
-            row |= 1 << index[w]
-        adj.append(row)
-    if cells is not None:
-        cells = [[index[v] for v in cell] for cell in cells]
+    lo = verts[0]
+    if comp >> lo == (1 << len(verts)) - 1:
+        # a run of labels, the usual case: local index = label - lo
+        adj = [(g.adj[v] & comp) >> lo for v in verts]
+        if cells is not None and lo:
+            cells = [[v - lo for v in cell] for cell in cells]
+    else:
+        index = {v: i for i, v in enumerate(verts)}
+        adj = []
+        for v in verts:
+            row = 0
+            for w in _iter_bits(g.adj[v] & comp):
+                row |= 1 << index[w]
+            adj.append(row)
+        if cells is not None:
+            cells = [[index[v] for v in cell] for cell in cells]
     search = _Search(tuple(adj), len(verts))
     perm, key = search.run(cells)
     return len(verts), key, verts, perm, search.gens, search.twins
 
 
-def _canonical(g: Graph, seed: tuple[int, list[list[int]]] | None = None
+def _canonical(g: Graph, seed: tuple[int, list[list[int]]] | None = None,
+               known: dict[int, tuple] | None = None
                ) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple]]:
     """(labeling old -> new, canonical adjacency rows, symmetry record).
 
@@ -248,12 +256,21 @@ def _canonical(g: Graph, seed: tuple[int, list[list[int]]] | None = None
     Refinement reads neighbour counts into cells inside comp only, and
     numbering comp's vertices in ascending order keeps their order, so
     these cells are the ones the unseeded search computes, renumbered.
+
+    known, if given, maps vertex masks to component records of another
+    graph, and a component of g other than the seeded one whose mask is a
+    key takes that record instead of a search. The caller vouches that the
+    other graph has the rows of g on each such component. A record is
+    computed from the component's vertices and its rows alone, so it is
+    the record the search would return, and the result is the same.
     """
     n = g.n
     if n == 0:
         return (), (), []
     seeded, cells = seed if seed is not None else (0, None)
-    comps = [_canon_component(g, comp, cells if comp == seeded else None)
+    known = known or {}
+    comps = [_canon_component(g, comp, cells) if comp == seeded else
+             known.get(comp) or _canon_component(g, comp)
              for comp in g.components()]
     # deterministic component order; ties are exact-duplicate keys, so order
     # between them cannot change the assembled rows

@@ -11,6 +11,7 @@ partition read off the description.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .canon import canonical_form
@@ -117,6 +118,14 @@ def cx1_family(r: int, k: int, m: int) -> ForbiddenFamily:
     return ForbiddenFamily(members, name=f"cx1(r={r},k={k},m={m})")
 
 
+@lru_cache(maxsize=64)
+def _base(sizes: tuple) -> Graph:
+    """``complete_multipartite(sizes)``, built once per sizes: every
+    ``TuranPacking`` on these parts copies its rows and shares its
+    partition, which nothing mutates."""
+    return complete_multipartite(sizes)
+
+
 class TuranPacking(NamedTuple):
     """The complete multipartite graph with parts of ``sizes``, with copies
     of small graphs packed into parts and some cross edges removed.
@@ -165,7 +174,7 @@ class TuranPacking(NamedTuple):
     def graph(self) -> Graph:
         """The graph itself, carrying its parts as its partition."""
         firsts, starts, _ = self._layout()
-        base = complete_multipartite(self.sizes)
+        base = _base(tuple(self.sizes))
         adj = list(base.adj)
         for start, (_, kind, copies) in zip(firsts, self.packs):
             for first in range(start, start + copies * kind.n, kind.n):

@@ -11,23 +11,28 @@ expands is free, so a child can hold a member only through uv, and it is
 tested with ``is_free(..., new_edge=(u, v))``. Freeness pruning is sound
 because adding edges never removes a forbidden subgraph.
 
-Each child takes, in order, the steps below; the first three reject most
-children before any canonization:
+A child differs from its parent in two rows, and it pays only for what is
+new in it. Each child takes, in order, the steps below; the first three
+reject most children before any canonization:
 
-* The degree filter (``_last_edge_admits``). uv's component must be a
+* The degree filter (``_degree_filter``). uv's component must be a
   largest one, and uv's end degrees one of the pairs the last edge of
-  that component can have, derived from degrees alone.
+  that component can have. It reads the parent's degree masks
+  (``_degree_masks``), in which only u and v move.
 * Freeness.
-* The cell filter (``_last_cells``). uv's component is refined once, and
-  uv must join the cells of e*. Every child that McKay's orbit rule keeps
-  passes it.
-* One canonization, seeded with that refinement so that the component is
-  not refined again, then the sibling dedup by canonical form.
-* The parent test, unless uv is e*. Unequal degree profiles
+* The cell filter (``_last_cells``). uv's component is refined once from
+  its degree cells, and uv must join the cells of e*. Every child that
+  McKay's orbit rule keeps passes it.
+* One canonization of uv's component, seeded with that refinement; every
+  other component takes the parent's record. Then the sibling dedup by
+  canonical rows.
+* The parent test, unless uv is e*. It passes at once when the child's
+  automorphisms take uv to e*. Otherwise unequal degree profiles
   (``_profile``) reject the deletion of e* before it is canonized.
 
 The walk also reports each class that a free child strictly dominates in
-spectral radius, which ``spex_oracle`` then leaves unscored.
+spectral radius, which ``spex_oracle`` then leaves unscored, as it does
+each class whose edge count bounds its radius below the prefilter window.
 
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest packed into one part. It
@@ -37,8 +42,8 @@ restricted so they are never mistaken for true extremal numbers.
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator
@@ -140,47 +145,93 @@ def _edge_orbit(u: int, v: int, gens: list[list[int]], covered: set) -> None:
                 frontier.append(e)
 
 
-def _last_edge_admits(adj: tuple[int, ...], deg: list[int],
-                      comps: list[int], a: int, b: int) -> bool:
-    """Whether (a, b), a <= b, can be the end degrees of the last edge.
-
-    ``comps`` are the components of maximum size. In canonical labels the
-    last edge (i, j), i < j, has i the last vertex with a later neighbour
-    and j that neighbour's last one. ``canon`` orders components by size,
-    so a graph with an edge has its last edge in a maximum-size component
-    C. Inside C label order refines degree order: the first refinement
-    pass splits the unit cell by degree, ascending, and every later split,
-    individualization and twin split keeps cell order. So over the edges
-    of C, deg i is the largest smaller end degree d, and deg j is the
-    largest neighbour degree of i. The pair is therefore (d, e) with e the
-    largest neighbour degree of some x in C of degree d. That holds for
-    a = d exactly when (A) no edge of C joins two vertices of degree
-    above a, and (B) some x in C of degree a has a neighbour of degree b
-    and none above b. Which maximum-size component comes last is not
-    known before canonizing, so any of them may supply the pair. The walk
-    passes uv's component alone, since it must hold an automorphic image
-    of the last edge for the child to be kept (``_accepted_children``).
-    """
-    hi = eq_a = eq_b = gt_b = 0
+def _degree_masks(deg: list[int]) -> tuple[list[int], list[int]]:
+    """(by_deg, gt): by_deg[d] holds the vertices of degree d and gt[d]
+    those of degree above d, for every d up to max(deg) + 1, the largest
+    degree a child can have."""
+    size = max(deg, default=0) + 2
+    by_deg = [0] * size
     for x, d in enumerate(deg):
-        bit = 1 << x
-        if d > a:
-            hi |= bit
-            if d > b:
-                gt_b |= bit
-        elif d == a:
-            eq_a |= bit
-        if d == b:
-            eq_b |= bit
-    for comp in comps:
-        h = hi & comp
-        if any(adj[x] & h for x in _iter_bits(h)):
-            continue
-        for x in _iter_bits(eq_a & comp):
-            row = adj[x]
-            if row & eq_b and not row & gt_b:
-                return True
+        by_deg[d] |= 1 << x
+    gt = [0] * size
+    for d in range(size - 2, -1, -1):
+        gt[d] = gt[d + 1] | by_deg[d + 1]
+    return by_deg, gt
+
+
+def _degree_filter(adj: tuple[int, ...], deg: list[int], masks: tuple,
+                   comp: int, u: int, v: int) -> bool:
+    """Whether the end degrees of uv can be those of the last edge of
+    comp in g + uv, given g's rows, degrees and ``_degree_masks``.
+
+    comp is uv's component in g + uv, a largest one. In canonical labels
+    the last edge (i, j), i < j, has i the last vertex with a later
+    neighbour and j that neighbour's last one. ``canon`` orders components
+    by size, so a graph with an edge has its last edge in a maximum-size
+    component. Inside a component label order refines degree order: the
+    first refinement pass splits the unit cell by degree, ascending, and
+    every later split, individualization and twin split keeps cell order.
+    So over the edges of the component, deg i is the largest smaller end
+    degree d, and deg j is the largest neighbour degree of i. uv's end
+    degrees (a, b), a <= b, are therefore a possible pair exactly when
+    (A) no edge of comp joins two vertices of degree above a, and (B) some
+    x in comp of degree a has a neighbour of degree b and none above b.
+    Which maximum-size component comes last is not known before
+    canonizing; comp must hold an automorphic image of the last edge for
+    the child to be kept (``_accepted_children``), so it alone is tested.
+
+    Only u and v change degree in g + uv, each by one, so each mask of the
+    child is g's mask with u and v taken out and put back at their new
+    degrees. (A) reads g's rows: the child's rows are g's with v added to
+    u's row and u to v's, and the end of uv of degree a is not above a, so
+    on the vertices above a the two agree. (B) reads the child's rows.
+    """
+    by_deg, gt = masks
+    ends = 1 << u | 1 << v
+    du, dv = deg[u] + 1, deg[v] + 1
+    a, b = (du, dv) if du <= dv else (dv, du)
+    lo, top = (u, v) if du <= dv else (v, u)
+    hi = gt[a] & ~ends
+    gt_b = gt[b] & ~ends
+    eq_a = by_deg[a] & ~ends | 1 << lo
+    eq_b = by_deg[b] & ~ends | 1 << top
+    if a == b:
+        eq_a |= 1 << top
+        eq_b |= 1 << lo
+    else:
+        hi |= 1 << top
+    h = m = hi & comp
+    while m:
+        low = m & -m
+        if adj[low.bit_length() - 1] & h:
+            return False
+        m ^= low
+    m = eq_a & comp
+    while m:
+        low = m & -m
+        row = adj[low.bit_length() - 1]
+        if low & ends:
+            row |= ends ^ low
+        if row & eq_b and not row & gt_b:
+            return True
+        m ^= low
     return False
+
+
+def _degree_cells(deg: list[int], masks: tuple, comp: int, u: int,
+                  v: int) -> list[list[int]]:
+    """comp's vertices split by their degree in g + uv, degrees ascending,
+    each cell in ascending order, given g's degrees and ``_degree_masks``,
+    in which only u and v move up."""
+    by_deg = masks[0]
+    ends = 1 << u | 1 << v
+    du, dv = deg[u] + 1, deg[v] + 1
+    cells = []
+    for d in range(1, len(by_deg)):
+        cell = by_deg[d] & comp & ~ends | (d == du) << u | (d == dv) << v
+        if cell:
+            cells.append(list(_iter_bits(cell)))
+    return cells
 
 
 def _profile(adj: tuple[int, ...]) -> list:
@@ -194,15 +245,21 @@ def _profile(adj: tuple[int, ...]) -> list:
                   for x, row in enumerate(adj))
 
 
-def _last_cells(adj: tuple[int, ...], comp: int, u: int, v: int) -> list | None:
-    """comp's refinement when uv joins the cells of its last edge, else None.
+def _last_cells(adj: tuple[int, ...], cells: list[list[int]], u: int,
+                v: int) -> list | None:
+    """The refinement of cells when uv joins the cells of its last edge,
+    else None.
 
-    The refinement starts from one cell of comp's vertices in ascending
-    order. comp's canonically last edge joins P, the last cell with a
+    cells partition one component, comp, and refine to
+    ``_refine(adj, [comp's vertices in ascending order])``: the walk
+    passes comp's degree cells, which are exactly that refinement's first
+    pass (the one cell splits by neighbour counts in comp, the degrees,
+    ascending, each piece in ascending order), so the refinement is the
+    same. comp's canonically last edge joins P, the last cell with a
     neighbour in a cell at or after P, to Q, the last cell P sees (proof
     in ``_accepted_children``).
     """
-    cells = _refine(adj, [list(_iter_bits(comp))])
+    cells = _refine(adj, cells)
     later = 0
     for cell in reversed(cells):
         pmask = _mask(cell)
@@ -217,24 +274,26 @@ def _last_cells(adj: tuple[int, ...], comp: int, u: int, v: int) -> list | None:
     return None
 
 
-def _accepted_children(g: Graph, gform: bytes, gsym: list,
+def _accepted_children(g: Graph, grows: tuple[int, ...], gsym: list,
                        family: ForbiddenFamily | None) -> tuple[list[tuple], bool]:
     """Canonical-augmentation children of g, one per isomorphism class.
 
-    Returns (children, dominated). Each child is (child, canonical form,
-    symmetry record), the child being g plus its first non-edge uv, in
-    lexicographic order, that passes every step below. dominated says
-    that a free child g + uv met here has a uv-component holding every
-    component of g with an edge, which puts g outside SPEX (``spex_oracle``).
+    grows and gsym are g's canonical rows and symmetry record
+    (``_canonical``). Returns (children, dominated). Each child is (child,
+    canonical rows, symmetry record), the child being g plus its first
+    non-edge uv, in lexicographic order, that passes every step below.
+    dominated says that a free child g + uv met here has a uv-component
+    holding every component of g with an edge, which puts g outside SPEX
+    (``spex_oracle``).
 
     g tries one non-edge uv per orbit of the automorphisms its
     canonization found. Let X = g + uv, C its uv-component and e* its
     canonically last edge. X goes through, in order: the degree filter (C
-    is a largest component, and ``_last_edge_admits``), freeness (the
+    is a largest component, and ``_degree_filter``), freeness (the
     new-edge form, as g is free), the cell filter (``_last_cells``: uv
-    joins the cells P and Q of C's refinement), one canonization seeded
-    with that refinement, the sibling dedup by canonical form, and the
-    parent test (X - e* is isomorphic to g).
+    joins the cells P and Q of C's refinement), one canonization, the
+    sibling dedup by canonical rows, and the parent test (X - e* is
+    isomorphic to g).
 
     The filters reject only children whose uv is outside Aut(X)·e*, the
     children McKay's orbit rule rejects (J. Algorithms 26, 1998):
@@ -251,7 +310,23 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
         equitable, so i sees Q and nothing after it, and j is in Q. So
         uv joins P and Q too.
       * Every vertex of P or Q has the degree of an end of e*, so the
-        end degrees pass ``_last_edge_admits`` whenever uv joins P and Q.
+        end degrees pass ``_degree_filter`` whenever uv joins P and Q.
+
+    Each step reuses what g or the child already holds:
+      * The degree filter reads g's degree masks, built once per parent;
+        the child's ``Graph`` is built only after it passes.
+      * C is refined from its degree cells, which are the first pass of
+        the refinement from one cell (``_last_cells``).
+      * The canonization is seeded with C's refinement, and every other
+        component of X is a component of g with g's rows, so it takes
+        g's record from gsym (``_canonical``'s known records).
+      * Canonical rows identify a class as its graph6 string does, so
+        they key the dedup and the parent test.
+      * If an automorphism of X takes uv to e*, then X - e* is isomorphic
+        to X - uv = g, and the parent test passes with no canonization.
+        The generators of ``_generators`` are automorphisms of X, so the
+        orbit of uv under them lies in Aut(X)·uv. A missed generator only
+        sends the child on to the profile and canonization test.
 
     Each free class with an edge is kept exactly once. Let X be one, and
     g' = X - e*. At most once: X is kept only as a child of g''s class
@@ -271,13 +346,17 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
     which classes are.
     """
     n = g.n
+    adj = g.adj
     gens = _generators(gsym)
-    gdeg = [row.bit_count() for row in g.adj]
+    gdeg = [row.bit_count() for row in adj]
+    masks = _degree_masks(gdeg)
     gcomps = g.components()
     comp_of = [0] * n
     for comp in gcomps:
         for x in _iter_bits(comp):
             comp_of[x] = comp
+    # g's component records, keyed by vertex mask (rec[2] lists the vertices)
+    known = {comp_of[rec[2][0]]: rec for rec in gsym}
     # the components of g with an edge, and the largest size among them
     edged = sum(c for c in gcomps if c & (c - 1))
     gtop = max((c.bit_count() for c in gcomps), default=0)
@@ -288,44 +367,44 @@ def _accepted_children(g: Graph, gform: bytes, gsym: list,
     dominated = False
     for u in range(n):
         for v in range(u + 1, n):
-            if g.has_edge(u, v) or (u, v) in covered:
+            if adj[u] >> v & 1 or (u, v) in covered:
                 continue
             # non-edges in the orbit of uv give isomorphic children
             _edge_orbit(u, v, gens, covered)
             comp = comp_of[u] | comp_of[v]
             if comp.bit_count() < gtop:
                 continue  # C is not a largest component of the child
-            child = g.with_edge(u, v)
-            deg = gdeg[:]
-            deg[u] += 1
-            deg[v] += 1
-            a, b = sorted((deg[u], deg[v]))
-            if not _last_edge_admits(child.adj, deg, [comp], a, b):
+            if not _degree_filter(adj, gdeg, masks, comp, u, v):
                 continue
+            child = g.with_edge(u, v)
             if family is not None and not is_free(child, family, new_edge=(u, v)):
                 continue
             if not edged & ~comp:
                 dominated = True
-            cells = _last_cells(child.adj, comp, u, v)
+            cells = _last_cells(child.adj, _degree_cells(gdeg, masks, comp, u, v),
+                                u, v)
             if cells is None:
                 continue
-            perm, rows, sym = _canonical(child, (comp, cells))
-            form = encode_graph6(Graph._from_adj(n, rows)).encode("ascii")
-            if form in seen:
+            perm, rows, sym = _canonical(child, (comp, cells), known)
+            if rows in seen:
                 continue
-            seen.add(form)
+            seen.add(rows)
             # deleting the canonically last edge must give g's class
             i = max(i for i in range(n) if rows[i] >> (i + 1))
             ea, eb = perm.index(i), perm.index(rows[i].bit_length() - 1)
-            if (min(ea, eb), max(ea, eb)) != (u, v):
-                parent = child.without_edge(ea, eb)
-                if gprofile is None:
-                    gprofile = _profile(g.adj)
-                if _profile(parent.adj) != gprofile:
-                    continue
-                if canonical_form(parent) != gform:
-                    continue
-            out.append((child, form, sym))
+            last = (ea, eb) if ea < eb else (eb, ea)
+            if last != (u, v):
+                orbit: set[tuple[int, int]] = set()
+                _edge_orbit(u, v, _generators(sym), orbit)
+                if last not in orbit:
+                    parent = child.without_edge(ea, eb)
+                    if gprofile is None:
+                        gprofile = _profile(adj)
+                    if _profile(parent.adj) != gprofile:
+                        continue
+                    if _canonical(parent)[1] != grows:
+                        continue
+            out.append((child, rows, sym))
     return out, dominated
 
 
@@ -339,14 +418,13 @@ def _walk(root: Graph, family: ForbiddenFamily | None, cut: int | None = None,
     because the parent-acceptance test is local.
     """
     _, rows, sym = _canonical(root)
-    form = encode_graph6(Graph._from_adj(root.n, rows)).encode("ascii")
-    stack = [(root, form, sym)]
+    stack = [(root, rows, sym)]
     while stack:
-        g, form, sym = stack.pop()
+        g, rows, sym = stack.pop()
         if g.edge_count == cut:
             frontier.append(g)
             continue
-        children, dominated = _accepted_children(g, form, sym, family)
+        children, dominated = _accepted_children(g, rows, sym, family)
         yield g, dominated
         stack.extend(children)
 
@@ -394,6 +472,8 @@ def _free_classes(n: int, family: ForbiddenFamily | None, allow_large: bool,
     if family is not None:
         fam_tokens = tuple(encode_graph6(m) for m in family.members)
     tasks = [(encode_graph6(s), fam_tokens) for s in seeds]
+    # imported here so that a process that never shards never loads it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for shard in pool.map(_shard_worker, tasks):
             for f, dominated in shard:
@@ -437,6 +517,11 @@ def ex_oracle(n: int, family, allow_large: bool = False,
         [_canon_string(g) for g in attain], time.perf_counter() - t0)
 
 
+def _stanley_bound(m: int) -> float:
+    """Stanley's upper bound on the spectral radius of a graph with m edges."""
+    return (math.sqrt(1 + 8 * m) - 1) / 2
+
+
 def spex_oracle(n: int, family, allow_large: bool = False,
                 jobs: int = 1) -> ExtremalReport:
     """Exact maximum spectral radius and its attaining set.
@@ -454,6 +539,12 @@ def spex_oracle(n: int, family, allow_large: bool = False,
     yields, and is not in SPEX. A class tied with the maximum is never
     strictly below a free graph, so no tie is skipped, and the champion,
     the first maximum in walk order, is the same.
+
+    Nor is a class scored whose edge count m puts Stanley's bound lambda
+    <= (sqrt(1 + 8m) - 1) / 2 (Linear Algebra Appl. 87, 1987), plus 1e-9
+    for float error, below top - _PREFILTER_TOL. Its float radius would
+    neither raise top nor be appended to the scored list, so the list,
+    the champion, the ties and the certificate are the same.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
@@ -461,6 +552,8 @@ def spex_oracle(n: int, family, allow_large: bool = False,
     top = float("-inf")
     for g, dominated in _free_classes(n, family, allow_large, jobs):
         if dominated:
+            continue
+        if _stanley_bound(g.edge_count) + 1e-9 < top - _PREFILTER_TOL:
             continue
         lam = spectral_radius(g).value
         if lam > top:

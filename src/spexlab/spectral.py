@@ -21,6 +21,7 @@ halving bisection with Sturm-sequence equality detection.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -228,8 +229,21 @@ def fold_radius(fold: Fold) -> float:
     one ``spectral_radius`` builds from the graph, so the value is equal to
     ``spectral_radius(g).value``, bit for bit, at a cost that does not grow
     with the number of vertices. The empty fold has radius 0.
+
+    That symmetrization is right only for a graph's fold, where each pair
+    of cells has |C_p| B_pq = |C_q| B_qp (both count the edges between
+    them). A fold without that balance is refused with a ValueError naming
+    a pair that breaks it. The exact functions take any fold that
+    ``_check_fold`` passes, since their M-matrix test holds for every
+    nonnegative matrix.
     """
     _check_fold(fold)
+    for p, q in combinations(range(len(fold.counts)), 2):
+        pq = len(fold.cells[p]) * fold.counts[p][q]
+        qp = len(fold.cells[q]) * fold.counts[q][p]
+        if pq != qp:
+            raise ValueError(f"fold cells ({p}, {q}) are unbalanced: |C_p| B_pq = "
+                             f"{pq} but |C_q| B_qp = {qp}, so no graph folds to it")
     if not fold.counts:
         return 0.0
     cells = _refine_fold(fold.counts)

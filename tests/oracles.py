@@ -224,3 +224,35 @@ def transfer_shift_graphs(r: int, k: int, n: int) -> tuple[Graph, Graph]:
     g = packed_turan(n, r, 1, [star(k)] * (n // r // k))
     moved = transfer_vertex(g, g.partition, 0, 1, g.partition.classes[0][0])
     return moved, g
+
+
+def last_edge_admits(adj: tuple[int, ...], deg: list[int],
+                     comps: list[int], a: int, b: int) -> bool:
+    """Whether (a, b), a <= b, can be the end degrees of the last edge,
+    by a scan over every vertex: the reference for ``oracle._degree_filter``.
+
+    ``comps`` are components of maximum size. The pair passes when in one
+    of them (A) no edge joins two vertices of degree above a, and (B) some
+    x of degree a has a neighbour of degree b and none above b (proof in
+    ``oracle._degree_filter``).
+    """
+    hi = eq_a = eq_b = gt_b = 0
+    for x, d in enumerate(deg):
+        bit = 1 << x
+        if d > a:
+            hi |= bit
+            if d > b:
+                gt_b |= bit
+        elif d == a:
+            eq_a |= bit
+        if d == b:
+            eq_b |= bit
+    for comp in comps:
+        h = hi & comp
+        if any(adj[x] & h for x in _iter_bits(h)):
+            continue
+        for x in _iter_bits(eq_a & comp):
+            row = adj[x]
+            if row & eq_b and not row & gt_b:
+                return True
+    return False

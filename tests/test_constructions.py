@@ -1,5 +1,6 @@
 """Named constructions: f1, both counterexample packages, star/path pairs."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from spexlab import (
     build_named,
     canonical_form,
     chromatic_number,
+    complete_multipartite,
     cx1_family,
     cx1_pair,
     cx2_package,
@@ -26,7 +28,7 @@ from spexlab import (
     relabel,
     turan,
 )
-from spexlab import asymptotics
+from spexlab import asymptotics, constructions
 from spexlab.constructions import cx1_records, star_path_records
 from conftest import random_graph
 from oracles import edge_add_graphs, packed_turan, transfer_shift_graphs
@@ -231,8 +233,44 @@ def assert_refused(rec: TuranPacking, match: str) -> None:
             build()
 
 
+def laid_out_edge_by_edge(rec: TuranPacking) -> Graph:
+    """rec's graph from the edge list of its own complete multipartite base,
+    its packed copies and its removed edges."""
+    base = complete_multipartite(rec.sizes)
+    edges = set(base.edges())
+    free = list(itertools.accumulate(rec.sizes, initial=0))
+    for part, kind, copies in rec.packs:
+        for _ in range(copies):
+            edges |= {(free[part] + a, free[part] + b) for a, b in kind.edges()}
+            free[part] += kind.n
+    edges -= {(min(e), max(e)) for e in rec.removed}
+    return Graph(base.n, edges, base.partition)
+
+
 class TestTuranPacking:
     """Records give the graphs of the builders they replace."""
+
+    def test_shared_base_changes_no_graph(self):
+        recs = [rec for n in (120, 240) for k in (4, 5)
+                for rec in star_path_records(n, 3, k)]
+        recs += [rec for n in (55, 109) for rec in cx1_records(3, 6, n)]
+        for name, params in (("edge_add", {"r": 3, "b": 2, "a": 0}),
+                             ("edge_add", {"r": 2, "b": 2, "a": 3}),
+                             ("transfer_shift", {"r": 3, "k": 6})):
+            pairs, _ = asymptotics.experiment_pairs(name, params)
+            recs += [rec for _, *pair in pairs[:3] for rec in pair]
+        recs += [TuranPacking((3, 3), ((0, path(3), 1),)),
+                 TuranPacking((3, 3, 2), ((1, path(3), 1),)),
+                 TuranPacking((4, 4), ((0, path(2), 0),), ((0, 4),))]
+        constructions._base.cache_clear()
+        for rec in recs:
+            want = laid_out_edge_by_edge(rec)
+            for g in (rec.graph(), rec.graph()):
+                assert g.adj == want.adj
+                assert g.partition == want.partition
+        # one base per distinct sizes
+        assert constructions._base.cache_info().misses == \
+            len({rec.sizes for rec in recs})
 
     def test_star_path_rows(self):
         for k in (4, 5):

@@ -5,9 +5,15 @@ spexlab's own modules for every name they import. A line marked
 ``# noqa: F401`` is exempt: it keeps a name importable from that module on
 purpose. ``__init__.py`` is not checked, since its imports are the
 package's public names.
+
+Importing spexlab also stays clear of the process pool, which only a
+sharded enumeration needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +66,12 @@ def test_an_unused_relative_import_is_seen_unless_marked():
               "from .spectral import fold_radius  # noqa: F401\n"
               "print(path(3), math.pi)\n")
     assert unused_imports(source) == ["reduce", "star"]
+
+
+def test_import_loads_no_process_pool():
+    probe = ("import sys, spexlab; print(sorted(m for m in sys.modules if m in "
+             "('concurrent.futures.process', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

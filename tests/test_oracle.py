@@ -1,5 +1,6 @@
 """Exhaustive ex/spex oracles and the structure-restricted search."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -29,6 +30,7 @@ from spexlab import (
     encode_graph6,
     enumerate_graphs,
     ex_oracle,
+    f1,
     is_free,
     path,
     relabel,
@@ -40,7 +42,8 @@ from spexlab import (
 )
 from spexlab import canon, oracle, patterns
 from spexlab.spectral import compare_lambda_exact
-from oracles import all_graphs_upto_iso, brute_contains, eig_radius
+from oracles import (all_graphs_upto_iso, brute_contains, eig_radius,
+                     last_edge_admits)
 
 SKIP_SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
@@ -135,35 +138,38 @@ class TestEnumeration:
         # the pinned counts are what the rejection filters leave
         calls = []
 
-        def counting(h, seed=None):
+        def counting(h, seed=None, known=None):
             calls.append(h)
-            return canonical(h, seed)
+            return canonical(h, seed, known)
 
         canonical = oracle._canonical
         _, rows, sym = canonical(g)
-        form = encode_graph6(Graph._from_adj(g.n, rows)).encode("ascii")
         monkeypatch.setattr(oracle, "_canonical", counting)
-        oracle._accepted_children(g, form, sym, None)
+        oracle._accepted_children(g, rows, sym, None)
         assert len(calls) == canonized
         # no two canonized children are isomorphic: at most one per orbit
         assert len({canonical_form(h) for h in calls}) == len(calls)
 
     def test_spex_six_canonizations_pinned(self, monkeypatch):
-        counts = {"_canonical": 0, "canonical_form": 0}
+        counts = {"_canonical": 0, "canonical_form": 0, "_canon_component": 0}
 
-        def counted(name):
-            real = getattr(oracle, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
-            def wrapper(h, *seed):
+            def wrapper(h, *args):
                 counts[name] += 1
-                return real(h, *seed)
+                return real(h, *args)
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(oracle, name, counted(name))
+        for module, name in ((oracle, "_canonical"), (oracle, "canonical_form"),
+                             (canon, "_canon_component")):
+            monkeypatch.setattr(module, name, counted(module, name))
         rep = spex_oracle(6, [complete(4)])
         assert rep.extremal_set == ("E]~o",)
-        assert counts == {"_canonical": 123, "canonical_form": 25}
+        # no parent test canonizes, so the one canonical_form call is the
+        # report's; a child searches only its new edge's component
+        assert counts == {"_canonical": 123, "canonical_form": 1,
+                          "_canon_component": 129}
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):
@@ -197,9 +203,9 @@ class TestEnumeration:
         canonized = []
         real = oracle._canonical
 
-        def recording(h, seed=None):
+        def recording(h, seed=None, known=None):
             canonized.append(h)
-            return real(h, seed)
+            return real(h, seed, known)
 
         monkeypatch.setattr(oracle, "_canonical", recording)
         assert list(enumerate_graphs(6, fam))
@@ -273,7 +279,7 @@ class TestRejectBeforeCanonizing:
                 for h in (g, relabel(g, perm)):
                     a, b = _last_edge_pair(h)
                     deg = [row.bit_count() for row in h.adj]
-                    assert oracle._last_edge_admits(
+                    assert last_edge_admits(
                         h.adj, deg, _largest_components(h), a, b), \
                         (encode_graph6(h), a, b)
                     checked += 1
@@ -286,19 +292,18 @@ class TestRejectBeforeCanonizing:
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
         deg = [row.bit_count() for row in g.adj]
         admitted = {(a, b) for a in range(4) for b in range(a, 4)
-                    if oracle._last_edge_admits(g.adj, deg, [0b11111], a, b)}
+                    if last_edge_admits(g.adj, deg, [0b11111], a, b)}
         assert admitted == {(2, 3)}
 
     def test_filters_reject_only_what_the_parent_test_rejects(self, monkeypatch):
         def children(g):
             _, rows, sym = canon._canonical(g)
-            form = encode_graph6(Graph._from_adj(g.n, rows)).encode("ascii")
-            kept, _ = oracle._accepted_children(g, form, sym, None)
-            return [(c.adj, f) for c, f, _ in kept]
+            kept, _ = oracle._accepted_children(g, rows, sym, None)
+            return [(c.adj, r) for c, r, _ in kept]
 
         parents = [g for n in range(2, 7) for g in enumerate_graphs(n)]
         filtered = [children(g) for g in parents]
-        monkeypatch.setattr(oracle, "_last_edge_admits", lambda *args: True)
+        monkeypatch.setattr(oracle, "_degree_filter", lambda *args: True)
         monkeypatch.setattr(oracle, "_profile", lambda adj: None)
         assert [children(g) for g in parents] == filtered
 
@@ -316,7 +321,8 @@ class TestRejectBeforeCanonizing:
                     comp = next(c for c in child.components() if c >> u & 1)
                     largest = comp.bit_count() == max(
                         c.bit_count() for c in child.components())
-                    if largest and oracle._last_cells(child.adj, comp, u, v):
+                    one_cell = [[x for x in range(n) if comp >> x & 1]]
+                    if largest and oracle._last_cells(child.adj, one_cell, u, v):
                         passed += 1
                         continue
                     rejected += 1
@@ -325,15 +331,23 @@ class TestRejectBeforeCanonizing:
         assert rejected and passed
 
     def test_seeded_canonization_equals_unseeded(self, monkeypatch):
-        # every child the walk canonizes on up to 7 vertices
+        # every child the walk canonizes on up to 7 vertices, with its
+        # seed, with the parent's component records, and with both
         real = oracle._canonical
         seeded = []
+        reused = 0
 
-        def checked(h, seed=None):
-            got = real(h, seed)
+        def checked(h, seed=None, known=None):
+            nonlocal reused
+            got = real(h, seed, known)
             if seed is not None:
                 seeded.append(h)
-                assert got == real(h), encode_graph6(h)
+                want = real(h)
+                assert got == want, encode_graph6(h)
+                assert real(h, seed) == want, encode_graph6(h)
+                assert real(h, None, {m: r for m, r in known.items()
+                                      if m != seed[0]}) == want, encode_graph6(h)
+                reused += any(c != seed[0] and c in known for c in h.components())
             return got
 
         monkeypatch.setattr(oracle, "_canonical", checked)
@@ -341,6 +355,44 @@ class TestRejectBeforeCanonizing:
             assert sum(1 for _ in enumerate_graphs(n)) == KNOWN_COUNTS[n]
         # each class with an edge is canonized, seeded, at least once
         assert len(seeded) >= sum(KNOWN_COUNTS[n] - 1 for n in range(1, 8))
+        # and some children take a component from their parent
+        assert reused
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_graphs())
+    def test_degree_filter_matches_the_scan(self, drawn):
+        # the parent's masks give the verdict of the scan over the child's
+        # degrees, for every non-edge uv
+        g, _ = drawn
+        deg = [row.bit_count() for row in g.adj]
+        masks = oracle._degree_masks(deg)
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            child = g.with_edge(u, v)
+            comp = next(c for c in child.components() if c >> u & 1)
+            cdeg = [row.bit_count() for row in child.adj]
+            a, b = sorted((cdeg[u], cdeg[v]))
+            assert oracle._degree_filter(g.adj, deg, masks, comp, u, v) == \
+                last_edge_admits(child.adj, cdeg, [comp], a, b), (g.adj, u, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_graphs())
+    def test_degree_cells_refine_as_one_cell(self, drawn):
+        # the cell filter starts from the child's degree cells, the first
+        # pass of the refinement from one cell, and ends where it would
+        g, _ = drawn
+        deg = [row.bit_count() for row in g.adj]
+        masks = oracle._degree_masks(deg)
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            child = g.with_edge(u, v)
+            comp = next(c for c in child.components() if c >> u & 1)
+            one_cell = [[x for x in range(g.n) if comp >> x & 1]]
+            cells = oracle._degree_cells(deg, masks, comp, u, v)
+            assert canon._refine(child.adj, one_cell) == \
+                canon._refine(child.adj, cells), (g.adj, u, v)
 
     @settings(max_examples=300, deadline=None)
     @given(labeled_graphs())
@@ -454,6 +506,28 @@ class TestSpexOracle:
         best = max(spectral_radius(g).value for g in all_graphs_upto_iso(5)
                    if is_free(g, fam))
         assert abs(rep.value - best) <= 1e-9
+
+
+@pytest.mark.parametrize("members", [[complete(3)], [complete(4)], [cycle(4)],
+                                     [f1()]], ids=["K3", "K4", "C4", "F1"])
+def test_stanley_skip_changes_no_report(monkeypatch, members):
+    calls = []
+    real = oracle.spectral_radius
+    monkeypatch.setattr(oracle, "spectral_radius",
+                        lambda g: calls.append(g) or real(g))
+    stanley = oracle._stanley_bound
+    for n in range(1, 8):
+        reports = []
+        for bound in (stanley, lambda m: math.inf):
+            monkeypatch.setattr(oracle, "_stanley_bound", bound)
+            del calls[:]
+            rep = spex_oracle(n, members)
+            reports.append((rep.value, rep.extremal_set, rep.certificate,
+                            len(calls)))
+        (*got, skipping), (*want, scoring) = reports
+        assert got == want, n
+    # at n = 7 the bound leaves some class unscored
+    assert skipping < scoring
 
 
 @lru_cache(maxsize=None)
@@ -637,6 +711,6 @@ class TestReportShape:
     def test_guardrail_before_shard_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("worker pool started")
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="allow_large"):
             ex_oracle(10, [complete(3)], jobs=2)

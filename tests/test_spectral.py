@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -357,6 +358,18 @@ class TestFoldChecks:
     def test_refuses_an_empty_cell(self):
         _refused_by_every_entry(Fold((range(1), ()), ((0, 0), (0, 0))),
                                 "fold cell 1 is empty")
+
+    def test_radius_refuses_an_unbalanced_fold(self):
+        # cell 0 sees cell 2, which does not see it back, so no graph folds
+        # to these counts; the symmetrized solve once returned 1.0 for them
+        fold = Fold(((0,), (1,), (2,)), ((0, 0, 1), (1, 0, 0), (0, 1, 1)))
+        with pytest.raises(ValueError, match=r"fold cells \(0, 1\) are unbalanced"):
+            fold_radius(fold)
+        # the exact side still brackets its Perron root, 1.4656
+        root = max(abs(np.linalg.eigvals(np.array(fold.counts, dtype=float))))
+        lo, hi = perron_root_interval(fold, Fraction(1, 10 ** 6))
+        assert lo <= root <= hi and hi - lo <= Fraction(1, 10 ** 6)
+        assert round(root, 4) == 1.4656
 
     def test_empty_fold_has_radius_zero(self):
         with warnings.catch_warnings():
