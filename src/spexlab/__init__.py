@@ -21,9 +21,7 @@ from .graphs import (
     path,
     relabel,
     star,
-    transfer_vertex,
     turan,
-    u_packing,
 )
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .canon import canonical_form

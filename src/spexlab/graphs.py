@@ -24,8 +24,6 @@ __all__ = [
     "turan",
     "disjoint_union",
     "join",
-    "u_packing",
-    "transfer_vertex",
     "kelmans",
     "induced_subgraph",
     "relabel",
@@ -296,61 +294,6 @@ def join(g: Graph, h: Graph) -> Graph:
     adj = [row | h_mask for row in g.adj]
     adj += [(row << g.n) | g_mask for row in h.adj]
     return Graph._from_adj(g.n + h.n, adj)
-
-
-def u_packing(g: Graph, n: int) -> Graph:
-    """As many disjoint copies of g as fit in n vertices; remainder isolated."""
-    if g.n < 1:
-        raise ValueError("packed graph must be nonempty")
-    if n < 0:
-        raise ValueError("vertex budget must be nonnegative")
-    k = n // g.n
-    adj = [row << (i * g.n) for i in range(k) for row in g.adj]
-    return Graph._from_adj(n, adj + [0] * (n - k * g.n))
-
-
-def transfer_vertex(g: Graph, partition: Partition, i: int, j: int, u: int) -> Graph:
-    """Move vertex u from class i to class j, rewiring it as an ordinary vertex.
-
-    After the move u is adjacent to everything outside class j (and not to
-    itself), i.e. it behaves like a plain multipartite vertex of class j.
-    Requires u to have at most one neighbor inside its own class. The returned
-    graph carries the updated partition; for an ordinary u the edge delta is
-    |W_i| - |W_j| - 1.
-    """
-    if partition.n != g.n:
-        raise ValueError("partition does not match graph")
-    if not (0 <= i < len(partition) and 0 <= j < len(partition)):
-        raise ValueError("class index out of range")
-    if partition.class_of(u) != i:
-        raise ValueError(f"vertex {u} is not in class {i}")
-    mask_i = 0
-    for v in partition.classes[i]:
-        mask_i |= 1 << v
-    if (g.adj[u] & mask_i).bit_count() > 1:
-        raise ValueError(f"vertex {u} has more than one neighbor inside class {i}")
-    if i != j and len(partition.classes[i]) == 1:
-        raise ValueError(f"transfer would empty class {i}")
-
-    mask_j = 0
-    for v in partition.classes[j]:
-        mask_j |= 1 << v
-    bit_u = 1 << u
-    full = (1 << g.n) - 1
-
-    adj = list(g.adj)
-    for v in _iter_bits(adj[u]):
-        adj[v] &= ~bit_u
-    new_row = full & ~mask_j & ~bit_u
-    adj[u] = new_row
-    for v in _iter_bits(new_row):
-        adj[v] |= bit_u
-
-    classes = [list(c) for c in partition.classes]
-    if i != j:
-        classes[i].remove(u)
-        classes[j].append(u)
-    return Graph._from_adj(g.n, adj, Partition(classes))
 
 
 def kelmans(g: Graph, u: int, v: int) -> Graph:

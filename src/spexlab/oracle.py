@@ -37,7 +37,10 @@ each class whose edge count bounds its radius below the prefilter window.
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest packed into one part. It
 maximizes edges over that space only; its reports are flagged as
-restricted so they are never mistaken for true extremal numbers.
+restricted so they are never mistaken for true extremal numbers. A host
+that is not free hands back the part of the member its join split placed
+in the forest's part, and every later forest holding that residue is
+skipped untested (proof in ``restricted_ex``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Iterator
 from .canon import _canonical, _generators, _mask, _refine, canonical_form
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import Graph, _iter_bits, _turan_sizes, empty_graph
-from .patterns import ForbiddenFamily, is_free
+from .patterns import ForbiddenFamily, _first_hit, _plan, contains_subgraph, is_free
 from .spectral import compare_lambda_exact, perron_root_interval, spectral_radius
 from .constructions import TuranPacking, free_trees
 
@@ -585,6 +588,12 @@ def spex_oracle(n: int, family, allow_large: bool = False,
         certificate=certificate)
 
 
+def _require_int(field: str, value) -> None:
+    """Refuse a bool or a non-int value of field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+
+
 class RestrictedSpace:
     """Search space: balanced complete r-partite base plus one forest packed
     into one part, over every distinct part size, each forest component on
@@ -593,6 +602,8 @@ class RestrictedSpace:
     __slots__ = ("r", "max_tree_order")
 
     def __init__(self, r: int, max_tree_order: int):
+        _require_int("r", r)
+        _require_int("max_tree_order", max_tree_order)
         if r < 1:
             raise ValueError("r must be at least 1")
         if max_tree_order < 1:
@@ -655,8 +666,37 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     outside the space; reports carry the space definition so the
     restriction is always visible. When no graph in the space is free, the
     value is None and the extremal set is empty.
+
+    A host that is not free prunes the hosts after it. Let host(F) be
+    T(n, r) with the forest F packed into its part P of w vertices. When
+    host(F)'s plan (``patterns._plan``) is a join whose part with edges has
+    all w vertices, that part is host(F)[P] = F, and the edgeless
+    co-components are the other parts. A member that the join split finds
+    in host(F) then splits into an independent set in each other part and
+    a residue R in F (``_join_split``).
+
+    Lemma: if R is a subgraph of a forest F' on w vertices, host(F') holds
+    the member, so it is not free either. Proof: any permutation inside P
+    is an automorphism of the base T(n, r), so R may go to any copy of it
+    in F' = host(F')[P]. The independent sets stay, unchanged, in the other
+    parts. Every member edge between two of these pieces joins two
+    distinct parts, which the base joins completely, and the edges of R
+    lie in its copy in F'. So host(F') holds the member.
+
+    Each part size keeps the residues of its failed hosts, and a later
+    forest that holds one is skipped untested. Only hosts that are not free
+    are skipped, so the value, the extremal set and the stop at the first
+    forest sparser than the best free host are unchanged.
+
+    The plan check is needed: a forest whose star spans P (a P3 in a part
+    of 3) splits P into edgeless co-components, and a residue relative to
+    that split says nothing about another forest. A verdict read from the
+    containment cache carries no residue, and its host prunes nothing.
     """
     family = _coerce_family(family)
+    _require_int("n", n)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     t0 = time.perf_counter()
     if space.r > n:
         raise ValueError(f"r = {space.r} exceeds n = {n}")
@@ -666,12 +706,20 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     attain: dict[str, Graph] = {}
     for w in dict.fromkeys(sizes):
         part = sizes.index(w)
+        residues: list[Graph] = []
         for packs in _forests(w, space.max_tree_order):
             e = base_edges + sum(t.edge_count * c for t, c in packs)
             if e < best:
                 break  # forests only get sparser from here
+            if residues:
+                forest = TuranPacking((w,), tuple((0, t, c) for t, c in packs)).graph()
+                if any(contains_subgraph(forest, res) for res in residues):
+                    continue
             g = TuranPacking(sizes, tuple((part, t, c) for t, c in packs)).graph()
-            if not is_free(g, family):
+            hit = _first_hit(g, family)
+            if hit is not False:
+                if isinstance(hit, Graph) and _plan(g)[2].n == w:
+                    residues.append(hit)
                 continue
             if e > best:
                 best = e

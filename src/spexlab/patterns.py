@@ -32,6 +32,10 @@ cache, _plan. Containment canonizes only to break ties among a disconnected
 host's components, which a cheap invariant leaves, and to group pattern
 components in _pack_components. Edgeless join parts are interchangeable
 exactly when their sizes are equal.
+
+A join split that finds the pattern hands back the residue it left to the
+parts with edges, and the restricted search prunes with it
+(``oracle.restricted_ex``).
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def _remember(cache: dict, key, value):
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Whether host has a (not necessarily induced) subgraph isomorphic to pattern."""
-    return _contains(host, pattern)
+    return _contains(host, pattern) is not False
 
 
 def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
@@ -93,12 +97,24 @@ def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
     a copy through uv is u, v and r - 2 pairwise adjacent common
     neighbours of u and v, all of them near.
     """
-    members = family.members if isinstance(family, ForbiddenFamily) else tuple(family)
+    return _first_hit(g, family, new_edge) is False
+
+
+def _first_hit(g: Graph, family: "ForbiddenFamily | Iterable[Graph]",
+               new_edge: tuple[int, int] | None = None) -> bool | Graph:
+    """False when g holds no member of the family (``is_free``), else the
+    ``_contains`` verdict of the first member g holds, members taken
+    smallest first (order, then size). A member that the clique search of
+    new_edge finds gives True."""
+    if isinstance(family, ForbiddenFamily):
+        members = family.by_order
+    else:
+        members = _smallest_first(family)
     if new_edge is not None:
         u, v = new_edge
         if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise ValueError(f"new_edge {new_edge} is not an edge of g")
-    for m in sorted(members, key=lambda m: (m.n, m.edge_count)):
+    for m in members:
         host = g
         d = None if new_edge is None else _diameter(m)
         if d is not None:
@@ -107,12 +123,18 @@ def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
                 continue
             if 2 * m.edge_count == m.n * (m.n - 1):
                 if _has_clique(g.adj, near & g.adj[u] & g.adj[v], m.n - 2):
-                    return False
+                    return True
                 continue
             host = induced_subgraph(g, near)
-        if _contains(host, m):
-            return False
-    return True
+        hit = _contains(host, m)
+        if hit is not False:
+            return hit
+    return False
+
+
+def _smallest_first(members: Iterable[Graph]) -> tuple[Graph, ...]:
+    """members sorted by (order, size), ties in the given order."""
+    return tuple(sorted(members, key=lambda m: (m.n, m.edge_count)))
 
 
 def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
@@ -151,7 +173,14 @@ def _diameter(g: Graph) -> int | None:
                 if all(_ball(g, v, d) == full for v in range(g.n)))
 
 
-def _contains(host: Graph, pattern: Graph) -> bool:
+def _contains(host: Graph, pattern: Graph) -> bool | Graph:
+    """Whether host holds pattern: False, or a truthy verdict.
+
+    When a join host's split is searched, not read from the cache, a
+    truthy verdict is the residue ``_join_split`` placed in the join of the
+    parts with edges; every other truthy verdict is True. The cache keeps
+    the bool.
+    """
     if pattern.n == 0:
         return True
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
@@ -170,8 +199,10 @@ def _contains(host: Graph, pattern: Graph) -> bool:
 
     kind = _plan(host)[0]
     if kind == "join":
-        res = _join_split(host, pattern)
-    elif kind == "pack":
+        residue = _join_split(host, pattern)
+        _remember(_cache, key, residue is not None)
+        return False if residue is None else residue
+    if kind == "pack":
         res = _pack_components(host, pattern)
     else:
         res = _core_match(host, pattern)
@@ -234,8 +265,9 @@ def _twin_prev(g: Graph, order: list[int], within: int = -1) -> list[int]:
 
 # -- host is a join: partition the pattern among the co-components ----------
 
-def _join_split(host: Graph, pattern: Graph) -> bool:
-    """Whether the pattern splits among the host's co-components.
+def _join_split(host: Graph, pattern: Graph) -> Graph | None:
+    """The residue of the pattern left to the join of the host's parts with
+    edges when the pattern splits among the host's co-components, else None.
 
     The pattern fits exactly when its vertices split into sets S_i with
     pattern[S_i] a subgraph of part P_i. For an edgeless part the allowed
@@ -263,6 +295,11 @@ def _join_split(host: Graph, pattern: Graph) -> bool:
     second has the lower least vertex (an automorphism of the host). There
     are finitely many embeddings, so a host that holds the pattern has one
     that no rewrite lowers, and that embedding meets every rule.
+
+    The residue is pattern[R], R the vertices the edgeless parts left, on
+    the degree-ordered labels; the host holds the pattern through the sets
+    the edgeless parts took and any copy of the residue in the parts with
+    edges.
     """
     _, caps, edged = _plan(host)
     k = len(caps)
@@ -275,25 +312,28 @@ def _join_split(host: Graph, pattern: Graph) -> bool:
     pattern = _by_degree(pattern)
     padj = pattern.adj
 
-    def residue_fits(left: int) -> bool:
-        if not left:
-            return True
-        degs = sorted(((padj[v] & left).bit_count() for v in _iter_bits(left)),
-                      reverse=True)
-        if (len(degs) > room or sum(degs) > 2 * qedges
-                or any(d > h for d, h in zip(degs, qdeg))):
-            return False
-        return _contains(edged, induced_subgraph(pattern, left))
+    def residue(left: int) -> Graph | None:
+        """pattern[left], if it fits the join of the parts with edges."""
+        if left:
+            degs = sorted(((padj[v] & left).bit_count() for v in _iter_bits(left)),
+                          reverse=True)
+            if (len(degs) > room or sum(degs) > 2 * qedges
+                    or any(d > h for d, h in zip(degs, qdeg))):
+                return None
+        sub = induced_subgraph(pattern, left)
+        return sub if not left or _contains(edged, sub) else None
 
     failed: set[tuple[int, int, int]] = set()  # (part, left, low) states
 
-    def fill(j: int, left: int, low: int) -> bool:
-        """Whether parts j.. take left, with part j's least vertex above low."""
+    def fill(j: int, left: int, low: int) -> Graph | None:
+        """The residue when parts j.. take left, with part j's least vertex
+        above low; None when they cannot."""
         if (j, left, low) in failed:
-            return False
+            return None
         if j == k or not left:
-            if residue_fits(left):
-                return True
+            found = residue(left)
+            if found is not None:
+                return found
         elif left.bit_count() <= reach[j]:
             tied = j + 1 < k and caps[j + 1] == caps[j]
             above = -1 << (low + 1)
@@ -305,10 +345,11 @@ def _join_split(host: Graph, pattern: Graph) -> bool:
                 # the rest of the run takes nothing below least
                 if tied and (rest & ((1 << least) - 1)).bit_count() > beyond[j]:
                     continue
-                if fill(j + 1, rest, least):
-                    return True
+                found = fill(j + 1, rest, least)
+                if found is not None:
+                    return found
         failed.add((j, left, low))
-        return False
+        return None
 
     return fill(0, (1 << pattern.n) - 1, -1)
 
@@ -610,7 +651,7 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
 class ForbiddenFamily:
     """Nonempty collection of forbidden subgraphs, each with at least one edge."""
 
-    __slots__ = ("members", "name")
+    __slots__ = ("members", "by_order", "name")
 
     def __init__(self, members: Iterable[Graph], name: str | None = None):
         members = tuple(members)
@@ -620,6 +661,8 @@ class ForbiddenFamily:
             if g.n == 0 or g.edge_count == 0:
                 raise ValueError(f"family member {i} has no edge")
         object.__setattr__(self, "members", members)
+        # the members smallest first, the order is_free tests them in
+        object.__setattr__(self, "by_order", _smallest_first(members))
         object.__setattr__(self, "name", name)
 
     def __setattr__(self, attr: str, value: object) -> None:

@@ -1,4 +1,5 @@
-"""Independent reference implementations used only by the tests.
+"""Independent reference implementations used only by the tests, and the
+constructions only the tests build (``u_packing``, ``transfer_vertex``).
 
 Deliberately dumb and slow: exhaustive injection search, exhaustive
 coloring, permutation-dedup isomorphism classes, dense eigensolver.
@@ -14,14 +15,18 @@ import numpy as np
 
 from spexlab import (
     Graph,
+    Partition,
     SpectralResult,
+    TuranPacking,
     adjacency_matrix,
+    canonical_form,
     induced_subgraph,
+    is_free,
     star,
-    transfer_vertex,
     turan,
 )
-from spexlab.graphs import _iter_bits
+from spexlab.graphs import _iter_bits, _turan_sizes
+from spexlab.oracle import _forests
 
 
 def brute_contains(host: Graph, pattern: Graph) -> bool:
@@ -218,6 +223,61 @@ def edge_add_graphs(r: int, b: int, a: int, n: int) -> tuple[Graph, Graph]:
     return g, t
 
 
+def u_packing(g: Graph, n: int) -> Graph:
+    """As many disjoint copies of g as fit in n vertices; remainder isolated."""
+    if g.n < 1:
+        raise ValueError("packed graph must be nonempty")
+    if n < 0:
+        raise ValueError("vertex budget must be nonnegative")
+    k = n // g.n
+    adj = [row << (i * g.n) for i in range(k) for row in g.adj]
+    return Graph._from_adj(n, adj + [0] * (n - k * g.n))
+
+
+def transfer_vertex(g: Graph, partition: Partition, i: int, j: int, u: int) -> Graph:
+    """Move vertex u from class i to class j, rewiring it as an ordinary vertex.
+
+    After the move u is adjacent to everything outside class j (and not to
+    itself), i.e. it behaves like a plain multipartite vertex of class j.
+    Requires u to have at most one neighbor inside its own class. The returned
+    graph carries the updated partition; for an ordinary u the edge delta is
+    |W_i| - |W_j| - 1.
+    """
+    if partition.n != g.n:
+        raise ValueError("partition does not match graph")
+    if not (0 <= i < len(partition) and 0 <= j < len(partition)):
+        raise ValueError("class index out of range")
+    if partition.class_of(u) != i:
+        raise ValueError(f"vertex {u} is not in class {i}")
+    mask_i = 0
+    for v in partition.classes[i]:
+        mask_i |= 1 << v
+    if (g.adj[u] & mask_i).bit_count() > 1:
+        raise ValueError(f"vertex {u} has more than one neighbor inside class {i}")
+    if i != j and len(partition.classes[i]) == 1:
+        raise ValueError(f"transfer would empty class {i}")
+
+    mask_j = 0
+    for v in partition.classes[j]:
+        mask_j |= 1 << v
+    bit_u = 1 << u
+    full = (1 << g.n) - 1
+
+    adj = list(g.adj)
+    for v in _iter_bits(adj[u]):
+        adj[v] &= ~bit_u
+    new_row = full & ~mask_j & ~bit_u
+    adj[u] = new_row
+    for v in _iter_bits(new_row):
+        adj[v] |= bit_u
+
+    classes = [list(c) for c in partition.classes]
+    if i != j:
+        classes[i].remove(u)
+        classes[j].append(u)
+    return Graph._from_adj(g.n, adj, Partition(classes))
+
+
 def transfer_shift_graphs(r: int, k: int, n: int) -> tuple[Graph, Graph]:
     """T(n, r), n = r*w + 1, with k-vertex stars packed into part 1, after
     and before an ordinary vertex of part 0 moves into part 1."""
@@ -256,3 +316,25 @@ def last_edge_admits(adj: tuple[int, ...], deg: list[int],
             if row & eq_b and not row & gt_b:
                 return True
     return False
+
+
+def restricted_unpruned(n: int, members, r: int, max_order: int):
+    """restricted_ex without its witness pruning: every forest of each part
+    size is tested, densest first, until one is sparser than the best free
+    host; (value or None, canonical extremal set)."""
+    sizes = _turan_sizes(n, r)
+    base_edges = (n * n - sum(w * w for w in sizes)) // 2
+    best, attain = -1, set()
+    for w in dict.fromkeys(sizes):
+        part = sizes.index(w)
+        for packs in _forests(w, max_order):
+            e = base_edges + sum(t.edge_count * c for t, c in packs)
+            if e < best:
+                break
+            g = TuranPacking(sizes, tuple((part, t, c) for t, c in packs)).graph()
+            if not is_free(g, members):
+                continue
+            if e > best:
+                best, attain = e, set()
+            attain.add(canonical_form(g).decode("ascii"))
+    return (best if attain else None), attain

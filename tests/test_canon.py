@@ -15,11 +15,10 @@ from spexlab import (
     relabel,
     star,
     turan,
-    u_packing,
 )
 from spexlab.canon import _canonical, _generators, _refine
 from conftest import random_graph
-from oracles import all_graphs_upto_iso, refine_rescan
+from oracles import all_graphs_upto_iso, refine_rescan, u_packing
 
 
 def test_cycle_relabelings_agree():

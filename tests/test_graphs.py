@@ -24,11 +24,10 @@ from spexlab import (
     relabel,
     spectral_radius,
     star,
-    transfer_vertex,
     turan,
-    u_packing,
 )
 from conftest import random_graph, random_tree
+from oracles import transfer_vertex, u_packing
 
 
 def turan_edges(n: int, r: int) -> int:

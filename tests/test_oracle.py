@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spexlab import (
     ForbiddenFamily,
@@ -43,7 +43,7 @@ from spexlab import (
 from spexlab import canon, oracle, patterns
 from spexlab.spectral import compare_lambda_exact
 from oracles import (all_graphs_upto_iso, brute_contains, eig_radius,
-                     last_edge_admits)
+                     last_edge_admits, restricted_unpruned)
 
 SKIP_SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
@@ -635,6 +635,49 @@ class TestRestricted:
         with pytest.raises(ValueError):
             RestrictedSpace(2, 0)
 
+    @pytest.mark.parametrize("r, max_tree_order, field", [
+        (True, 2, "r"), (2.0, 2, "r"), (2, 2.5, "max_tree_order"),
+        (2, False, "max_tree_order"),
+    ])
+    def test_space_refuses_non_int(self, r, max_tree_order, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            RestrictedSpace(r, max_tree_order)
+
+    @pytest.mark.parametrize("n", [True, 6.0, "6"])
+    def test_refuses_non_int_n(self, n):
+        with pytest.raises(ValueError, match="^n must be an int"):
+            restricted_ex(n, [complete(3)], RestrictedSpace(2, 2))
+
+    def test_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            restricted_ex(-1, [complete(3)], RestrictedSpace(1, 1))
+
+    @pytest.mark.parametrize("n, m, value, tests, skips", [
+        (37, 5, 467, 6, 60), (55, 5, 1024, 7, 422), (55, 6, 1024, 8, 421),
+    ])
+    def test_witness_pruning_counts(self, monkeypatch, n, m, value, tests,
+                                    skips):
+        # a host is tested by one _first_hit call; a forest is skipped at
+        # the one residue it holds, where any() stops
+        tested, held = [], []
+        first_hit, holds = oracle._first_hit, oracle.contains_subgraph
+
+        def spied_hit(g, family):
+            tested.append(g)
+            return first_hit(g, family)
+
+        def spied_holds(forest, residue):
+            held.append(holds(forest, residue))
+            return held[-1]
+
+        monkeypatch.setattr(oracle, "_first_hit", spied_hit)
+        monkeypatch.setattr(oracle, "contains_subgraph", spied_holds)
+        # a cached verdict carries no residue
+        monkeypatch.setattr(patterns, "_cache", {})
+        rep = restricted_ex(n, cx1_family(3, 6, m), RestrictedSpace(3, 7))
+        assert rep.value == value
+        assert (len(tested), held.count(True)) == (tests, skips)
+
     def test_report_carries_space(self):
         space = RestrictedSpace(3, 2)
         rep = restricted_ex(9, [complete(3)], space)
@@ -685,6 +728,38 @@ def test_restricted_matches_brute_force(members, r):
             value, attain = _brute_restricted(n, members, r, max_order)
             assert rep.value == value, (n, max_order)
             assert set(rep.extremal_set) == attain, (n, max_order)
+
+
+@st.composite
+def small_families(draw) -> list[Graph]:
+    """1 to 3 members, each on at most 6 vertices with at least one edge."""
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 6))
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        members.append(Graph(k, edges))
+    return members
+
+
+# trees up to the part size, so that stars spanning a part occur: they
+# split the part into edgeless co-components, whose residues must not prune
+# (the examples: K2 spanning a part of 2, and P3 one of 3)
+@settings(max_examples=200, deadline=None)
+@given(small_families(), st.sampled_from([2, 3]), st.integers(2, 12),
+       st.integers(1, 6))
+@example([complete(3)], 2, 4, 2)
+@example([complete(3)], 2, 6, 3)
+def test_pruned_matches_unpruned(members, r, n, max_order):
+    assume(n >= r)
+    max_order = min(max_order, -(-n // r))
+    with pytest.MonkeyPatch.context() as mp:
+        # fresh verdicts, so that every failed host yields its residue
+        mp.setattr(patterns, "_cache", {})
+        rep = restricted_ex(n, members, RestrictedSpace(r, max_order))
+    value, attain = restricted_unpruned(n, members, r, max_order)
+    assert rep.value == value
+    assert set(rep.extremal_set) == attain
 
 
 class TestReportShape:

@@ -32,12 +32,11 @@ from spexlab import (
     relabel,
     star,
     turan,
-    u_packing,
 )
 from spexlab import patterns
 from spexlab.oracle import RestrictedSpace, restricted_ex
 from conftest import random_graph
-from oracles import all_graphs_upto_iso, brute_chromatic, brute_contains
+from oracles import all_graphs_upto_iso, brute_chromatic, brute_contains, u_packing
 
 
 class TestContains:
@@ -49,6 +48,12 @@ class TestContains:
         cls = t.partition.classes
         host = t.with_edge(cls[0][0], cls[0][1]).with_edge(cls[1][0], cls[1][1])
         assert contains_subgraph(host, f1())
+
+    def test_join_host_verdict_is_a_bool(self):
+        # _contains hands the join split's residue back; this does not
+        host = turan(6, 2).with_edge(0, 1)
+        assert contains_subgraph(host, complete(3)) is True
+        assert contains_subgraph(host, complete(4)) is False
 
     def test_packed_edges_do_not(self):
         host = TuranPacking((4, 4, 4), ((0, path(2), 2),)).graph()
@@ -177,6 +182,16 @@ def twin_patterns(draw, n: int) -> Graph:
     return _shuffle(draw, pattern)
 
 
+def split_fits(host: Graph, pattern: Graph) -> bool:
+    """_join_split's verdict on a join host; a residue it hands back must
+    fit the host's part with edges, by brute force."""
+    residue = patterns._join_split(host, pattern)
+    if residue is None:
+        return False
+    assert brute_contains(patterns._plan(host)[2], residue)
+    return True
+
+
 @st.composite
 def host_and_pattern(draw, hosts) -> tuple[Graph, Graph]:
     """A host and a twin pattern on at most 2 fewer vertices, and at most 6
@@ -219,7 +234,7 @@ class TestTwinOrder:
         host, pattern = case
         plan = patterns._plan(host)
         if plan[0] == "join":
-            got = patterns._join_split(host, pattern)
+            got = split_fits(host, pattern)
         else:
             assert plan == ("core",)
             patterns._cache.clear()
@@ -335,7 +350,7 @@ class TestEdgelessParts:
     def test_join_split_matches_brute_force(self, kind, data):
         host, pattern = data.draw(edgeless_cases(kind))
         assert patterns._plan(host)[0] == "join"
-        assert patterns._join_split(host, pattern) == brute_contains(host, pattern)
+        assert split_fits(host, pattern) == brute_contains(host, pattern)
 
     def test_every_six_vertex_pattern_in_six_vertex_hosts(self):
         # each join of K2 (two parts of one vertex), 2K1 or 3K1 with a graph
@@ -351,7 +366,7 @@ class TestEdgelessParts:
                 assert patterns._plan(host)[0] == "join"
                 for pattern in patterns_6:
                     want = brute_contains(host, pattern)
-                    assert patterns._join_split(host, pattern) == want, \
+                    assert split_fits(host, pattern) == want, \
                         (host.edges(), pattern.edges())
 
     def test_every_six_vertex_pattern_in_joins_of_parts_with_edges(self, monkeypatch):
@@ -519,7 +534,7 @@ class TestPlan:
         else:
             assert plan == ("core",)
         patterns._cache.clear()
-        assert patterns._contains(host, pattern) == brute_contains(host, pattern)
+        assert contains_subgraph(host, pattern) == brute_contains(host, pattern)
 
 
 class TestNoHostCanonization:
@@ -737,6 +752,24 @@ class TestForbiddenFamily:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ForbiddenFamily([])
+
+    def test_members_keep_their_order(self):
+        k4, p3, k3 = complete(4), path(3), complete(3)
+        fam = ForbiddenFamily([k4, p3, k3])
+        assert fam.members == (k4, p3, k3)
+        assert fam.by_order == (p3, k3, k4)
+
+    def test_is_free_sorts_a_family_once(self, monkeypatch):
+        fam = ForbiddenFamily([complete(4), cycle(4)])
+
+        def no_sort(members):
+            raise AssertionError("members sorted again")
+
+        monkeypatch.setattr(patterns, "_smallest_first", no_sort)
+        assert not is_free(turan(8, 2), fam)
+        # a plain iterable is sorted on each call
+        with pytest.raises(AssertionError, match="sorted again"):
+            is_free(turan(8, 2), list(fam))
 
     def test_star_pattern_in_dense_host(self):
         # degree bound matters, not just counts
