@@ -454,11 +454,21 @@ def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[tuple[str, b
             for g, dominated in _walk(decode_graph6(seed_g6), family)]
 
 
+def _require_int(field: str, value) -> None:
+    """Refuse a bool or a non-int value of field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+
+
 def _free_classes(n: int, family: ForbiddenFamily | None, allow_large: bool,
                   jobs: int) -> Iterator[tuple[Graph, bool]]:
     """(graph, dominated) for every free class on n vertices (see _walk)."""
+    _require_int("n", n)
+    _require_int("jobs", jobs)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n > _GUARDRAIL and not allow_large:
         raise ValueError(
             f"refusing to enumerate n = {n} > {_GUARDRAIL} isomorphism classes; "
@@ -588,12 +598,6 @@ def spex_oracle(n: int, family, allow_large: bool = False,
         certificate=certificate)
 
 
-def _require_int(field: str, value) -> None:
-    """Refuse a bool or a non-int value of field."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an int, got {value!r}")
-
-
 class RestrictedSpace:
     """Search space: balanced complete r-partite base plus one forest packed
     into one part, over every distinct part size, each forest component on
@@ -684,8 +688,12 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     lie in its copy in F'. So host(F') holds the member.
 
     Each part size keeps the residues of its failed hosts, and a later
-    forest that holds one is skipped untested. Only hosts that are not free
-    are skipped, so the value, the extremal set and the stop at the first
+    forest that holds one is skipped untested. A residue has at most w
+    vertices, since it fits host(F)[P]. With at most one edge it is
+    edgeless or K2 plus isolated vertices, which a forest on w vertices
+    holds exactly when it has at least as many edges; that test reads the
+    edge count and builds no forest. Only hosts that are not free are
+    skipped, so the value, the extremal set and the stop at the first
     forest sparser than the best free host are unchanged.
 
     The plan check is needed: a forest whose star spans P (a P3 in a part
@@ -707,10 +715,15 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     for w in dict.fromkeys(sizes):
         part = sizes.index(w)
         residues: list[Graph] = []
+        # the fewest edges of a kept residue with at most one edge; while
+        # there is none, w, more than a forest on w vertices has
+        few = w
         for packs in _forests(w, space.max_tree_order):
             e = base_edges + sum(t.edge_count * c for t, c in packs)
             if e < best:
                 break  # forests only get sparser from here
+            if e - base_edges >= few:
+                continue
             if residues:
                 forest = TuranPacking((w,), tuple((0, t, c) for t, c in packs)).graph()
                 if any(contains_subgraph(forest, res) for res in residues):
@@ -719,7 +732,10 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
             hit = _first_hit(g, family)
             if hit is not False:
                 if isinstance(hit, Graph) and _plan(g)[2].n == w:
-                    residues.append(hit)
+                    if hit.edge_count <= 1:
+                        few = min(few, hit.edge_count)
+                    else:
+                        residues.append(hit)
                 continue
             if e > best:
                 best = e

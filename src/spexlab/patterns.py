@@ -25,13 +25,14 @@ new_edge) holds a connected member only through uv, so the member is
 looked for only among the vertices within its diameter of both u and v,
 a complete member by a clique search on bitsets that builds no subhost;
 the exhaustive walk passes every child in that way, so its hosts are these
-ball subhosts and rarely recur. Maximal independent sets are cached per
-pattern and vertex subset. Each host's decomposition (join, packing or
-matcher, and the parts each needs) is worked out once and kept in one LRU
-cache, _plan. Containment canonizes only to break ties among a disconnected
-host's components, which a cheap invariant leaves, and to group pattern
-components in _pack_components. Edgeless join parts are interchangeable
-exactly when their sizes are equal.
+ball subhosts and rarely recur. Maximal independent sets, from one
+Bron–Kerbosch run per pattern, and degree profiles are cached per pattern
+and vertex subset, and every host reads them. Each host's decomposition
+(join, packing or matcher, and the parts each needs) is worked out once
+and kept in one LRU cache, _plan. Containment canonizes only to break ties
+among a disconnected host's components, which a cheap invariant leaves,
+and to group pattern components in _pack_components. Edgeless join parts
+are interchangeable exactly when their sizes are equal.
 
 A join split that finds the pattern hands back the residue it left to the
 parts with edges, and the restricted search prunes with it
@@ -58,9 +59,10 @@ _cform = lru_cache(maxsize=4096)(canonical_form)
 
 # (host adjacency, pattern adjacency) -> verdict; n is len(adj)
 _cache: dict[tuple, bool] = {}
-# (pattern order, pattern adjacency, vertex mask) -> [each vertex's previous
-# twin in the induced subgraph, its maximal independent sets (None until a
-# part of two or more vertices asks), _allowed_sets' answers by part size]
+# (pattern adjacency, vertex mask) -> [each vertex's previous twin in the
+# induced subgraph, its maximal independent sets, _allowed_sets' answers by
+# part size, its degrees as bytes, largest first], each None until first
+# asked for; n is len(adj)
 _mis_cache: dict[tuple, list] = {}
 _CACHE_CAP = 200_000
 
@@ -315,8 +317,12 @@ def _join_split(host: Graph, pattern: Graph) -> Graph | None:
     def residue(left: int) -> Graph | None:
         """pattern[left], if it fits the join of the parts with edges."""
         if left:
-            degs = sorted(((padj[v] & left).bit_count() for v in _iter_bits(left)),
-                          reverse=True)
+            row = _row(pattern, left)
+            if row[3] is None:
+                # a degree above 255 is kept as 255: the checks only weaken
+                row[3] = bytes(sorted((min((padj[v] & left).bit_count(), 255)
+                                       for v in _iter_bits(left)), reverse=True))
+            degs = row[3]
             if (len(degs) > room or sum(degs) > 2 * qedges
                     or any(d > h for d, h in zip(degs, qdeg))):
                 return None
@@ -364,21 +370,31 @@ def _by_degree(g: Graph) -> Graph:
     return relabel(g, pos)
 
 
+def _row(g: Graph, left: int) -> list:
+    """The _mis_cache entry of g[left], added empty when missing."""
+    key = (g.adj, left)
+    return _mis_cache.get(key) or _remember(_mis_cache, key, [None] * 4)
+
+
+def _set_key(t: int) -> tuple[int, int, int]:
+    """Larger sets first, then by least vertex."""
+    return -t.bit_count(), t & -t, t
+
+
 def _allowed_sets(g: Graph, left: int, cap: int) -> list[int]:
     """The sets an edgeless part of cap vertices may take from g[left].
 
     These are the maximal independent sets of g[left] and the cap-subsets
     of larger ones, kept only when they hold the earlier twins of their
-    members; larger sets come first.
+    members, in _set_key order.
     """
-    key = (g.n, g.adj, left)
-    entry = _mis_cache.get(key)
-    if entry is None:
-        entry = _remember(_mis_cache, key, [_twin_pred(g, left), None, {}])
-    pred, sets, by_cap = entry
+    row = _row(g, left)
+    if row[0] is None:
+        row[0], row[2] = _twin_pred(g, left), {}
+    pred, sets, by_cap, _ = row
     if cap > 1:
         if sets is None:
-            sets = entry[1] = _maximal_independent_sets(g, left)
+            sets = row[1] = _maximal_independent_sets(g, left)
         cap = min(cap, sets[0].bit_count())
     out = by_cap.get(cap)
     if out is not None:
@@ -405,16 +421,34 @@ def _allowed_sets(g: Graph, left: int, cap: int) -> list[int]:
             grow(list(_iter_bits(s)), 0, 0, cap)
         elif all(not pred[v] & ~s for v in _iter_bits(s)):
             found[s] = None
-    out = by_cap[cap] = sorted(found, key=lambda t: (-t.bit_count(), t & -t))
+    out = by_cap[cap] = sorted(found, key=_set_key)
     return out
 
 
 def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
-    """Maximal independent sets of g[within], largest first.
+    """Maximal independent sets of g[within], in _set_key order.
 
     Bron–Kerbosch with pivoting (Commun. ACM 16, 1973) on the complement,
-    whose maximal cliques they are.
+    whose maximal cliques they are, runs only on the whole vertex set, and
+    the entry of that set keeps its answer. An independent set of
+    g[within] lies in a maximal one I of g, and I & within is independent,
+    so the sets of a smaller within are the maximal sets I & within. A
+    strict superset comes first in _set_key order, so one pass keeps each
+    set that no set kept before it contains.
     """
+    full = (1 << g.n) - 1
+    if within != full:
+        whole = _row(g, full)
+        if whole[1] is None:
+            whole[1] = _maximal_independent_sets(g, full)
+        out: list[int] = []
+        for s in sorted({i & within for i in whole[1]}, key=_set_key):
+            for t in out:
+                if t & s == s:
+                    break
+            else:
+                out.append(s)
+        return out
     non = [within & ~(row | 1 << v) for v, row in enumerate(g.adj)]
     out = []
 
@@ -430,7 +464,7 @@ def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
             done |= bit
 
     expand(0, within, 0)
-    return sorted(out, key=lambda s: (-s.bit_count(), s & -s))
+    return sorted(out, key=_set_key)
 
 
 def _twin_pred(g: Graph, within: int) -> list[int]:

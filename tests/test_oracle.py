@@ -678,6 +678,19 @@ class TestRestricted:
         assert rep.value == value
         assert (len(tested), held.count(True)) == (tests, skips)
 
+    def test_one_edge_residue_skips_by_edge_count(self, monkeypatch):
+        # the first host's residue is K2, so every later forest with an
+        # edge is skipped from its edge count alone, with no forest built
+        calls = []
+        monkeypatch.setattr(oracle, "contains_subgraph",
+                            lambda forest, residue: calls.append(residue))
+        monkeypatch.setattr(patterns, "_cache", {})
+        rep = restricted_ex(14, [complete(3)], RestrictedSpace(2, 4))
+        assert calls == []
+        value, attain = restricted_unpruned(14, [complete(3)], 2, 4)
+        assert rep.value == value == 49
+        assert set(rep.extremal_set) == attain
+
     def test_report_carries_space(self):
         space = RestrictedSpace(3, 2)
         rep = restricted_ex(9, [complete(3)], space)
@@ -782,6 +795,20 @@ class TestReportShape:
         assert a.value == b.value
         assert a.extremal_set == b.extremal_set
         assert a.certificate == b.certificate
+
+    @pytest.mark.parametrize("n, jobs, match", [
+        (True, 1, "^n must be an int"), (4.0, 1, "^n must be an int"),
+        ("4", 1, "^n must be an int"), (4, True, "^jobs must be an int"),
+        (4, 1.0, "^jobs must be an int"), (4, 0, "^jobs must be at least 1"),
+        (4, -1, "^jobs must be at least 1"),
+    ])
+    def test_census_inputs_are_validated(self, n, jobs, match):
+        for oracle_fn in (ex_oracle, spex_oracle):
+            with pytest.raises(ValueError, match=match):
+                oracle_fn(n, [complete(3)], jobs=jobs)
+        if match.startswith("^n"):  # enumerate_graphs takes no jobs
+            with pytest.raises(ValueError, match=match):
+                next(enumerate_graphs(n))
 
     def test_guardrail_before_shard_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -28,6 +28,7 @@ from spexlab import (
     induced_subgraph,
     is_free,
     join,
+    matching,
     path,
     relabel,
     star,
@@ -190,6 +191,36 @@ def split_fits(host: Graph, pattern: Graph) -> bool:
         return False
     assert brute_contains(patterns._plan(host)[2], residue)
     return True
+
+
+def _independent_sets(g: Graph, within: int) -> list[int]:
+    """Every independent set of g[within], by trying every vertex subset."""
+    verts = list(patterns._iter_bits(within))
+    return [sum(1 << v for v in c) for size in range(len(verts) + 1)
+            for c in itertools.combinations(verts, size)
+            if all(not g.has_edge(u, v) for u, v in itertools.combinations(c, 2))]
+
+
+def _brute_maximal_independent_sets(g: Graph, within: int) -> list[int]:
+    """The maximal independent sets of g[within], larger first, then by
+    least vertex, then by mask."""
+    indep = _independent_sets(g, within)
+    return sorted((s for s in indep if not any(s != t and s & t == s for t in indep)),
+                  key=lambda s: (-s.bit_count(), s & -s, s))
+
+
+def _has_matching(g: Graph, k: int, avail: int) -> bool:
+    """Whether g[avail] has k disjoint edges: its least vertex is left out
+    or matched to each neighbour in turn."""
+    if k == 0:
+        return True
+    if avail.bit_count() < 2 * k:
+        return False
+    low = avail & -avail
+    rest = avail ^ low
+    return _has_matching(g, k, rest) or any(
+        _has_matching(g, k - 1, rest & ~(1 << w))
+        for w in patterns._iter_bits(g.adj[low.bit_length() - 1] & rest))
 
 
 @st.composite
@@ -391,17 +422,86 @@ class TestEdgelessParts:
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(1, 7), st.integers(1, (1 << 7) - 1))
     def test_maximal_independent_sets_match_brute_force(self, g, within):
-        within &= (1 << g.n) - 1
+        # a proper subset is derived from the whole pattern's sets, which
+        # Bron–Kerbosch finds and the whole vertex set's entry keeps
+        full = (1 << g.n) - 1
+        within &= full
         assume(within)
-        verts = list(patterns._iter_bits(within))
-        indep = [sum(1 << v for v in c) for size in range(len(verts) + 1)
-                 for c in itertools.combinations(verts, size)
-                 if all(not g.has_edge(u, v) for u, v in itertools.combinations(c, 2))]
-        maximal = {s for s in indep if not any(s != t and s & t == s for t in indep)}
         got = patterns._maximal_independent_sets(g, within)
-        assert len(got) == len(maximal) and set(got) == maximal
-        assert [s.bit_count() for s in got] == sorted((s.bit_count() for s in got),
-                                                      reverse=True)
+        assert got == _brute_maximal_independent_sets(g, within)
+        if within != full:
+            whole = patterns._mis_cache[(g.adj, full)][1]
+            assert whole == _brute_maximal_independent_sets(g, full)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(1, 8), st.integers(1, (1 << 8) - 1))
+    def test_allowed_sets_match_brute_force(self, g, left):
+        left &= (1 << g.n) - 1
+        assume(left)
+        verts = list(patterns._iter_bits(left))
+        indep = _independent_sets(g, left)
+        # each vertex's previous twin in g[left], by the definition
+        pred = {v: max((u for u in verts if u < v and (
+            g.adj[u] & left & ~(1 << v) == g.adj[v] & left & ~(1 << u))),
+            default=None) for v in verts}
+        for cap in range(1, len(verts) + 2):
+            # the maximal independent sets of at most cap vertices
+            fit = [s for s in indep if s.bit_count() <= cap]
+            maximal = [s for s in fit if not any(s != t and s & t == s for t in fit)]
+            want = sorted((s for s in maximal
+                           if all(pred[v] is None or s >> pred[v] & 1
+                                  for v in patterns._iter_bits(s))),
+                          key=lambda s: (-s.bit_count(), s & -s, s))
+            assert patterns._allowed_sets(g, left, cap) == want, cap
+
+    def test_bron_kerbosch_runs_once_per_pattern(self, monkeypatch):
+        # it runs when the whole vertex set's sets are asked for
+        runs = []
+        maximal = patterns._maximal_independent_sets
+
+        def counted(g, within):
+            if within == (1 << g.n) - 1:
+                runs.append((g.n, g.adj))
+            return maximal(g, within)
+
+        monkeypatch.setattr(patterns, "_maximal_independent_sets", counted)
+        calls = []
+        allowed = patterns._allowed_sets
+
+        def spied(g, left, cap):
+            calls.append((g.n, g.adj, cap))
+            return allowed(g, left, cap)
+
+        monkeypatch.setattr(patterns, "_allowed_sets", spied)
+        monkeypatch.setattr(patterns, "_cache", {})
+        monkeypatch.setattr(patterns, "_mis_cache", {})
+        restricted_ex(37, cx1_family(3, 6, 5), RestrictedSpace(3, 7))
+        # one run for each pattern that a part of two or more vertices asks
+        # about, however many hosts and vertex subsets ask
+        assert len(calls) > len(runs) > 1
+        assert sorted(runs) == sorted({(n, adj) for n, adj, cap in calls if cap > 1})
+
+    def test_many_independent_sets_give_the_brute_force_verdict(self, monkeypatch):
+        # a perfect matching on 12 vertices has 2^6 maximal independent
+        # sets, and every vertex subset's sets are derived from those 64
+        monkeypatch.setattr(patterns, "_cache", {})
+        pattern = relabel(matching(12), [7, 2, 10, 0, 5, 11, 3, 8, 1, 6, 9, 4])
+        whole = patterns._maximal_independent_sets(patterns._by_degree(pattern),
+                                                   (1 << 12) - 1)
+        assert len(whole) == 64
+        hosts = [complete_multipartite((6, 6)), complete_multipartite((7, 5)),
+                 join(empty_graph(6), path(6)), join(empty_graph(7), path(6)),
+                 join(empty_graph(3), join(empty_graph(3), matching(6))),
+                 TuranPacking((2, 2, 8), ((2, path(2), 1),)).graph(),
+                 TuranPacking((2, 2, 8), ((2, path(2), 3),)).graph(),
+                 TuranPacking((2, 2, 9), ((2, path(3), 1),)).graph()]
+        verdicts = []
+        for host in hosts:
+            assert patterns._plan(host)[0] == "join"
+            want = _has_matching(host, 6, (1 << host.n) - 1)
+            assert contains_subgraph(host, pattern) == want, host.edges()
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
 
     @staticmethod
     def count_set_choices(monkeypatch) -> list:
