@@ -37,10 +37,11 @@ each class whose edge count bounds its radius below the prefilter window.
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest packed into one part. It
 maximizes edges over that space only; its reports are flagged as
-restricted so they are never mistaken for true extremal numbers. A host
-that is not free hands back the part of the member its join split placed
-in the forest's part, and every later forest holding that residue is
-skipped untested (proof in ``restricted_ex``).
+restricted so they are never mistaken for true extremal numbers. Each
+forest is tested by the join split of the other parts with it, and a host
+that is not free hands back the part of the member the split placed in
+the forest; every later forest holding that residue is skipped untested
+(proof in ``restricted_ex``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterator
 from .canon import _canonical, _generators, _mask, _refine, canonical_form
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import Graph, _iter_bits, _turan_sizes, empty_graph
-from .patterns import ForbiddenFamily, _first_hit, _plan, contains_subgraph, is_free
+from .patterns import ForbiddenFamily, _join_split, contains_subgraph, is_free
 from .spectral import compare_lambda_exact, perron_root_interval, spectral_radius
 from .constructions import TuranPacking, free_trees
 
@@ -672,12 +673,12 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     value is None and the extremal set is empty.
 
     A host that is not free prunes the hosts after it. Let host(F) be
-    T(n, r) with the forest F packed into its part P of w vertices. When
-    host(F)'s plan (``patterns._plan``) is a join whose part with edges has
-    all w vertices, that part is host(F)[P] = F, and the edgeless
-    co-components are the other parts. A member that the join split finds
-    in host(F) then splits into an independent set in each other part and
-    a residue R in F (``_join_split``).
+    T(n, r) with the forest F packed into its part P of w vertices. It is
+    the join of the other parts, edgeless, and host(F)[P] = F, so it is
+    tested by the join split on those parts (``patterns._join_split``),
+    and building it is left to the free ones. A member that the split
+    finds splits into an independent set in each other part and a residue
+    R in F.
 
     Lemma: if R is a subgraph of a forest F' on w vertices, host(F') holds
     the member, so it is not free either. Proof: any permutation inside P
@@ -689,17 +690,12 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
 
     Each part size keeps the residues of its failed hosts, and a later
     forest that holds one is skipped untested. A residue has at most w
-    vertices, since it fits host(F)[P]. With at most one edge it is
-    edgeless or K2 plus isolated vertices, which a forest on w vertices
-    holds exactly when it has at least as many edges; that test reads the
-    edge count and builds no forest. Only hosts that are not free are
-    skipped, so the value, the extremal set and the stop at the first
-    forest sparser than the best free host are unchanged.
-
-    The plan check is needed: a forest whose star spans P (a P3 in a part
-    of 3) splits P into edgeless co-components, and a residue relative to
-    that split says nothing about another forest. A verdict read from the
-    containment cache carries no residue, and its host prunes nothing.
+    vertices, since it fits F. With at most one edge it is edgeless or K2
+    plus isolated vertices, which a forest on w vertices holds exactly
+    when it has at least as many edges; that test reads the edge count
+    and builds no forest. Only hosts that are not free are skipped, so the
+    value, the extremal set and the stop at the first forest sparser than
+    the best free host are unchanged.
     """
     family = _coerce_family(family)
     _require_int("n", n)
@@ -711,9 +707,10 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     sizes = _turan_sizes(n, space.r)
     base_edges = (n * n - sum(w * w for w in sizes)) // 2
     best = -1
-    attain: dict[str, Graph] = {}
+    attain: set[str] = set()
     for w in dict.fromkeys(sizes):
         part = sizes.index(w)
+        caps = sizes[:part] + sizes[part + 1:]  # largest first, as _join_split needs
         residues: list[Graph] = []
         # the fewest edges of a kept residue with at most one edge; while
         # there is none, w, more than a forest on w vertices has
@@ -724,24 +721,24 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
                 break  # forests only get sparser from here
             if e - base_edges >= few:
                 continue
-            if residues:
-                forest = TuranPacking((w,), tuple((0, t, c) for t, c in packs)).graph()
-                if any(contains_subgraph(forest, res) for res in residues):
-                    continue
-            g = TuranPacking(sizes, tuple((part, t, c) for t, c in packs)).graph()
-            hit = _first_hit(g, family)
-            if hit is not False:
-                if isinstance(hit, Graph) and _plan(g)[2].n == w:
-                    if hit.edge_count <= 1:
-                        few = min(few, hit.edge_count)
-                    else:
-                        residues.append(hit)
+            forest = TuranPacking((w,), tuple((0, t, c) for t, c in packs)).graph()
+            if any(contains_subgraph(forest, res) for res in residues):
                 continue
-            if e > best:
-                best = e
-                attain.clear()
-            attain.setdefault(_canon_string(g), g)
+            for m in family.by_order:
+                res = _join_split(caps, forest, m)
+                if res is not None:
+                    if res.edge_count <= 1:
+                        few = min(few, res.edge_count)
+                    else:
+                        residues.append(res)
+                    break
+            else:
+                if e > best:
+                    best = e
+                    attain.clear()
+                g = TuranPacking(sizes, tuple((part, t, c) for t, c in packs)).graph()
+                attain.add(_canon_string(g))
 
     return ExtremalReport(
         "restricted-ex", n, _family_id(family), best if attain else None,
-        list(attain), time.perf_counter() - t0, space=space)
+        attain, time.perf_counter() - t0, space=space)

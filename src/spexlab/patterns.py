@@ -32,10 +32,16 @@ and vertex subset, and every host reads them. Each host's decomposition
 and kept in one LRU cache, _plan. Containment canonizes only to break ties
 among a disconnected host's components, which a cheap invariant leaves,
 and to group pattern components in _pack_components. Edgeless join parts
-are interchangeable exactly when their sizes are equal.
+are interchangeable exactly when their sizes are equal. A recursive search
+closure refers to itself, a reference cycle that would keep its memo
+alive until the cyclic collector runs, so each drops its own name once
+the outer call has its answer.
 
-A join split that finds the pattern hands back the residue it left to the
-parts with edges, and the restricted search prunes with it
+The join split takes the join's parts, not a host: the edgeless parts'
+sizes and the graph joined to them. When it finds the pattern it hands
+back the residue it left to that graph. Containment reads only whether
+there is one, and its verdicts are bools; the restricted search splits each
+packed forest directly and prunes with the residue
 (``oracle.restricted_ex``).
 """
 
@@ -79,7 +85,7 @@ def _remember(cache: dict, key, value):
 
 def contains_subgraph(host: Graph, pattern: Graph) -> bool:
     """Whether host has a (not necessarily induced) subgraph isomorphic to pattern."""
-    return _contains(host, pattern) is not False
+    return _contains(host, pattern)
 
 
 def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
@@ -99,15 +105,6 @@ def is_free(g: Graph, family: "ForbiddenFamily | Iterable[Graph]", *,
     a copy through uv is u, v and r - 2 pairwise adjacent common
     neighbours of u and v, all of them near.
     """
-    return _first_hit(g, family, new_edge) is False
-
-
-def _first_hit(g: Graph, family: "ForbiddenFamily | Iterable[Graph]",
-               new_edge: tuple[int, int] | None = None) -> bool | Graph:
-    """False when g holds no member of the family (``is_free``), else the
-    ``_contains`` verdict of the first member g holds, members taken
-    smallest first (order, then size). A member that the clique search of
-    new_edge finds gives True."""
     if isinstance(family, ForbiddenFamily):
         members = family.by_order
     else:
@@ -125,13 +122,12 @@ def _first_hit(g: Graph, family: "ForbiddenFamily | Iterable[Graph]",
                 continue
             if 2 * m.edge_count == m.n * (m.n - 1):
                 if _has_clique(g.adj, near & g.adj[u] & g.adj[v], m.n - 2):
-                    return True
+                    return False
                 continue
             host = induced_subgraph(g, near)
-        hit = _contains(host, m)
-        if hit is not False:
-            return hit
-    return False
+        if _contains(host, m):
+            return False
+    return True
 
 
 def _smallest_first(members: Iterable[Graph]) -> tuple[Graph, ...]:
@@ -175,14 +171,8 @@ def _diameter(g: Graph) -> int | None:
                 if all(_ball(g, v, d) == full for v in range(g.n)))
 
 
-def _contains(host: Graph, pattern: Graph) -> bool | Graph:
-    """Whether host holds pattern: False, or a truthy verdict.
-
-    When a join host's split is searched, not read from the cache, a
-    truthy verdict is the residue ``_join_split`` placed in the join of the
-    parts with edges; every other truthy verdict is True. The cache keeps
-    the bool.
-    """
+def _contains(host: Graph, pattern: Graph) -> bool:
+    """Whether host holds pattern, decided by the branch of host's _plan."""
     if pattern.n == 0:
         return True
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
@@ -199,13 +189,11 @@ def _contains(host: Graph, pattern: Graph) -> bool | Graph:
     if hit is not None:
         return hit
 
-    kind = _plan(host)[0]
+    kind, *parts = _plan(host)
     if kind == "join":
-        residue = _join_split(host, pattern)
-        _remember(_cache, key, residue is not None)
-        return False if residue is None else residue
-    if kind == "pack":
-        res = _pack_components(host, pattern)
+        res = _join_split(*parts, pattern) is not None
+    elif kind == "pack":
+        res = _pack_components(*parts, pattern)
     else:
         res = _core_match(host, pattern)
     return _remember(_cache, key, res)
@@ -267,9 +255,11 @@ def _twin_prev(g: Graph, order: list[int], within: int = -1) -> list[int]:
 
 # -- host is a join: partition the pattern among the co-components ----------
 
-def _join_split(host: Graph, pattern: Graph) -> Graph | None:
-    """The residue of the pattern left to the join of the host's parts with
-    edges when the pattern splits among the host's co-components, else None.
+def _join_split(caps: tuple[int, ...], edged: Graph, pattern: Graph) -> Graph | None:
+    """The residue of the pattern left to edged when the pattern fits the
+    join of edgeless parts of sizes caps (largest first) and edged, else
+    None. edged may be any graph: the join of a host's parts with edges
+    (_plan), or a forest packed into one part (``oracle.restricted_ex``).
 
     The pattern fits exactly when its vertices split into sets S_i with
     pattern[S_i] a subgraph of part P_i. For an edgeless part the allowed
@@ -279,7 +269,7 @@ def _join_split(host: Graph, pattern: Graph) -> Graph | None:
     order, each take a whole set first: a maximal allowed set of the
     vertices still left, which is a maximal independent set of them or a
     |P_i|-subset of a larger one (_allowed_sets). What is left must fit
-    the join of the parts with edges, which one _contains call decides.
+    edged, which one _contains call decides.
 
     Vertices are relabeled by falling degree, and two more rules cut the
     set search: a set holds the earlier twins, in what is left, of its
@@ -300,10 +290,8 @@ def _join_split(host: Graph, pattern: Graph) -> Graph | None:
 
     The residue is pattern[R], R the vertices the edgeless parts left, on
     the degree-ordered labels; the host holds the pattern through the sets
-    the edgeless parts took and any copy of the residue in the parts with
-    edges.
+    the edgeless parts took and any copy of the residue in edged.
     """
-    _, caps, edged = _plan(host)
     k = len(caps)
     # reach[j]: how many vertices parts j.. can hold; beyond[j]: how many
     # the parts after part j's run of equal sizes can
@@ -315,7 +303,7 @@ def _join_split(host: Graph, pattern: Graph) -> Graph | None:
     padj = pattern.adj
 
     def residue(left: int) -> Graph | None:
-        """pattern[left], if it fits the join of the parts with edges."""
+        """pattern[left], if it fits edged."""
         if left:
             row = _row(pattern, left)
             if row[3] is None:
@@ -357,7 +345,8 @@ def _join_split(host: Graph, pattern: Graph) -> Graph | None:
         failed.add((j, left, low))
         return None
 
-    return fill(0, (1 << pattern.n) - 1, -1)
+    found, fill = fill(0, (1 << pattern.n) - 1, -1), None  # frees failed
+    return found
 
 
 @lru_cache(maxsize=4096)
@@ -421,6 +410,7 @@ def _allowed_sets(g: Graph, left: int, cap: int) -> list[int]:
             grow(list(_iter_bits(s)), 0, 0, cap)
         elif all(not pred[v] & ~s for v in _iter_bits(s)):
             found[s] = None
+    grow = None  # frees found on return
     out = by_cap[cap] = sorted(found, key=_set_key)
     return out
 
@@ -464,6 +454,7 @@ def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
             done |= bit
 
     expand(0, within, 0)
+    expand = None  # frees out on return
     return sorted(out, key=_set_key)
 
 
@@ -479,9 +470,10 @@ def _twin_pred(g: Graph, within: int) -> list[int]:
 
 # -- host disconnected: pack pattern components into host components --------
 
-def _pack_components(host: Graph, pattern: Graph) -> bool:
-    _, hgraphs, hcounts = _plan(host)
-
+def _pack_components(hgraphs: tuple[Graph, ...], hcounts: tuple[int, ...],
+                     pattern: Graph) -> bool:
+    """Whether the pattern packs into a host with _plan's component types
+    hgraphs, hcounts[t] copies of type t."""
     mlist = [induced_subgraph(pattern, mask) for mask in pattern.components()]
     mkeys = [_cform(c) for c in mlist]
     idx_order = sorted(range(len(mlist)),
@@ -527,7 +519,8 @@ def _pack_components(host: Graph, pattern: Graph) -> bool:
         memo[key] = res
         return res
 
-    return solve(full, hcounts)
+    found, solve = solve(full, hcounts), None  # frees memo
+    return found
 
 
 # -- any other host: folded backtracking -----------------------------------
@@ -677,7 +670,8 @@ def _core_match(host: Graph, pattern: Graph) -> bool:
             rem[c] += 1
         return False
 
-    return walk(0)
+    found, walk = walk(0), None  # frees the search state
+    return found
 
 
 # -- forbidden families ------------------------------------------------------

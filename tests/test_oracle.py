@@ -652,31 +652,45 @@ class TestRestricted:
         with pytest.raises(ValueError, match="vertex count must be nonnegative"):
             restricted_ex(-1, [complete(3)], RestrictedSpace(1, 1))
 
-    @pytest.mark.parametrize("n, m, value, tests, skips", [
-        (37, 5, 467, 6, 60), (55, 5, 1024, 7, 422), (55, 6, 1024, 8, 421),
-    ])
-    def test_witness_pruning_counts(self, monkeypatch, n, m, value, tests,
-                                    skips):
-        # a host is tested by one _first_hit call; a forest is skipped at
-        # the one residue it holds, where any() stops
+    @staticmethod
+    def spy_tests(monkeypatch) -> tuple[list, list]:
+        """The forests tested, and each residue test's verdict: a forest is
+        tested by _join_split calls on it, one per member until one fits,
+        and skipped at the one residue it holds, where any() stops."""
         tested, held = [], []
-        first_hit, holds = oracle._first_hit, oracle.contains_subgraph
+        split, holds = oracle._join_split, oracle.contains_subgraph
 
-        def spied_hit(g, family):
-            tested.append(g)
-            return first_hit(g, family)
+        def spied_split(caps, forest, member):
+            if not tested or tested[-1] is not forest:
+                tested.append(forest)
+            return split(caps, forest, member)
 
         def spied_holds(forest, residue):
             held.append(holds(forest, residue))
             return held[-1]
 
-        monkeypatch.setattr(oracle, "_first_hit", spied_hit)
+        monkeypatch.setattr(oracle, "_join_split", spied_split)
         monkeypatch.setattr(oracle, "contains_subgraph", spied_holds)
-        # a cached verdict carries no residue
-        monkeypatch.setattr(patterns, "_cache", {})
+        return tested, held
+
+    @pytest.mark.parametrize("n, m, value, tests, skips", [
+        (37, 5, 467, 6, 60), (55, 5, 1024, 7, 422), (55, 6, 1024, 8, 421),
+    ])
+    def test_witness_pruning_counts(self, monkeypatch, n, m, value, tests,
+                                    skips):
+        tested, held = self.spy_tests(monkeypatch)
         rep = restricted_ex(n, cx1_family(3, 6, m), RestrictedSpace(3, 7))
         assert rep.value == value
         assert (len(tested), held.count(True)) == (tests, skips)
+
+    def test_witness_pruning_ignores_earlier_runs(self, monkeypatch):
+        # the second run finds every containment verdict cached, and still
+        # prunes as the first did
+        tested, _ = self.spy_tests(monkeypatch)
+        for _ in range(2):
+            tested.clear()
+            restricted_ex(37, cx1_family(3, 6, 5), RestrictedSpace(3, 7))
+            assert len(tested) == 6
 
     def test_one_edge_residue_skips_by_edge_count(self, monkeypatch):
         # the first host's residue is K2, so every later forest with an
@@ -756,8 +770,9 @@ def small_families(draw) -> list[Graph]:
 
 
 # trees up to the part size, so that stars spanning a part occur: they
-# split the part into edgeless co-components, whose residues must not prune
-# (the examples: K2 spanning a part of 2, and P3 one of 3)
+# split the part into edgeless co-components, but a residue is taken in
+# the forest, and pruning by it stays sound (the examples: K2 spanning a
+# part of 2, and P3 one of 3)
 @settings(max_examples=200, deadline=None)
 @given(small_families(), st.sampled_from([2, 3]), st.integers(2, 12),
        st.integers(1, 6))
@@ -767,7 +782,7 @@ def test_pruned_matches_unpruned(members, r, n, max_order):
     assume(n >= r)
     max_order = min(max_order, -(-n // r))
     with pytest.MonkeyPatch.context() as mp:
-        # fresh verdicts, so that every failed host yields its residue
+        # fresh verdicts, as in a new process
         mp.setattr(patterns, "_cache", {})
         rep = restricted_ex(n, members, RestrictedSpace(r, max_order))
     value, attain = restricted_unpruned(n, members, r, max_order)

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spexlab import (
     ForbiddenFamily,
@@ -51,7 +51,7 @@ class TestContains:
         assert contains_subgraph(host, f1())
 
     def test_join_host_verdict_is_a_bool(self):
-        # _contains hands the join split's residue back; this does not
+        # the join split hands back a residue; containment answers a bool
         host = turan(6, 2).with_edge(0, 1)
         assert contains_subgraph(host, complete(3)) is True
         assert contains_subgraph(host, complete(4)) is False
@@ -183,10 +183,28 @@ def twin_patterns(draw, n: int) -> Graph:
     return _shuffle(draw, pattern)
 
 
+@st.composite
+def split_parts(draw) -> tuple[tuple[int, ...], Graph, Graph]:
+    """Edgeless part sizes (largest first), the graph joined to them (any
+    graph on at most 5 vertices, or a star spanning it) and a pattern, on
+    at most 8 vertices in all."""
+    caps = tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=3)),
+                        reverse=True))
+    room = max(0, min(5, 8 - sum(caps)))
+    if room and draw(st.booleans()):
+        edged = star(draw(st.integers(1, room)))
+    else:
+        edged = _shuffle(draw, draw(small_graphs(0, room)))
+    total = sum(caps) + edged.n
+    assume(total)
+    pattern = _shuffle(draw, draw(small_graphs(1, min(6, total))))
+    return caps, edged, pattern
+
+
 def split_fits(host: Graph, pattern: Graph) -> bool:
     """_join_split's verdict on a join host; a residue it hands back must
     fit the host's part with edges, by brute force."""
-    residue = patterns._join_split(host, pattern)
+    residue = patterns._join_split(*patterns._plan(host)[1:], pattern)
     if residue is None:
         return False
     assert brute_contains(patterns._plan(host)[2], residue)
@@ -382,6 +400,24 @@ class TestEdgelessParts:
         host, pattern = data.draw(edgeless_cases(kind))
         assert patterns._plan(host)[0] == "join"
         assert split_fits(host, pattern) == brute_contains(host, pattern)
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_parts())
+    @example(((3,), star(3), complete(3)))  # P3 spans a part of 3
+    @example(((2, 2), star(2), complete(4)))  # K2 spans a part of 2
+    @example(((3, 3), star(4), Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2)])))
+    @example(((1,), cycle(4), complete(4)))  # K3 passes C4's degree check
+    def test_join_split_of_any_edged_graph(self, case):
+        # edged may itself be a join (a star spanning its part), edgeless
+        # or empty: the verdict is the join's, and a residue fits edged
+        caps, edged, pattern = case
+        host = edged
+        for cap in reversed(caps):
+            host = join(empty_graph(cap), host)
+        residue = patterns._join_split(caps, edged, pattern)
+        assert (residue is not None) == brute_contains(host, pattern)
+        if residue is not None:
+            assert brute_contains(edged, residue)
 
     def test_every_six_vertex_pattern_in_six_vertex_hosts(self):
         # each join of K2 (two parts of one vertex), 2K1 or 3K1 with a graph
