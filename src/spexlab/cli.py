@@ -71,13 +71,6 @@ def _emit(args, payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _resolve_jobs(args) -> int:
-    """--jobs, at least 1 and clamped to the CPU count."""
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
-    return min(args.jobs, os.cpu_count() or 1)
-
-
 def _parse_params(text: str | None) -> dict:
     """Parse "r=3,k=6" into {"r": 3, "k": 6}; a non-integer stays a string,
     and a key given twice is refused."""
@@ -217,8 +210,7 @@ def _cmd_quotient(args) -> int:
 def _cmd_oracle(args) -> int:
     params = _parse_params(args.params)
     fam = _load_family(args.family, params)
-    rep = args.oracle(args.n, fam, allow_large=args.allow_large,
-                      jobs=_resolve_jobs(args))
+    rep = args.oracle(args.n, fam, allow_large=args.allow_large)
     _emit(args, rep.as_dict())
     return 0
 
@@ -250,9 +242,7 @@ def _cmd_verify(args) -> int:
     if not claims:
         raise ValueError("pass --claim <id> (repeatable) or --all")
     params = _parse_params(args.params)
-    jobs = _resolve_jobs(args)
-    reports = [verify_mod.run_claim(cid, params or None, jobs=jobs)
-               for cid in claims]
+    reports = [verify_mod.run_claim(cid, params or None) for cid in claims]
     ok = all(rep["ok"] for rep in reports)
     _emit(args, {"claims": reports, "ok": ok})
     if not ok:
@@ -269,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--no-timestamps", action="store_true",
                         help="omit timestamps for byte-identical reruns")
-    # only ex, spex and verify (its oracle claims) read --jobs
-    parallel = argparse.ArgumentParser(add_help=False)
-    parallel.add_argument("--jobs", type=int, default=1,
-                          help="parallel workers, 1 to the CPU count "
-                               "(default 1)")
 
     top = argparse.ArgumentParser(
         prog="spexlab",
@@ -316,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, oracle, blurb in (
             ("ex", ex_oracle, "exhaustive extremal edge count"),
             ("spex", spex_oracle, "exhaustive spectral extremal set")):
-        p = sub.add_parser(name, parents=[common, parallel], help=blurb)
+        p = sub.add_parser(name, parents=[common], help=blurb)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--family", required=True)
         p.add_argument("--params", help="family parameters")
@@ -343,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write two-column (n, n*dlam) data here")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("verify", parents=[common, parallel],
+    p = sub.add_parser("verify", parents=[common],
                        help="replay desk-scale claims")
     p.add_argument("--claim", action="append",
                    help=f"one of {', '.join(verify_mod.CLAIM_IDS)} "

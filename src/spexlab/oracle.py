@@ -412,27 +412,6 @@ def _accepted_children(g: Graph, grows: tuple[int, ...], gsym: list,
     return out, dominated
 
 
-def _walk(root: Graph, family: ForbiddenFamily | None, cut: int | None = None,
-          frontier: list | None = None) -> Iterator[tuple[Graph, bool]]:
-    """Depth-first canonical augmentation from root, root included.
-
-    Yields (graph, dominated), dominated as ``_accepted_children`` reports
-    it. Graphs with ``cut`` edges are appended to ``frontier`` instead of
-    being yielded or expanded; each is the root of an independent subtree
-    because the parent-acceptance test is local.
-    """
-    _, rows, sym = _canonical(root)
-    stack = [(root, rows, sym)]
-    while stack:
-        g, rows, sym = stack.pop()
-        if g.edge_count == cut:
-            frontier.append(g)
-            continue
-        children, dominated = _accepted_children(g, rows, sym, family)
-        yield g, dominated
-        stack.extend(children)
-
-
 def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
                      allow_large: bool = False) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, optionally family-free.
@@ -442,17 +421,8 @@ def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
     every yielded graph is family-free and the search tree is pruned at the
     first forbidden subgraph.
     """
-    for g, _ in _free_classes(n, family, allow_large, jobs=1):
+    for g, _ in _free_classes(n, family, allow_large):
         yield g
-
-
-def _shard_worker(args: tuple[str, tuple[str, ...] | None]) -> list[tuple[str, bool]]:
-    seed_g6, family_g6 = args
-    family = None
-    if family_g6 is not None:
-        family = ForbiddenFamily([decode_graph6(s) for s in family_g6])
-    return [(encode_graph6(g), dominated)
-            for g, dominated in _walk(decode_graph6(seed_g6), family)]
 
 
 def _require_int(field: str, value) -> None:
@@ -461,37 +431,27 @@ def _require_int(field: str, value) -> None:
         raise ValueError(f"{field} must be an int, got {value!r}")
 
 
-def _free_classes(n: int, family: ForbiddenFamily | None, allow_large: bool,
-                  jobs: int) -> Iterator[tuple[Graph, bool]]:
-    """(graph, dominated) for every free class on n vertices (see _walk)."""
+def _free_classes(n: int, family: ForbiddenFamily | None,
+                  allow_large: bool) -> Iterator[tuple[Graph, bool]]:
+    """Depth-first canonical augmentation from the empty graph on n
+    vertices: (graph, dominated) for every free class, dominated as
+    ``_accepted_children`` reports it."""
     _require_int("n", n)
-    _require_int("jobs", jobs)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if n > _GUARDRAIL and not allow_large:
         raise ValueError(
             f"refusing to enumerate n = {n} > {_GUARDRAIL} isomorphism classes; "
             "pass allow_large=True (--allow-large on the command line) "
             "to override")
-    # with jobs > 1 the tree is cut at a fixed edge level and the subtrees
-    # below it are walked as shards in worker processes
-    cut = (n + 1) // 2 if jobs > 1 and n >= 3 else None
-    seeds: list[Graph] = []
-    yield from _walk(empty_graph(n), family, cut, seeds)
-    if not seeds:
-        return
-    fam_tokens = None
-    if family is not None:
-        fam_tokens = tuple(encode_graph6(m) for m in family.members)
-    tasks = [(encode_graph6(s), fam_tokens) for s in seeds]
-    # imported here so that a process that never shards never loads it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for shard in pool.map(_shard_worker, tasks):
-            for f, dominated in shard:
-                yield decode_graph6(f), dominated
+    root = empty_graph(n)
+    _, rows, sym = _canonical(root)
+    stack = [(root, rows, sym)]
+    while stack:
+        g, rows, sym = stack.pop()
+        children, dominated = _accepted_children(g, rows, sym, family)
+        yield g, dominated
+        stack.extend(children)
 
 
 def _family_id(family: ForbiddenFamily) -> str:
@@ -500,6 +460,8 @@ def _family_id(family: ForbiddenFamily) -> str:
     return f"unnamed({len(family.members)} members)"
 
 
+# ex_oracle and spex_oracle accept and ignore jobs, which selects nothing:
+# the benchmark's census body still passes it (ROADMAP item 1 retires it)
 def ex_oracle(n: int, family, allow_large: bool = False,
               jobs: int = 1) -> ExtremalReport:
     """Exact maximum edge count and all extremal graphs, by enumeration.
@@ -511,7 +473,7 @@ def ex_oracle(n: int, family, allow_large: bool = False,
     t0 = time.perf_counter()
     best = -1
     attain: list[Graph] = []
-    for g, _ in _free_classes(n, family, allow_large, jobs):
+    for g, _ in _free_classes(n, family, allow_large):
         e = g.edge_count
         if e > best:
             best = e
@@ -564,7 +526,7 @@ def spex_oracle(n: int, family, allow_large: bool = False,
     t0 = time.perf_counter()
     scored: list[tuple[float, Graph]] = []
     top = float("-inf")
-    for g, dominated in _free_classes(n, family, allow_large, jobs):
+    for g, dominated in _free_classes(n, family, allow_large):
         if dominated:
             continue
         if _stanley_bound(g.edge_count) + 1e-9 < top - _PREFILTER_TOL:

@@ -24,6 +24,7 @@ from . import asymptotics
 from .canon import canonical_form
 from .constructions import TuranPacking, check_params, cx1_family, \
     cx1_records, cx2_package, f1
+from .graph6 import encode_graph6
 from .graphs import Graph, _turan_sizes, complete, induced_subgraph, path, \
     turan
 from .oracle import RestrictedSpace, ex_oracle, restricted_ex, spex_oracle
@@ -66,7 +67,7 @@ def _canon(g: Graph) -> str:
 
 # ---------------------------------------------------------------- f1 ----
 
-def _claim_f1(c: _Checker, params: dict, inputs, jobs: int) -> None:
+def _claim_f1(c: _Checker, params: dict, inputs) -> None:
     base = f1()
     c.check("chi(F1) = 4", chromatic_number(base) == 4,
             detail=f"got {chromatic_number(base)}")
@@ -102,7 +103,6 @@ def _claim_f1(c: _Checker, params: dict, inputs, jobs: int) -> None:
 
 # --------------------------------------------------------------- cx1 ----
 
-_CX1_NS = (55, 109, 217, 433)
 _CX1_WIDTH = Fraction(1, 10 ** 30)
 
 
@@ -113,17 +113,27 @@ def _bracket(lo: Fraction, hi: Fraction) -> str:
 
 
 def _cx1_inputs(params: dict) -> tuple:
-    """The family and, at each of _CX1_NS, the (G, H) pair as records and
-    as graphs."""
+    """The family and, at each default size of the cx1_gap experiment, the
+    (G, H) pair as records and as graphs."""
     r, k, m = params["r"], params["k"], params["m"]
+    fam = cx1_family(r, k, m)  # refuses k < 2 before default_ns divides by k
     pairs = []
-    for n in _CX1_NS:
+    for n in asymptotics.EXPERIMENTS["cx1_gap"].default_ns(r=r, k=k):
         g, h = cx1_records(r, k, n)
         pairs.append((n, g, h, g.graph(), h.graph()))
-    return cx1_family(r, k, m), pairs
+    return fam, pairs
 
 
-def _claim_cx1(c: _Checker, params: dict, inputs, jobs: int) -> None:
+def _held_member(g: Graph, fam: ForbiddenFamily) -> str:
+    """The first member of fam, in members order, that g (not free) holds,
+    by index, order, size and graph6."""
+    i, member = next((i, m) for i, m in enumerate(fam.members)
+                     if contains_subgraph(g, m))
+    return (f"holds member {i} of {len(fam.members)} ({member.n} vertices, "
+            f"{member.edge_count} edges): {encode_graph6(member)}")
+
+
+def _claim_cx1(c: _Checker, params: dict, inputs) -> None:
     r, k = params["r"], params["k"]
     fam, pairs = inputs
     fit = asymptotics.fit_pairs(
@@ -134,8 +144,10 @@ def _claim_cx1(c: _Checker, params: dict, inputs, jobs: int) -> None:
         c.check(f"e(H) = e(G) + 1 at n = {n}",
                 h.edge_count == g.edge_count + 1,
                 detail=f"e(H) = {h.edge_count}, e(G) = {g.edge_count}")
-        c.check(f"H avoids the family at n = {n}", is_free(h, fam))
-        c.check(f"G avoids the family at n = {n}", is_free(g, fam))
+        for label, graph in (("H", h), ("G", g)):
+            free = is_free(graph, fam)
+            c.check(f"{label} avoids the family at n = {n}", free,
+                    detail="" if free else _held_member(graph, fam))
         lo_h, hi_h = perron_root_interval(h_rec.fold(), _CX1_WIDTH)
         lo_g, hi_g = perron_root_interval(g_rec.fold(), _CX1_WIDTH)
         c.check(f"lambda(H) < lambda(G) at n = {n}", hi_h <= lo_g,
@@ -165,7 +177,7 @@ def _cx2_expected(p: int) -> dict:
     return {"G": b, "H": cm, "H_prime": cp}
 
 
-def _claim_cx2(c: _Checker, params: dict, pkg, jobs: int) -> None:
+def _claim_cx2(c: _Checker, params: dict, pkg) -> None:
     p = params["p"]
     graphs = {"G": pkg.g, "H": pkg.h, "H_prime": pkg.h_prime}
     expected = _cx2_expected(p)
@@ -212,7 +224,7 @@ _TABLE = {3: Fraction(5, 18), 4: Fraction(7, 32), 5: Fraction(9, 50),
           9: Fraction(17, 162), 10: Fraction(19, 200)}
 
 
-def _claim_table(c: _Checker, params: dict, inputs, jobs: int) -> None:
+def _claim_table(c: _Checker, params: dict, inputs) -> None:
     for r, want in _TABLE.items():
         got = asymptotics.thresholds(r).c
         c.check(f"c({r}) = {want.numerator}/{want.denominator}", got == want,
@@ -235,13 +247,13 @@ def _check_fit(c: _Checker, label: str, fit, rel: float = 0.05) -> None:
             detail=f"got {fit.first_order:.6f} (error est {fit.error:.2e})")
 
 
-def _claim_tree_lemma(c: _Checker, params: dict, inputs, jobs: int) -> None:
+def _claim_tree_lemma(c: _Checker, params: dict, inputs) -> None:
     for k in (4, 5):
         _check_fit(c, f"star_vs_path(3, {k}) constant",
                    asymptotics.experiment("star_vs_path", {"r": 3, "k": k}))
 
 
-def _claim_fit(key: str, c: _Checker, params: dict, pairs, jobs: int) -> None:
+def _claim_fit(key: str, c: _Checker, params: dict, pairs) -> None:
     """Fit experiment ``key``'s prebuilt pairs, labeled with its parameters."""
     takes = asymptotics.EXPERIMENTS[key].takes
     args = ", ".join(str(params[p]) for p in takes)
@@ -250,20 +262,20 @@ def _claim_fit(key: str, c: _Checker, params: dict, pairs, jobs: int) -> None:
 
 # ----------------------------------------------------- oracle claims ----
 
-def _claim_spectral_turan(c: _Checker, params: dict, inputs, jobs: int) -> None:
+def _claim_spectral_turan(c: _Checker, params: dict, inputs) -> None:
     for r, lo in ((2, 4), (3, 6)):
         fam = ForbiddenFamily([complete(r + 1)], name=f"K{r + 1}")
         for n in range(lo, 9):
-            rep = spex_oracle(n, fam, jobs=jobs)
+            rep = spex_oracle(n, fam)
             c.check(f"SPEX({n}, K{r + 1}) is the {r}-part Turan graph",
                     rep.extremal_set == (_canon(turan(n, r)),),
                     detail=f"got {rep.extremal_set}")
 
 
-def _claim_mantel(c: _Checker, params: dict, inputs, jobs: int) -> None:
+def _claim_mantel(c: _Checker, params: dict, inputs) -> None:
     fam = ForbiddenFamily([complete(3)], name="K3")
     for n in range(4, 9):
-        rep = ex_oracle(n, fam, jobs=jobs)
+        rep = ex_oracle(n, fam)
         c.check(f"ex({n}, K3) = {n * n // 4}", rep.value == n * n // 4,
                 detail=f"got {rep.value}")
         c.check(f"EX({n}, K3) is the balanced bipartite Turan graph",
@@ -293,8 +305,7 @@ CLAIM_SPECS = {spec.id: spec for spec in (
 CLAIM_IDS = tuple(CLAIM_SPECS)
 
 
-def run_claim(claim_id: str, params: Optional[dict] = None,
-              jobs: int = 1) -> dict:
+def run_claim(claim_id: str, params: Optional[dict] = None) -> dict:
     """Run one claim and return its report dict; see the module docstring."""
     cid = claim_id.replace("_", "-")
     if cid not in CLAIM_SPECS:
@@ -308,7 +319,7 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
     inputs = spec.build(merged)  # a ValueError here is bad input
     checker = _Checker()
     try:
-        spec.run(checker, merged, inputs, jobs)
+        spec.run(checker, merged, inputs)
     except Exception as e:  # claim bodies must not kill a batch run
         checker.check(f"{cid} ran to completion", False, detail=repr(e))
     return {"claim": cid, "params": merged, "ok": checker.ok,
@@ -316,9 +327,9 @@ def run_claim(claim_id: str, params: Optional[dict] = None,
             "assertions": checker.assertions}
 
 
-def run_all(jobs: int = 1) -> list:
+def run_all() -> list:
     """Run every claim in declaration order."""
-    return [run_claim(cid, jobs=jobs) for cid in CLAIM_IDS]
+    return [run_claim(cid) for cid in CLAIM_IDS]
 
 
 def first_failure(reports) -> Optional[str]:

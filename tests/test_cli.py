@@ -1,6 +1,5 @@
-"""Command line driver: JSON output, exit codes, the --jobs setting."""
+"""Command line driver: JSON output, exit codes, parser flags."""
 
-import argparse
 import importlib
 import io
 import json
@@ -17,7 +16,7 @@ import pytest
 
 import spexlab
 from spexlab import canonical_form, cx2_package, cycle, encode_graph6, turan
-from spexlab.cli import _resolve_jobs, build_parser, main
+from spexlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +288,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("claim, params, named", [
         ("cx2", "p=6", "need p congruent to 1 mod 3, got p = 6"),
         ("edge-add", "b=-1", "need nonnegative b, a with b + a >= 1"),
-        ("cx1", "r=4", "got floor(55/4) = 13"),
+        ("cx1", "r=2", "r must be at least 3"),
         ("transfer-shift", "k=0",
          "experiment transfer_shift needs k at least 2, got k = 0"),
     ])
@@ -361,6 +360,22 @@ def test_readme_commands_parse():
         assert args.func is not None, line
 
 
+def test_readme_prose_flags_exist():
+    # a flag named in the README's prose is a flag of some subcommand
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    prose = re.sub(r"```.*?```", "", readme.read_text(encoding="utf-8"),
+                   flags=re.S)
+    named = {flag for span in re.findall(r"`([^`]+)`", prose)
+             for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    assert {"--family", "--max-tree-order", "--no-timestamps",
+            "--params"} <= named
+    commands = next(a.choices for a in build_parser()._actions
+                    if a.dest == "command")
+    flags = {opt for p in commands.values() for a in p._actions
+             for opt in a.option_strings}
+    assert sorted(named - flags) == []
+
+
 def test_readme_python_names_resolve():
     # a name deleted from the package cannot linger in the README's examples
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -392,28 +407,15 @@ def test_exports_resolve():
 class TestConfig:
     @pytest.mark.parametrize("argv", [
         ("fit", "--experiment", "edge-add", "--params", "r=3,b=2,a=0"),
-        ("lambda", "--graph6", "Bw")])
+        ("lambda", "--graph6", "Bw"),
+        ("ex", "--n", "5", "--family", "K3"),
+        ("spex", "--n", "5", "--family", "K3"),
+        ("verify", "--claim", "table")])
     def test_jobs_only_where_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        assert _resolve_jobs(argparse.Namespace(jobs=2)) == 2
-        flag = argparse.Namespace(jobs=10 ** 6)
-        assert _resolve_jobs(flag) == 3
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert _resolve_jobs(flag) == 1
-
-    @pytest.mark.parametrize("source", ["flag"])
-    def test_jobs_below_one_exit_two(self, capsys, source):
-        code, out, err = run_cli(capsys, "ex", "--n", "5", "--family", "K3",
-                                 "--jobs", "0")
-        assert code == 2
-        assert out == ""
-        assert "jobs must be at least 1" in err
 
     @pytest.mark.parametrize("flag", [("--part", "any"), ("--edit-budget", "1")])
     def test_restricted_space_knobs_are_gone(self, capsys, flag):

@@ -6,8 +6,8 @@ spexlab's own modules for every name they import. A line marked
 purpose. ``__init__.py`` is not checked, since its imports are the
 package's public names.
 
-Importing spexlab also stays clear of the process pool, which only a
-sharded enumeration needs.
+Importing spexlab also stays clear of the process pool, which no
+spexlab code needs.
 """
 
 import ast

@@ -1,6 +1,5 @@
 """Exhaustive ex/spex oracles and the structure-restricted search."""
 
-import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -800,34 +799,19 @@ class TestReportShape:
         rep = ex_oracle(4, ForbiddenFamily([complete(3)], name="triangle"))
         assert rep.family == "triangle"
 
-    def test_jobs_do_not_change_output(self):
-        a = ex_oracle(6, [complete(3)], jobs=1)
-        b = ex_oracle(6, [complete(3)], jobs=2)
-        assert a.value == b.value
-        assert a.extremal_set == b.extremal_set
-        a = spex_oracle(6, [complete(4)], jobs=1)
-        b = spex_oracle(6, [complete(4)], jobs=2)
-        assert a.value == b.value
-        assert a.extremal_set == b.extremal_set
-        assert a.certificate == b.certificate
-
+    # the oracles take the jobs keyword that the benchmark's census body
+    # passes, and ignore it
     @pytest.mark.parametrize("n, jobs, match", [
         (True, 1, "^n must be an int"), (4.0, 1, "^n must be an int"),
-        ("4", 1, "^n must be an int"), (4, True, "^jobs must be an int"),
-        (4, 1.0, "^jobs must be an int"), (4, 0, "^jobs must be at least 1"),
-        (4, -1, "^jobs must be at least 1"),
+        ("4", 1, "^n must be an int"),
     ])
     def test_census_inputs_are_validated(self, n, jobs, match):
         for oracle_fn in (ex_oracle, spex_oracle):
             with pytest.raises(ValueError, match=match):
                 oracle_fn(n, [complete(3)], jobs=jobs)
-        if match.startswith("^n"):  # enumerate_graphs takes no jobs
-            with pytest.raises(ValueError, match=match):
-                next(enumerate_graphs(n))
+        with pytest.raises(ValueError, match=match):
+            next(enumerate_graphs(n))
 
-    def test_guardrail_before_shard_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("worker pool started")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def test_guardrail_before_shard_pool(self):
         with pytest.raises(ValueError, match="allow_large"):
-            ex_oracle(10, [complete(3)], jobs=2)
+            ex_oracle(10, [complete(3)])

@@ -90,7 +90,7 @@ def test_exception_becomes_failed_assertion(cx2_raises):
     ("cx2", {"p": 6}, "p = 6"),
     ("edge-add", {"b": -1}, "b = -1"),
     ("transfer-shift", {"k": 1}, "k = 1"),
-    ("cx1", {"r": 4}, "floor(55/4)"),
+    ("cx1", {"r": 2}, "r must be at least 3"),
 ])
 def test_out_of_range_param_is_bad_input(claim, params, named):
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -135,6 +135,24 @@ def test_cx1_fit_reuses_the_claim_pairs(monkeypatch):
     assert built == [55, 109, 217, 433]
     assert any(a["name"].startswith("extrapolated") and a["ok"]
                for a in rep["assertions"])
+
+
+def test_cx1_sizes_follow_k():
+    # the cx1_gap experiment's default sizes honour any k, not only k | 18
+    rep = run_claim("cx1", {"k": 4, "m": 4})
+    sizes = {int(m) for a in rep["assertions"]
+             for m in re.findall(r"at n = (\d+)", a["name"])}
+    assert sizes == {61, 121, 241, 481}
+
+
+def test_cx1_freeness_failure_names_its_member():
+    rep = run_claim("cx1")
+    held = {a["name"]: a["detail"] for a in rep["assertions"]
+            if "avoids" in a["name"] and not a["ok"]}
+    assert held["G avoids the family at n = 55"] == (
+        "holds member 4 of 22 (17 vertices, 101 edges): "
+        "PsaCF~}~f{^o~~~~^~f~w~~?")
+    assert all(d.startswith("holds member ") for d in held.values())
 
 
 def test_verify_imports_only_canonical_form_from_canon():
