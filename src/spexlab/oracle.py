@@ -30,9 +30,22 @@ reject most children before any canonization:
   automorphisms take uv to e*. Otherwise unequal degree profiles
   (``_profile``) reject the deletion of e* before it is canonized.
 
-The walk also reports each class that a free child strictly dominates in
-spectral radius, which ``spex_oracle`` then leaves unscored, as it does
-each class whose edge count bounds its radius below the prefilter window.
+``ex_oracle`` and ``spex_oracle`` do not walk n vertices. They read one
+candidate stream (``_candidates``): each free class on n - 1 vertices,
+plus a new vertex joined to each maximal set N that keeps it free, with
+|N| <= delta + 1 and no degree below |N| (``_extensions``; Brandt,
+Brinkmann & Harmuth, Graphs Combin. 16, 2000). Two lemmas and a bound
+make that enough:
+
+* Lemma 1 (``_candidates``): every saturated graph, free and
+  edge-maximal, is a candidate, so EX is the set of densest candidates.
+* Lemma 2 (``_spex_set``): a SPEX graph's component of largest radius is
+  a whole component of a saturated SPEX graph, so SPEX is completed from
+  the candidates of largest radius.
+* A parent's children have at most e + delta + 1 edges. Parents go in
+  decreasing order of that bound, and the stream stops at the first one
+  that cannot reach the best edge count (ex) or, through Stanley's bound,
+  the best radius (spex).
 
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest packed into one part. It
@@ -54,7 +67,8 @@ from typing import Iterator
 
 from .canon import _canonical, _generators, _mask, _refine, canonical_form
 from .graph6 import decode_graph6, encode_graph6
-from .graphs import Graph, _iter_bits, _turan_sizes, empty_graph
+from .graphs import (Graph, _iter_bits, _turan_sizes, disjoint_union, empty_graph,
+                     induced_subgraph)
 from .patterns import ForbiddenFamily, _join_split, contains_subgraph, is_free
 from .spectral import compare_lambda_exact, perron_root_interval, spectral_radius
 from .constructions import TuranPacking, free_trees
@@ -279,16 +293,13 @@ def _last_cells(adj: tuple[int, ...], cells: list[list[int]], u: int,
 
 
 def _accepted_children(g: Graph, grows: tuple[int, ...], gsym: list,
-                       family: ForbiddenFamily | None) -> tuple[list[tuple], bool]:
+                       family: ForbiddenFamily | None) -> list[tuple]:
     """Canonical-augmentation children of g, one per isomorphism class.
 
     grows and gsym are g's canonical rows and symmetry record
-    (``_canonical``). Returns (children, dominated). Each child is (child,
-    canonical rows, symmetry record), the child being g plus its first
-    non-edge uv, in lexicographic order, that passes every step below.
-    dominated says that a free child g + uv met here has a uv-component
-    holding every component of g with an edge, which puts g outside SPEX
-    (``spex_oracle``).
+    (``_canonical``). Each child is (child, canonical rows, symmetry
+    record), the child being g plus its first non-edge uv, in
+    lexicographic order, that passes every step below.
 
     g tries one non-edge uv per orbit of the automorphisms its
     canonization found. Let X = g + uv, C its uv-component and e* its
@@ -361,14 +372,11 @@ def _accepted_children(g: Graph, grows: tuple[int, ...], gsym: list,
             comp_of[x] = comp
     # g's component records, keyed by vertex mask (rec[2] lists the vertices)
     known = {comp_of[rec[2][0]]: rec for rec in gsym}
-    # the components of g with an edge, and the largest size among them
-    edged = sum(c for c in gcomps if c & (c - 1))
     gtop = max((c.bit_count() for c in gcomps), default=0)
     gprofile = None
     covered: set[tuple[int, int]] = set()
     out = []
     seen = set()
-    dominated = False
     for u in range(n):
         for v in range(u + 1, n):
             if adj[u] >> v & 1 or (u, v) in covered:
@@ -383,8 +391,6 @@ def _accepted_children(g: Graph, grows: tuple[int, ...], gsym: list,
             child = g.with_edge(u, v)
             if family is not None and not is_free(child, family, new_edge=(u, v)):
                 continue
-            if not edged & ~comp:
-                dominated = True
             cells = _last_cells(child.adj, _degree_cells(gdeg, masks, comp, u, v),
                                 u, v)
             if cells is None:
@@ -409,7 +415,7 @@ def _accepted_children(g: Graph, grows: tuple[int, ...], gsym: list,
                     if _canonical(parent)[1] != grows:
                         continue
             out.append((child, rows, sym))
-    return out, dominated
+    return out
 
 
 def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
@@ -421,8 +427,7 @@ def enumerate_graphs(n: int, family: ForbiddenFamily | None = None,
     every yielded graph is family-free and the search tree is pruned at the
     first forbidden subgraph.
     """
-    for g, _ in _free_classes(n, family, allow_large):
-        yield g
+    yield from _free_classes(n, family, allow_large)
 
 
 def _require_int(field: str, value) -> None:
@@ -431,11 +436,9 @@ def _require_int(field: str, value) -> None:
         raise ValueError(f"{field} must be an int, got {value!r}")
 
 
-def _free_classes(n: int, family: ForbiddenFamily | None,
-                  allow_large: bool) -> Iterator[tuple[Graph, bool]]:
-    """Depth-first canonical augmentation from the empty graph on n
-    vertices: (graph, dominated) for every free class, dominated as
-    ``_accepted_children`` reports it."""
+def _check_size(n, allow_large: bool) -> None:
+    """Refuse n that is not a nonnegative int, or above the guardrail
+    without allow_large."""
     _require_int("n", n)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -444,14 +447,87 @@ def _free_classes(n: int, family: ForbiddenFamily | None,
             f"refusing to enumerate n = {n} > {_GUARDRAIL} isomorphism classes; "
             "pass allow_large=True (--allow-large on the command line) "
             "to override")
+
+
+def _free_classes(n: int, family: ForbiddenFamily | None,
+                  allow_large: bool) -> Iterator[Graph]:
+    """Depth-first canonical augmentation from the empty graph on n
+    vertices: every free class, once."""
+    _check_size(n, allow_large)
     root = empty_graph(n)
     _, rows, sym = _canonical(root)
     stack = [(root, rows, sym)]
     while stack:
         g, rows, sym = stack.pop()
-        children, dominated = _accepted_children(g, rows, sym, family)
-        yield g, dominated
-        stack.extend(children)
+        yield g
+        stack.extend(_accepted_children(g, rows, sym, family))
+
+
+def _reach(g: Graph) -> int:
+    """e(g) + delta(g) + 1, which no ``_extensions`` child of g exceeds
+    in edges."""
+    return g.edge_count + (g.degree_sequence()[-1] + 1 if g.n else 0)
+
+
+def _extensions(g: Graph, family: ForbiddenFamily) -> Iterator[Graph]:
+    """g + v_N, v a new vertex joined to N, for each maximal allowed N with
+    every degree of g + v_N at least |N|, so |N| <= delta(g) + 1.
+
+    N is allowed when g + v_N is free, and maximal when no N + w is. g is
+    free, so each edge wv is tested as new. A set grows by one vertex after
+    its largest, and only when each of its subsets one smaller is allowed,
+    as a subgraph of a free graph is free. The sets of size delta(g) + 2
+    only decide whether those of size delta(g) + 1 are maximal.
+    """
+    v = g.n
+    deg = [row.bit_count() for row in g.adj]
+    level = {0: Graph._from_adj(v + 1, [*g.adj, 0])}
+    for size in range(min(deg, default=-1) + 2):
+        larger = {}
+        for mask, h in level.items():
+            for w in range(mask.bit_length(), v):
+                m = mask | 1 << w
+                if all((m ^ 1 << x) in level for x in _iter_bits(mask)):
+                    child = h.with_edge(w, v)
+                    if is_free(child, family, new_edge=(w, v)):
+                        larger[m] = child
+        # a vertex of degree below |N| must be in N, or it is below v
+        low = sum(1 << x for x, d in enumerate(deg) if d < size)
+        for mask, h in level.items():
+            if mask & low == low and not any((mask | 1 << w) in larger
+                                             for w in range(v)):
+                yield h
+        level = larger
+
+
+def _candidates(n: int, family: ForbiddenFamily, allow_large: bool,
+                keep) -> Iterator[Graph]:
+    """Free graphs on n vertices, one per class, every saturated one among
+    them: the ``_extensions`` of the free classes on n - 1 vertices, in
+    decreasing ``_reach`` of the parent (walk order among equals), until
+    keep(reach) is false for a parent.
+
+    Lemma 1: a saturated (free, edge-maximal) G is a candidate. Let v be a
+    vertex of least degree and G' = G - v, free as a subgraph of G. Each w
+    outside N(v) makes G + vw hold a member, so N(v) is maximal allowed.
+    |N(v)| = delta(G) is at most every degree of G, and at most
+    delta(G') + 1, since deleting v lowers a degree by at most one. So G
+    is an extension of G''s class, up to isomorphism.
+    """
+    _check_size(n, allow_large)
+    if n == 0:
+        yield empty_graph(0)
+        return
+    seen = set()
+    for g in sorted(_free_classes(n - 1, family, allow_large), key=_reach,
+                    reverse=True):
+        if not keep(_reach(g)):
+            return
+        for child in _extensions(g, family):
+            rows = _canonical(child)[1]
+            if rows not in seen:
+                seen.add(rows)
+                yield child
 
 
 def _family_id(family: ForbiddenFamily) -> str:
@@ -464,16 +540,19 @@ def _family_id(family: ForbiddenFamily) -> str:
 # the benchmark's census body still passes it (ROADMAP item 1 retires it)
 def ex_oracle(n: int, family, allow_large: bool = False,
               jobs: int = 1) -> ExtremalReport:
-    """Exact maximum edge count and all extremal graphs, by enumeration.
+    """Exact maximum edge count and all extremal graphs.
 
-    Each extremal graph is verified edge-maximal: every added edge creates a
-    forbidden subgraph, and a graph that fails this raises RuntimeError.
+    An extremal graph is saturated, so EX is the densest candidates
+    (``_candidates``); the stream stops at a parent whose reach is below
+    the best edge count. Each extremal graph is verified edge-maximal:
+    every added edge creates a forbidden subgraph, and a graph that fails
+    this raises RuntimeError.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
     best = -1
     attain: list[Graph] = []
-    for g, _ in _free_classes(n, family, allow_large):
+    for g in _candidates(n, family, allow_large, lambda reach: reach >= best):
         e = g.edge_count
         if e > best:
             best = e
@@ -498,56 +577,81 @@ def _stanley_bound(m: int) -> float:
     return (math.sqrt(1 + 8 * m) - 1) / 2
 
 
+def _spex_set(ties: list[Graph], n: int, family: ForbiddenFamily,
+              allow_large: bool) -> set[str]:
+    """SPEX from the candidates of largest radius: C + R for each component
+    C of a tie with the tie's radius and each free class R on n - |C|
+    vertices with C + R free.
+
+    Lemma 2: if G is in SPEX and C is a component of G with lambda(C) =
+    lambda(G), then C is a component of a tie with the tie's radius. Add
+    edges to G while it stays free, up to a saturated S. lambda(G) <=
+    lambda(S) <= spex, so S is a tie (Lemma 1). C lies in a component D of
+    S with lambda(D) <= lambda(S) = lambda(C), and a proper connected
+    subgraph of D has smaller radius (Perron-Frobenius), so C = D. G - C is
+    a free class R, so G is listed, and each C + R listed is free with
+    radius lambda(C) = spex. In particular a connected SPEX graph is
+    saturated (it is S), and a connected tie is its own C, with R empty.
+    """
+    parts = {}
+    for s in ties:
+        comps = s.components()
+        if len(comps) < 2:  # connected, or K0: its own C
+            parts[_canonical(s)[1]] = s
+            continue
+        for comp in comps:
+            c = induced_subgraph(s, comp)
+            if compare_lambda_exact(c, s) == 0:
+                parts[_canonical(c)[1]] = c
+    found = set()
+    for c in parts.values():
+        for r in _free_classes(n - c.n, family, allow_large):
+            g = disjoint_union(c, r)
+            if not r.n or is_free(g, family):  # with R empty, g is the tie
+                found.add(_canon_string(g))
+    return found
+
+
 def spex_oracle(n: int, family, allow_large: bool = False,
                 jobs: int = 1) -> ExtremalReport:
     """Exact maximum spectral radius and its attaining set.
 
-    A float pre-filter keeps every graph within _PREFILTER_TOL of the largest
-    observed radius; exact comparison then decides the champion and its ties,
-    so the reported set carries no floating-point equality anywhere.
+    A float pre-filter keeps every candidate (``_candidates``) within
+    _PREFILTER_TOL of the largest observed radius, top; exact comparison
+    then decides the ties, so the reported set carries no floating-point
+    equality anywhere. SPEX is completed from the ties (``_spex_set``).
+    The value and the certificate's bracket are those of the first graph
+    of the extremal set, whatever order the candidates came in.
 
-    A dominated class (``_accepted_children``) is not scored. Its free
-    child g + uv has a connected uv-component W holding every component
-    of g with an edge. Each such component is a proper subgraph of W, so
-    its radius is below W's (Perron-Frobenius: A(W) is irreducible), and
-    lambda(g) < lambda(W) <= lambda(g + uv); with no such component,
-    lambda(g) = 0 < 1. So g is strictly below a free class the walk
-    yields, and is not in SPEX. A class tied with the maximum is never
-    strictly below a free graph, so no tie is skipped, and the champion,
-    the first maximum in walk order, is the same.
-
-    Nor is a class scored whose edge count m puts Stanley's bound lambda
-    <= (sqrt(1 + 8m) - 1) / 2 (Linear Algebra Appl. 87, 1987), plus 1e-9
-    for float error, below top - _PREFILTER_TOL. Its float radius would
-    neither raise top nor be appended to the scored list, so the list,
-    the champion, the ties and the certificate are the same.
+    The stream stops at a parent whose reach m puts Stanley's bound
+    lambda <= (sqrt(1 + 8m) - 1) / 2 (Linear Algebra Appl. 87, 1987), plus
+    1e-9 for float error, below top - _PREFILTER_TOL: no later candidate
+    would raise top or be kept, so the report is the same.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
     scored: list[tuple[float, Graph]] = []
     top = float("-inf")
-    for g, dominated in _free_classes(n, family, allow_large):
-        if dominated:
-            continue
-        if _stanley_bound(g.edge_count) + 1e-9 < top - _PREFILTER_TOL:
-            continue
+
+    def keep(reach: int) -> bool:
+        return _stanley_bound(reach) + 1e-9 >= top - _PREFILTER_TOL
+
+    for g in _candidates(n, family, allow_large, keep):
         lam = spectral_radius(g).value
-        if lam > top:
-            top = lam
-            scored = [(l, h) for l, h in scored if l >= top - _PREFILTER_TOL]
-        if lam >= top - _PREFILTER_TOL:
-            scored.append((lam, g))
-    champion = None
+        top = max(top, lam)
+        scored.append((lam, g))
     ties: list[Graph] = []
     for lam, g in scored:
-        if champion is None:
-            value, champion, ties = lam, g, [g]
+        if lam < top - _PREFILTER_TOL:
             continue
-        c = compare_lambda_exact(g, champion)
+        c = compare_lambda_exact(g, ties[0]) if ties else 1
         if c > 0:
-            value, champion, ties = lam, g, [g]
+            ties = [g]
         elif c == 0:
             ties.append(g)
+    extremal = _spex_set(ties, n, family, allow_large)
+    champion = decode_graph6(min(extremal))
+    value = spectral_radius(champion).value
     lo, hi = perron_root_interval(champion, Fraction(1, 10 ** 12))
     certificate = {
         "perron_bracket": [f"{lo.numerator}/{lo.denominator}",
@@ -556,9 +660,8 @@ def spex_oracle(n: int, family, allow_large: bool = False,
         "ties": "compare_lambda_exact",
     }
     return ExtremalReport(
-        "spex", n, _family_id(family), value,
-        [_canon_string(g) for g in ties], time.perf_counter() - t0,
-        certificate=certificate)
+        "spex", n, _family_id(family), value, extremal,
+        time.perf_counter() - t0, certificate=certificate)
 
 
 class RestrictedSpace:
@@ -660,9 +763,7 @@ def restricted_ex(n: int, family, space: RestrictedSpace) -> ExtremalReport:
     the best free host are unchanged.
     """
     family = _coerce_family(family)
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    _check_size(n, True)
     t0 = time.perf_counter()
     if space.r > n:
         raise ValueError(f"r = {space.r} exceeds n = {n}")

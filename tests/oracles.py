@@ -14,19 +14,26 @@ from fractions import Fraction
 import numpy as np
 
 from spexlab import (
+    ExtremalReport,
+    ForbiddenFamily,
     Graph,
     Partition,
     SpectralResult,
     TuranPacking,
     adjacency_matrix,
     canonical_form,
+    compare_lambda_exact,
+    decode_graph6,
+    enumerate_graphs,
     induced_subgraph,
     is_free,
+    perron_root_interval,
+    spectral_radius,
     star,
     turan,
 )
 from spexlab.graphs import _iter_bits, _turan_sizes
-from spexlab.oracle import _forests
+from spexlab.oracle import _PREFILTER_TOL, _family_id, _forests
 
 
 def brute_contains(host: Graph, pattern: Graph) -> bool:
@@ -338,3 +345,49 @@ def restricted_unpruned(n: int, members, r: int, max_order: int):
                 best, attain = e, set()
             attain.add(canonical_form(g).decode("ascii"))
     return (best if attain else None), attain
+
+
+def census_ex(n: int, family: ForbiddenFamily) -> ExtremalReport:
+    """ex_oracle over every free class on n vertices that the walk yields,
+    in place of the candidates of one-vertex extensions."""
+    best, attain = -1, []
+    for g in enumerate_graphs(n, family, allow_large=True):
+        e = g.edge_count
+        if e > best:
+            best, attain = e, [g]
+        elif e == best:
+            attain.append(g)
+    return ExtremalReport("ex", n, _family_id(family), best,
+                          [canonical_form(g).decode("ascii") for g in attain], 0.0)
+
+
+def census_spex(n: int, family: ForbiddenFamily) -> ExtremalReport:
+    """spex_oracle over every free class on n vertices that the walk
+    yields, each scored: no parent bound and no completion of the ties.
+    As there, the value and the bracket are those of the least canonical
+    graph6 string among the ties."""
+    scored, top = [], float("-inf")
+    for g in enumerate_graphs(n, family, allow_large=True):
+        lam = spectral_radius(g).value
+        if lam > top:
+            top = lam
+            scored = [(l, h) for l, h in scored if l >= top - _PREFILTER_TOL]
+        if lam >= top - _PREFILTER_TOL:
+            scored.append((lam, g))
+    ties = []
+    for _, g in scored:
+        c = compare_lambda_exact(g, ties[0]) if ties else 1
+        if c > 0:
+            ties = [g]
+        elif c == 0:
+            ties.append(g)
+    forms = sorted(canonical_form(g).decode("ascii") for g in ties)
+    champion = decode_graph6(forms[0])
+    lo, hi = perron_root_interval(champion, Fraction(1, 10 ** 12))
+    certificate = {"perron_bracket": [f"{lo.numerator}/{lo.denominator}",
+                                      f"{hi.numerator}/{hi.denominator}"],
+                   "prefilter_tol": _PREFILTER_TOL,
+                   "ties": "compare_lambda_exact"}
+    return ExtremalReport("spex", n, _family_id(family),
+                          spectral_radius(champion).value, forms, 0.0,
+                          certificate=certificate)

@@ -17,6 +17,7 @@ from spexlab import (
     RestrictedSpace,
     TuranPacking,
     canonical_form,
+    chromatic_number,
     complete,
     complete_multipartite,
     cx1_pair,
@@ -41,8 +42,8 @@ from spexlab import (
 )
 from spexlab import canon, oracle, patterns
 from spexlab.spectral import compare_lambda_exact
-from oracles import (all_graphs_upto_iso, brute_contains, eig_radius,
-                     last_edge_admits, restricted_unpruned)
+from oracles import (all_graphs_upto_iso, brute_contains, census_ex, census_spex,
+                     eig_radius, last_edge_admits, restricted_unpruned)
 
 SKIP_SLOW = os.environ.get("SPEXLAB_RUN_SLOW") != "1"
 
@@ -165,10 +166,12 @@ class TestEnumeration:
             monkeypatch.setattr(module, name, counted(module, name))
         rep = spex_oracle(6, [complete(4)])
         assert rep.extremal_set == ("E]~o",)
-        # no parent test canonizes, so the one canonical_form call is the
-        # report's; a child searches only its new edge's component
-        assert counts == {"_canonical": 123, "canonical_form": 1,
-                          "_canon_component": 129}
+        # the walk on 5 vertices (its root and 28 children), the 6
+        # candidates, and in _spex_set the tie's key and the root of the
+        # walk for R on 0 vertices; the one canonical_form call is the
+        # report's
+        assert counts == {"_canonical": 37, "canonical_form": 1,
+                          "_canon_component": 41}
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):
@@ -297,7 +300,7 @@ class TestRejectBeforeCanonizing:
     def test_filters_reject_only_what_the_parent_test_rejects(self, monkeypatch):
         def children(g):
             _, rows, sym = canon._canonical(g)
-            kept, _ = oracle._accepted_children(g, rows, sym, None)
+            kept = oracle._accepted_children(g, rows, sym, None)
             return [(c.adj, r) for c, r, _ in kept]
 
         parents = [g for n in range(2, 7) for g in enumerate_graphs(n)]
@@ -452,8 +455,8 @@ class TestExOracle:
         assert list(rep.extremal_set) == sorted(set(rep.extremal_set))
 
     def test_non_maximal_graph_is_named(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_free_classes",
-                            lambda *args: iter([(empty_graph(3), False)]))
+        monkeypatch.setattr(oracle, "_candidates",
+                            lambda *args: iter([empty_graph(3)]))
         with pytest.raises(RuntimeError,
                            match=r"extremal graph B\? is not edge-maximal: "
                                  r"adding \(0, 1\) keeps it free"):
@@ -507,9 +510,11 @@ class TestSpexOracle:
         assert abs(rep.value - best) <= 1e-9
 
 
-@pytest.mark.parametrize("members", [[complete(3)], [complete(4)], [cycle(4)],
-                                     [f1()]], ids=["K3", "K4", "C4", "F1"])
-def test_stanley_skip_changes_no_report(monkeypatch, members):
+# the parent bound prunes no parent of C4 or F1 at n = 7
+@pytest.mark.parametrize("members, prunes", [
+    ([complete(3)], True), ([complete(4)], True), ([cycle(4)], False),
+    ([f1()], False)], ids=["K3", "K4", "C4", "F1"])
+def test_stanley_skip_changes_no_report(monkeypatch, members, prunes):
     calls = []
     real = oracle.spectral_radius
     monkeypatch.setattr(oracle, "spectral_radius",
@@ -525,8 +530,9 @@ def test_stanley_skip_changes_no_report(monkeypatch, members):
                             len(calls)))
         (*got, skipping), (*want, scoring) = reports
         assert got == want, n
-    # at n = 7 the bound leaves some class unscored
-    assert skipping < scoring
+    # at n = 7 the bound leaves some candidate unscored
+    if prunes:
+        assert skipping < scoring
 
 
 @lru_cache(maxsize=None)
@@ -567,6 +573,38 @@ def test_spex_matches_exact_brute_force(members, ties_at_seven):
         assert abs(rep.value - eig_radius(best)) <= 1e-9, n
     if ties_at_seven is not None:
         assert len(ties) == ties_at_seven
+
+
+# the connected three-chromatic patterns on 3-5 vertices; at n = 8, 6 of
+# the 15 have SPEX outside EX
+THREE_CHROMATIC = [g for order in (3, 4, 5) for g in enumerate_graphs(order)
+                   if len(g.components()) == 1 and chromatic_number(g) == 3]
+
+# P3- and K1,3-free SPEX sets hold graphs that are neither saturated nor
+# connected (14 tied classes for K1,3 at n = 7)
+DIFFERENTIAL = {
+    "K3": [complete(3)], "K4": [complete(4)], "K5": [complete(5)],
+    "C4": [cycle(4)], "F1": [f1()], "2K2": [disjoint_union(path(2), path(2))],
+    "K3+K2": [disjoint_union(complete(3), complete(2))],
+    "P3": [path(3)], "K1,3": [star(4)],
+    **{encode_graph6(g): [g] for g in THREE_CHROMATIC},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_extensions_match_the_census(name):
+    fam = ForbiddenFamily(DIFFERENTIAL[name], name=name)
+    top = 7 if SKIP_SLOW else 9 if name == "K4" else 8
+    for n in range(top + 1):
+        for rep, ref in ((ex_oracle(n, fam), census_ex(n, fam)),
+                         (spex_oracle(n, fam), census_spex(n, fam))):
+            assert (rep.value, rep.extremal_set, rep.certificate) == \
+                (ref.value, ref.extremal_set, ref.certificate), (rep.kind, n)
+
+
+def test_three_chromatic_patterns_are_counted():
+    assert len(THREE_CHROMATIC) == 15
+    assert len({canonical_form(g) for g in THREE_CHROMATIC}) == 15
 
 
 class TestRestricted:
@@ -812,6 +850,13 @@ class TestReportShape:
         with pytest.raises(ValueError, match=match):
             next(enumerate_graphs(n))
 
-    def test_guardrail_before_shard_pool(self):
-        with pytest.raises(ValueError, match="allow_large"):
-            ex_oracle(10, [complete(3)])
+    def test_guardrail_refuses_n_before_the_census(self, monkeypatch):
+        # the candidates extend the census on n - 1 = 9 vertices, inside
+        # the guardrail, but n = 10 is refused before any census work
+        def census(*args):
+            raise AssertionError("census started before validation")
+
+        monkeypatch.setattr(oracle, "_free_classes", census)
+        for oracle_fn in (ex_oracle, spex_oracle):
+            with pytest.raises(ValueError, match="allow_large"):
+                oracle_fn(10, [complete(3)])
