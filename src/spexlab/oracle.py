@@ -473,15 +473,22 @@ def _extensions(g: Graph, family: ForbiddenFamily) -> Iterator[Graph]:
     """g + v_N, v a new vertex joined to N, for each maximal allowed N with
     every degree of g + v_N at least |N|, so |N| <= delta(g) + 1.
 
-    N is allowed when g + v_N is free, and maximal when no N + w is. g is
-    free, so each edge wv is tested as new. A set grows by one vertex after
+    N is allowed when g + v_N is free, and maximal when no N + w is. g + v
+    is a subgraph of every g + v_N. g is free, so a copy of a member in
+    g + v uses the isolated v, and the member has an isolated vertex; g + v
+    is tested against those members, and if it holds one no N is allowed.
+    Past it each edge wv is tested as new. A set grows by one vertex after
     its largest, and only when each of its subsets one smaller is allowed,
     as a subgraph of a free graph is free. The sets of size delta(g) + 2
     only decide whether those of size delta(g) + 1 are maximal.
     """
     v = g.n
+    root = Graph._from_adj(v + 1, [*g.adj, 0])
+    loose = [h for h in family if not all(h.adj)]
+    if loose and not is_free(root, loose):
+        return
     deg = [row.bit_count() for row in g.adj]
-    level = {0: Graph._from_adj(v + 1, [*g.adj, 0])}
+    level = {0: root}
     for size in range(min(deg, default=-1) + 2):
         larger = {}
         for mask, h in level.items():
@@ -518,16 +525,24 @@ def _candidates(n: int, family: ForbiddenFamily, allow_large: bool,
     if n == 0:
         yield empty_graph(0)
         return
+    m = n - 1
+    # parents by reach, in walk order, each as its rows packed into one int
+    by_reach: dict[int, list[int]] = {}
+    for g in _free_classes(m, family, allow_large):
+        by_reach.setdefault(_reach(g), []).append(
+            sum(row << m * x for x, row in enumerate(g.adj)))
+    full = (1 << m) - 1
     seen = set()
-    for g in sorted(_free_classes(n - 1, family, allow_large), key=_reach,
-                    reverse=True):
-        if not keep(_reach(g)):
+    for reach in sorted(by_reach, reverse=True):
+        if not keep(reach):
             return
-        for child in _extensions(g, family):
-            rows = _canonical(child)[1]
-            if rows not in seen:
-                seen.add(rows)
-                yield child
+        for packed in by_reach.pop(reach):
+            g = Graph._from_adj(m, [packed >> m * x & full for x in range(m)])
+            for child in _extensions(g, family):
+                rows = _canonical(child)[1]
+                if rows not in seen:
+                    seen.add(rows)
+                    yield child
 
 
 def _family_id(family: ForbiddenFamily) -> str:
@@ -638,8 +653,9 @@ def spex_oracle(n: int, family, allow_large: bool = False,
 
     for g in _candidates(n, family, allow_large, keep):
         lam = spectral_radius(g).value
-        top = max(top, lam)
-        scored.append((lam, g))
+        if lam >= top - _PREFILTER_TOL:
+            top = max(top, lam)
+            scored.append((lam, g))
     ties: list[Graph] = []
     for lam, g in scored:
         if lam < top - _PREFILTER_TOL:

@@ -581,12 +581,16 @@ THREE_CHROMATIC = [g for order in (3, 4, 5) for g in enumerate_graphs(order)
                    if len(g.components()) == 1 and chromatic_number(g) == 3]
 
 # P3- and K1,3-free SPEX sets hold graphs that are neither saturated nor
-# connected (14 tied classes for K1,3 at n = 7)
+# connected (14 tied classes for K1,3 at n = 7); a member with isolated
+# vertices makes g + v hold a member where g is free
 DIFFERENTIAL = {
     "K3": [complete(3)], "K4": [complete(4)], "K5": [complete(5)],
     "C4": [cycle(4)], "F1": [f1()], "2K2": [disjoint_union(path(2), path(2))],
     "K3+K2": [disjoint_union(complete(3), complete(2))],
     "P3": [path(3)], "K1,3": [star(4)],
+    "K2+K1": [disjoint_union(path(2), empty_graph(1))],
+    "K3+K1": [disjoint_union(complete(3), empty_graph(1))],
+    "K3+2K1": [disjoint_union(complete(3), empty_graph(2))],
     **{encode_graph6(g): [g] for g in THREE_CHROMATIC},
 }
 
