@@ -31,21 +31,34 @@ reject most children before any canonization:
   (``_profile``) reject the deletion of e* before it is canonized.
 
 ``ex_oracle`` and ``spex_oracle`` do not walk n vertices. They read one
-candidate stream (``_candidates``): each free class on n - 1 vertices,
+candidate stream (``_candidates``): free classes on n - 1 vertices, each
 plus a new vertex joined to each maximal set N that keeps it free, with
 |N| <= delta + 1 and no degree below |N| (``_extensions``; Brandt,
-Brinkmann & Harmuth, Graphs Combin. 16, 2000). Two lemmas and a bound
-make that enough:
+Brinkmann & Harmuth, Graphs Combin. 16, 2000). A parent's children have
+at most its reach, e + delta + 1, edges. Two lemmas and a floor make
+that enough:
 
 * Lemma 1 (``_candidates``): every saturated graph, free and
   edge-maximal, is a candidate, so EX is the set of densest candidates.
 * Lemma 2 (``_spex_set``): a SPEX graph's component of largest radius is
   a whole component of a saturated SPEX graph, so SPEX is completed from
   the candidates of largest radius.
-* A parent's children have at most e + delta + 1 edges. Parents go in
-  decreasing order of that bound, and the stream stops at the first one
-  that cannot reach the best edge count (ex) or, through Stanley's bound,
-  the best radius (spex).
+* The Turán floor (``_turan_floor``): with r + 1 the least chromatic
+  number of a member that fits in n vertices, T(n, r) is free, so ex is
+  at least e(T(n, r)) and spex at least lambda(T(n, r)). Only parents
+  whose reach meets that floor (in edges, or through Stanley's bound in
+  radius) are built. They go in decreasing reach, and the stream stops
+  at the first one that cannot reach the best edge count (ex) or the
+  best radius (spex).
+
+The parents with reach at least R are built top down (``_band``), not
+walked. Monotone reach: reach only falls as edges go. Deletion closure:
+so every free class with reach at least R is reached from a saturated
+one by deleting edges without falling below R. Edge bound: a saturated
+graph on m vertices with reach at least R has e >= (R - 1) m / (m + 2),
+as delta <= 2e/m, and its Lemma 1 parent has reach at least e, so the
+saturated classes are extensions of the band on m - 1 vertices at that
+floor. Where the bound is 0 or less the level is the walk, filtered.
 
 The restricted search scans complete multipartite graphs with the balanced
 part profile plus a bounded-order forest packed into one part. It
@@ -62,14 +75,15 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, count, groupby, product
 from typing import Iterator
 
 from .canon import _canonical, _generators, _mask, _refine, canonical_form
 from .graph6 import decode_graph6, encode_graph6
 from .graphs import (Graph, _iter_bits, _turan_sizes, disjoint_union, empty_graph,
-                     induced_subgraph)
-from .patterns import ForbiddenFamily, _join_split, contains_subgraph, is_free
+                     induced_subgraph, turan)
+from .patterns import (ForbiddenFamily, _join_split, chromatic_number,
+                       contains_subgraph, is_free)
 from .spectral import compare_lambda_exact, perron_root_interval, spectral_radius
 from .constructions import TuranPacking, free_trees
 
@@ -507,42 +521,102 @@ def _extensions(g: Graph, family: ForbiddenFamily) -> Iterator[Graph]:
         level = larger
 
 
-def _candidates(n: int, family: ForbiddenFamily, allow_large: bool,
+def _turan_floor(n: int, family: ForbiddenFamily, allow_large: bool) -> Graph:
+    """T(n, r), r + 1 the least chromatic number of a member on at most n
+    vertices (r = n if none fits), after ``_check_size`` refuses a bad n.
+
+    T(n, r) is free: it is r-colourable, so it holds no member of
+    chromatic number above r, and a member on more than n vertices fits in
+    no graph on n vertices. So ex(n, F) >= e(T(n, r)) and spex(n, F) >=
+    lambda(T(n, r)).
+    """
+    _check_size(n, allow_large)
+    r = min((chromatic_number(h) for h in family if h.n <= n), default=n + 1) - 1
+    return turan(n, r) if n else empty_graph(0)
+
+
+def _band(m: int, floor: int, family: ForbiddenFamily) -> Iterator[Graph]:
+    """The free classes on m vertices with ``_reach`` at least floor, one
+    each.
+
+    Monotone reach: adding an edge raises e by one and lowers no degree, so
+    reach(G + uv) > reach(G). Deletion closure: a free G with reach at
+    least floor lies in a saturated S on m vertices, reached from S by
+    deleting one edge at a time; every graph on the way contains G, so it
+    is free with reach at least reach(G). So the band is what deleting
+    edges reaches from its saturated classes without falling below floor.
+    Each class deletes one edge per orbit of the automorphisms its
+    canonization found, as deleting edges of one orbit gives one class,
+    and the results are deduplicated by canonical rows.
+
+    Edge bound: let S be saturated with reach at least floor, v a vertex
+    of least degree delta, and S' = S - v its Lemma 1 parent
+    (``_candidates``). Every degree of S' is at least delta - 1, so
+    reach(S') >= e(S) - delta + delta - 1 + 1 = e(S). As delta <= 2e(S)/m,
+    floor - 1 <= e(S) + delta <= e(S) (m + 2) / m. So S is an
+    ``_extensions`` child of the band on m - 1 vertices with floor
+    ceil((floor - 1) m / (m + 2)). Children below floor are dropped, and
+    those kept seed the deletions, saturated or not. When that bound is 0
+    or less the level is the walk (``_free_classes``), filtered: it covers
+    m = 0, and every floor of a family with a bipartite member.
+    """
+    bound = -((1 - floor) * m // (m + 2))
+    if bound <= 0:
+        # n was checked before its floor was drawn, and m < n
+        yield from (g for g in _free_classes(m, family, True) if _reach(g) >= floor)
+        return
+    seen = set()
+    stack = []
+
+    def push(h: Graph) -> None:
+        if _reach(h) >= floor:
+            _, rows, sym = _canonical(h)
+            if rows not in seen:
+                seen.add(rows)
+                stack.append((h, sym))
+
+    for g in _band(m - 1, bound, family):
+        for h in _extensions(g, family):
+            push(h)
+    while stack:
+        g, sym = stack.pop()
+        yield g
+        gens = _generators(sym)
+        covered: set[tuple[int, int]] = set()
+        for u in range(m):
+            for v in _iter_bits(g.adj[u] >> u + 1 << u + 1):
+                if (u, v) not in covered:
+                    _edge_orbit(u, v, gens, covered)
+                    push(g.without_edge(u, v))
+
+
+def _candidates(n: int, family: ForbiddenFamily, floor: int,
                 keep) -> Iterator[Graph]:
-    """Free graphs on n vertices, one per class, every saturated one among
-    them: the ``_extensions`` of the free classes on n - 1 vertices, in
-    decreasing ``_reach`` of the parent (walk order among equals), until
-    keep(reach) is false for a parent.
+    """Free graphs on n vertices, one per class, every saturated one with
+    at least floor edges among them: the ``_extensions`` of the free
+    classes on n - 1 vertices with reach at least floor (``_band``), in
+    decreasing ``_reach``, until keep(reach) is false for a parent.
 
     Lemma 1: a saturated (free, edge-maximal) G is a candidate. Let v be a
     vertex of least degree and G' = G - v, free as a subgraph of G. Each w
     outside N(v) makes G + vw hold a member, so N(v) is maximal allowed.
     |N(v)| = delta(G) is at most every degree of G, and at most
     delta(G') + 1, since deleting v lowers a degree by at most one. So G
-    is an extension of G''s class, up to isomorphism.
+    is an extension of G''s class, up to isomorphism, and e(G) <=
+    reach(G').
     """
-    _check_size(n, allow_large)
     if n == 0:
         yield empty_graph(0)
         return
-    m = n - 1
-    # parents by reach, in walk order, each as its rows packed into one int
-    by_reach: dict[int, list[int]] = {}
-    for g in _free_classes(m, family, allow_large):
-        by_reach.setdefault(_reach(g), []).append(
-            sum(row << m * x for x, row in enumerate(g.adj)))
-    full = (1 << m) - 1
     seen = set()
-    for reach in sorted(by_reach, reverse=True):
-        if not keep(reach):
+    for g in sorted(_band(n - 1, floor, family), key=_reach, reverse=True):
+        if not keep(_reach(g)):
             return
-        for packed in by_reach.pop(reach):
-            g = Graph._from_adj(m, [packed >> m * x & full for x in range(m)])
-            for child in _extensions(g, family):
-                rows = _canonical(child)[1]
-                if rows not in seen:
-                    seen.add(rows)
-                    yield child
+        for child in _extensions(g, family):
+            rows = _canonical(child)[1]
+            if rows not in seen:
+                seen.add(rows)
+                yield child
 
 
 def _family_id(family: ForbiddenFamily) -> str:
@@ -557,17 +631,19 @@ def ex_oracle(n: int, family, allow_large: bool = False,
               jobs: int = 1) -> ExtremalReport:
     """Exact maximum edge count and all extremal graphs.
 
-    An extremal graph is saturated, so EX is the densest candidates
-    (``_candidates``); the stream stops at a parent whose reach is below
-    the best edge count. Each extremal graph is verified edge-maximal:
-    every added edge creates a forbidden subgraph, and a graph that fails
-    this raises RuntimeError.
+    An extremal graph is saturated with at least e(T(n, r)) edges
+    (``_turan_floor``), so EX is the densest candidates (``_candidates``)
+    from parents of reach at least that floor; the stream stops at a
+    parent whose reach is below the best edge count. Each extremal graph
+    is verified edge-maximal: every added edge creates a forbidden
+    subgraph, and a graph that fails this raises RuntimeError.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
+    floor = _turan_floor(n, family, allow_large).edge_count
     best = -1
     attain: list[Graph] = []
-    for g in _candidates(n, family, allow_large, lambda reach: reach >= best):
+    for g in _candidates(n, family, floor, lambda reach: reach >= best):
         e = g.edge_count
         if e > best:
             best = e
@@ -641,17 +717,21 @@ def spex_oracle(n: int, family, allow_large: bool = False,
     The stream stops at a parent whose reach m puts Stanley's bound
     lambda <= (sqrt(1 + 8m) - 1) / 2 (Linear Algebra Appl. 87, 1987), plus
     1e-9 for float error, below top - _PREFILTER_TOL: no later candidate
-    would raise top or be kept, so the report is the same.
+    would raise top or be kept, so the report is the same. top starts at
+    the float radius of the free T(n, r) (``_turan_floor``), which no
+    candidate of the largest radius falls below by more than float error,
+    and the least reach that this test keeps is the floor of the parents.
     """
     family = _coerce_family(family)
     t0 = time.perf_counter()
     scored: list[tuple[float, Graph]] = []
-    top = float("-inf")
+    top = spectral_radius(_turan_floor(n, family, allow_large)).value
 
     def keep(reach: int) -> bool:
         return _stanley_bound(reach) + 1e-9 >= top - _PREFILTER_TOL
 
-    for g in _candidates(n, family, allow_large, keep):
+    floor = next(reach for reach in count() if keep(reach))
+    for g in _candidates(n, family, floor, keep):
         lam = spectral_radius(g).value
         if lam >= top - _PREFILTER_TOL:
             top = max(top, lam)

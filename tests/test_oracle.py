@@ -166,12 +166,15 @@ class TestEnumeration:
             monkeypatch.setattr(module, name, counted(module, name))
         rep = spex_oracle(6, [complete(4)])
         assert rep.extremal_set == ("E]~o",)
-        # the walk on 5 vertices (its root and 28 children), the 6
-        # candidates, and in _spex_set the tie's key and the root of the
-        # walk for R on 0 vertices; the one canonical_form call is the
-        # report's
-        assert counts == {"_canonical": 37, "canonical_form": 1,
-                          "_canon_component": 41}
+        # the band under the floor 10 (Stanley's bound against
+        # lambda(T(6, 3)) = 4): the walk's root on 1 vertex, then 1, 2, 4
+        # and 5 kept extensions and deletions on 2, 3, 4 and 5 vertices
+        # (three of the four on 4 vertices and two of the five on 5 are
+        # repeats the dedup drops); the 6 candidates; and in _spex_set the
+        # tie's key and the root of the walk for R on 0 vertices. Each is
+        # one component; the one canonical_form call is the report's
+        assert counts == {"_canonical": 21, "canonical_form": 1,
+                          "_canon_component": 21}
 
     def test_agrees_with_labeled_dedup(self):
         for n in range(1, 7):
@@ -591,6 +594,7 @@ DIFFERENTIAL = {
     "K2+K1": [disjoint_union(path(2), empty_graph(1))],
     "K3+K1": [disjoint_union(complete(3), empty_graph(1))],
     "K3+2K1": [disjoint_union(complete(3), empty_graph(2))],
+    "K4,C5": [complete(4), cycle(5)],
     **{encode_graph6(g): [g] for g in THREE_CHROMATIC},
 }
 
@@ -604,6 +608,32 @@ def test_extensions_match_the_census(name):
                          (spex_oracle(n, fam), census_spex(n, fam))):
             assert (rep.value, rep.extremal_set, rep.certificate) == \
                 (ref.value, ref.extremal_set, ref.certificate), (rep.kind, n)
+
+
+# K4,C5 has members of chromatic number 4 and 3, and K3+K1 a member with
+# an isolated vertex
+BAND_FAMILIES = ("K3", "K4", "K5", "C4", "F1", "K3+K1", "K4,C5")
+
+
+@pytest.mark.parametrize("name", BAND_FAMILIES)
+def test_band_is_the_walk_above_each_floor(name):
+    fam = ForbiddenFamily(DIFFERENTIAL[name], name=name)
+    # a low floor on 7 vertices builds most classes top down, at about 3x
+    # the walk, so the floors below the least one the oracles draw at n = 8
+    # (spex's, as Stanley's bound is at least lambda) run with the slow tests
+    lam = spectral_radius(oracle._turan_floor(8, fam, False)).value
+    least = next(r for r in itertools.count() if oracle._stanley_bound(r) + 1e-9
+                 >= lam - oracle._PREFILTER_TOL)
+    for m in range(8):
+        reach = {}
+        for g in enumerate_graphs(m, fam):
+            reach[canonical_form(g)] = oracle._reach(g)
+        for floor in range(least if m == 7 and SKIP_SLOW else 0,
+                           max(reach.values()) + 2):
+            band = [canonical_form(g) for g in oracle._band(m, floor, fam)]
+            assert len(band) == len(set(band)), (m, floor)
+            assert set(band) == {c for c, r in reach.items() if r >= floor}, \
+                (m, floor)
 
 
 def test_three_chromatic_patterns_are_counted():
@@ -855,12 +885,14 @@ class TestReportShape:
             next(enumerate_graphs(n))
 
     def test_guardrail_refuses_n_before_the_census(self, monkeypatch):
-        # the candidates extend the census on n - 1 = 9 vertices, inside
-        # the guardrail, but n = 10 is refused before any census work
-        def census(*args):
-            raise AssertionError("census started before validation")
+        # the candidates extend free classes on n - 1 = 9 vertices, inside
+        # the guardrail, but n = 10 is refused before the floor is drawn
+        # or any class is built
+        def started(*args):
+            raise AssertionError("work started before validation")
 
-        monkeypatch.setattr(oracle, "_free_classes", census)
+        for name in ("_free_classes", "_band", "chromatic_number", "turan"):
+            monkeypatch.setattr(oracle, name, started)
         for oracle_fn in (ex_oracle, spex_oracle):
             with pytest.raises(ValueError, match="allow_large"):
                 oracle_fn(10, [complete(3)])
